@@ -13,8 +13,8 @@
 //!   delay-taxonomy  initial / bursty / slow delays (§1.2) under all strategies
 //!   memory          shrinking memory budgets (§4.1/§4.2)
 //!   multi-query     N concurrent queries: throughput vs response (§6)
-//!   cache           wrapper result cache cold vs warm (writes BENCH_cache.json)
-//!   failover        kill a replica mid-scan vs clean run (writes BENCH_failover.json)
+//!   cache           wrapper result cache cold vs warm (JSON to --csv PATH)
+//!   failover        kill a replica mid-scan vs clean run (JSON to --csv PATH)
 //!   morsel          worker-pool scaling on a probe-heavy spec (writes BENCH_morsel.json)
 //!   spm             online source permutation vs baselines (writes BENCH_spm.json)
 //!   refresh         budgeted refresh under a write burst (writes BENCH_refresh.json)
@@ -83,22 +83,12 @@ fn run(cmd: &str) -> bool {
         "cache" => {
             let report = ex::cache_experiment();
             print!("{}", ex::render_cache(&report));
-            let path = csv.unwrap_or_else(|| "BENCH_cache.json".into());
-            std::fs::write(&path, ex::cache_json(&report)).unwrap_or_else(|e| {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("json written to {path}");
+            maybe_write_csv(&csv, ex::cache_json(&report));
         }
         "failover" => {
             let report = ex::failover_experiment();
             print!("{}", ex::render_failover(&report));
-            let path = csv.unwrap_or_else(|| "BENCH_failover.json".into());
-            std::fs::write(&path, ex::failover_json(&report)).unwrap_or_else(|e| {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("json written to {path}");
+            maybe_write_csv(&csv, ex::failover_json(&report));
         }
         "morsel" => {
             let report = ex::morsel_experiment();

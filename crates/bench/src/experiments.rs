@@ -811,7 +811,7 @@ pub fn render_cache(r: &CacheReport) -> String {
     out
 }
 
-/// Render the cache repro as the machine-readable `BENCH_cache.json`.
+/// Render the cache repro as machine-readable JSON.
 pub fn cache_json(r: &CacheReport) -> String {
     let speedup = if r.warm_secs > 0.0 {
         r.cold_secs / r.warm_secs
@@ -987,7 +987,7 @@ pub fn render_failover(r: &FailoverReport) -> String {
     out
 }
 
-/// Render the failover repro as the machine-readable `BENCH_failover.json`.
+/// Render the failover repro as machine-readable JSON.
 pub fn failover_json(r: &FailoverReport) -> String {
     format!(
         "{{\"experiment\":\"replica_failover\",\"clean_secs\":{},\"killed_secs\":{},\

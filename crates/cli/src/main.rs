@@ -53,7 +53,6 @@ fn usage() -> ExitCode {
          \u{20}           --max-concurrent N, --backlog N, --memory-mb M,\n\
          \u{20}           --cache-mb M: result-cache budget, --cache-ttl-ms T,\n\
          \u{20}           --io-threads N: reactor event-loop threads (default cores-1),\n\
-         \u{20}           --session-shards N: connection-map lock stripes (default 8),\n\
          \u{20}           --exec-workers N: shared morsel worker pool (default 1),\n\
          \u{20}           --admission fifo|sjf|fair: backlog promotion policy,\n\
          \u{20}           --refresh-interval-ms T: background cache refresh cycle\n\
@@ -212,15 +211,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             Ok(n) => opts.io_threads = n,
             Err(_) => {
                 eprintln!("error: --io-threads wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--session-shards") {
-        match n.parse() {
-            Ok(n) => opts.session_shards = n,
-            Err(_) => {
-                eprintln!("error: --session-shards wants an integer, got {n:?}");
                 return ExitCode::from(2);
             }
         }

@@ -28,6 +28,7 @@ use dqs_sim::{SimTime, Trace, TraceKind};
 
 use crate::error::RunError;
 use crate::frag::{FragId, TempId};
+use crate::json::escape;
 use crate::metrics::MetricsAcc;
 use crate::policy::Interrupt;
 
@@ -503,23 +504,6 @@ impl<W: Write> JsonLinesSink<W> {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn interrupt_json(why: Interrupt) -> String {
     match why {
         Interrupt::Start => "\"start\"".into(),
@@ -610,9 +594,9 @@ impl<W: Write> EngineObserver for JsonLinesSink<W> {
                 format!("\"type\":\"cache_miss\",\"rel\":{}", rel.0)
             }
             EngineEvent::ReplicaPinned { rel, endpoint } => format!(
-                "\"type\":\"replica_pin\",\"rel\":{},\"endpoint\":\"{}\"",
+                "\"type\":\"replica_pin\",\"rel\":{},\"endpoint\":{}",
                 rel.0,
-                json_escape(endpoint)
+                escape(endpoint)
             ),
             EngineEvent::Failover {
                 rel,
@@ -620,19 +604,19 @@ impl<W: Write> EngineObserver for JsonLinesSink<W> {
                 to,
                 resume_from,
             } => format!(
-                "\"type\":\"failover\",\"rel\":{},\"from\":\"{}\",\"to\":\"{}\",\"resume_from\":{resume_from}",
+                "\"type\":\"failover\",\"rel\":{},\"from\":{},\"to\":{},\"resume_from\":{resume_from}",
                 rel.0,
-                json_escape(from),
-                json_escape(to)
+                escape(from),
+                escape(to)
             ),
             EngineEvent::ReplicaDegraded {
                 rel,
                 endpoint,
                 error,
             } => format!(
-                "\"type\":\"replica_degraded\",\"rel\":{},\"endpoint\":\"{}\",\"error\":\"{}\"",
+                "\"type\":\"replica_degraded\",\"rel\":{},\"endpoint\":{},\"error\":\"{}\"",
                 rel.0,
-                json_escape(endpoint),
+                escape(endpoint),
                 error.kind()
             ),
             EngineEvent::MorselDispatched {
@@ -661,9 +645,9 @@ impl<W: Write> EngineObserver for JsonLinesSink<W> {
             }
             EngineEvent::Stalled => "\"type\":\"stall\"".to_string(),
             EngineEvent::Aborted { reason } => format!(
-                "\"type\":\"abort\",\"kind\":\"{}\",\"reason\":\"{}\"",
+                "\"type\":\"abort\",\"kind\":\"{}\",\"reason\":{}",
                 reason.kind(),
-                json_escape(&reason.to_string())
+                escape(&reason.to_string())
             ),
         };
         self.write_line(at, &body);

@@ -21,7 +21,6 @@
 //! can watch freshness converge without a client attached.
 
 use std::collections::{HashMap, HashSet};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -31,10 +30,9 @@ use dqs_cache::{CacheKey, SharedCache};
 use dqs_refresh::{rescan_cost_us, Candidate, RefreshAction, RefreshPlanner, ScanProvenance};
 use dqs_relop::RelId;
 use dqs_replica::ReplicaSet;
-use dqs_source::net::{read_frame, write_frame, Frame, RelStat};
+use dqs_source::net::RelStat;
+use dqs_source::scan::{self, RemoteOpen, Scan};
 
-/// Connect timeout for a stat poll or refresh fetch.
-const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// Sleep slice so shutdown never waits out a full refresh interval.
 const SLEEP_SLICE: Duration = Duration::from_millis(50);
 
@@ -118,29 +116,16 @@ pub(crate) fn run_refresher(ctx: &RefresherCtx, stop: &AtomicBool) {
 /// up); dropping the stats would stall session builds for no gain.
 fn poll_stats(ctx: &RefresherCtx) {
     for set in &ctx.sets {
-        let Some((_, addr)) = set.select() else {
+        let Some(addr) = set.best() else {
             continue;
         };
-        let Some(stats) = stat_endpoint(&addr, ctx.read_timeout) else {
+        let Ok(stats) = scan::stat(&addr, ctx.read_timeout) else {
             continue;
         };
         let mut table = ctx.state.stats.lock().unwrap();
         for s in stats {
             table.insert((set.id().to_string(), s.rel), s);
         }
-    }
-}
-
-/// One `StatRequest` round-trip on a short-lived connection.
-fn stat_endpoint(addr: &str, read_timeout: Duration) -> Option<Vec<RelStat>> {
-    let sockaddr = addr.to_socket_addrs().ok()?.next()?;
-    let mut conn = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT).ok()?;
-    conn.set_nodelay(true).ok();
-    conn.set_read_timeout(Some(read_timeout)).ok();
-    write_frame(&mut conn, &Frame::StatRequest { rel: None }).ok()?;
-    match read_frame(&mut conn) {
-        Ok(Some(Frame::StatReply { stats })) => Some(stats),
-        _ => None,
     }
 }
 
@@ -234,9 +219,9 @@ fn apply_line(action: &str, rel: RelId, version: u64, bytes: u64, applied: bool)
 }
 
 /// Fetch tuple indices `[from, to)` of the scan described by `prov` from
-/// the best live endpoint of its group — a miniature blocking client for
-/// the window protocol. The wrapper paces delivery with the scan's real
-/// delay model, so this costs what any scan of `to - from` tuples costs.
+/// the best live endpoint of its group, through the same checked reader
+/// every session scan uses. `None` when the endpoint is unreachable or
+/// breaks the protocol; the entry is retried next cycle.
 fn fetch_range(
     set: &ReplicaSet,
     prov: &ScanProvenance,
@@ -244,43 +229,15 @@ fn fetch_range(
     to: u64,
     read_timeout: Duration,
 ) -> Option<Vec<u64>> {
-    let (_, addr) = set.select()?;
-    let sockaddr = addr.to_socket_addrs().ok()?.next()?;
-    let mut conn = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT).ok()?;
-    conn.set_nodelay(true).ok();
-    conn.set_read_timeout(Some(read_timeout)).ok();
-    write_frame(
-        &mut conn,
-        &Frame::Open {
-            rel: prov.rel,
-            total: to,
-            window: prov.window,
-            seed: prov.seed,
-            stream: prov.stream.clone(),
-            delay: prov.delay.clone(),
-            resume_from: from,
-        },
-    )
-    .ok()?;
-    let want = (to - from) as usize;
-    let mut keys: Vec<u64> = Vec::with_capacity(want);
-    loop {
-        match read_frame(&mut conn) {
-            Ok(Some(Frame::TupleBatch { rel, keys: batch })) if rel == prov.rel => {
-                let granted = batch.len() as u32;
-                keys.extend(batch);
-                write_frame(
-                    &mut conn,
-                    &Frame::WindowGrant {
-                        rel: prov.rel,
-                        credits: granted,
-                    },
-                )
-                .ok()?;
-            }
-            Ok(Some(Frame::Eof { rel })) if rel == prov.rel => break,
-            _ => return None,
-        }
-    }
-    (keys.len() == want).then_some(keys)
+    let open = RemoteOpen {
+        rel: prov.rel,
+        total: to,
+        window: prov.window,
+        seed: prov.seed,
+        stream: prov.stream.clone(),
+        delay: prov.delay.clone(),
+        resume_from: from,
+    };
+    let stream = scan::dial(set.best()?, read_timeout).ok()?;
+    Scan::open(stream, &open, read_timeout).ok()?.drain().ok()
 }

@@ -18,8 +18,8 @@
 //! partial frame in either direction costs buffered bytes, never a
 //! blocked thread. Connections are assigned to workers by
 //! `conn_id % io_threads`; cross-thread hand-off (engine → socket) goes
-//! through a sharded connection map (`session_shards` lock stripes) plus
-//! a per-worker mailbox and [`dqs_reactor::Waker`].
+//! through a lock-striped connection map plus a per-worker mailbox and
+//! [`dqs_reactor::Waker`].
 //!
 //! Query *execution* stays blocking by design — each admitted session
 //! runs a full engine on its own [`RealTimeDriver`] — but on a fixed pool
@@ -44,11 +44,12 @@
 //! queued, and a draining connection that stays stalled is cut by a
 //! timer-wheel deadline.
 //!
-//! Wrapper specs may declare replica groups (`id=host:port,host:port`),
-//! in which case each scan opens on the best live endpoint of its group
-//! (rate-aware, via `dqs_replica::ReplicaSet`) through a `FailoverSource`
-//! that survives mid-scan endpoint deaths, and a background prober keeps
-//! the health tables fresh between sessions.
+//! Every wrapper spec is a replica group (`id=host:port,host:port`; a
+//! bare address is a group of one): each scan opens on the best live
+//! endpoint of its group (rate-aware, via `dqs_replica::ReplicaSet`)
+//! through a `FailoverSource` that survives mid-scan endpoint deaths
+//! whenever there is a peer to move to, and a background prober keeps the
+//! health tables fresh between sessions.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -61,6 +62,7 @@ use std::time::{Duration, Instant};
 use dqs_cache::{payload_bytes, CacheConfig, CacheKey, CacheStats, SharedCache};
 use dqs_core::session::{AdmissionPolicy, Decision, SessionConfig, SessionStats, SessionTable};
 use dqs_core::{DsePolicy, LatencyHistogram};
+use dqs_exec::json::escape;
 use dqs_exec::spec::WorkloadSpec;
 use dqs_exec::{
     Engine, EngineEvent, EngineObserver, JsonLinesSink, MaPolicy, Policy, RealTimeDriver, RunError,
@@ -69,20 +71,18 @@ use dqs_exec::{
 use dqs_reactor::{Events, Interest, Poller, TimerId, TimerWheel, Token, Waker};
 use dqs_refresh::{RefreshPlanner, ScanProvenance};
 use dqs_relop::RelId;
-use dqs_replica::{parse_groups, HealthConfig, ReplicaSet};
+use dqs_replica::{parse_groups, EndpointSnapshot, EndpointState, HealthConfig, ReplicaSet};
 use dqs_sim::{SeedSplitter, SimTime};
 use dqs_source::net::{FlushStatus, Frame, FrameDecoder, WriteBuffer};
 use dqs_source::{
-    BoxSource, FailoverOpts, FailoverSource, RecordingSource, RemoteOpen, RemoteWrapper,
-    ReplaySource, SourceError, ThreadedWrapper,
+    scan, BoxSource, FailoverSource, RecordingSource, RemoteOpen, ReplaySource, SourceError,
+    ThreadedWrapper,
 };
 
 use crate::refresher::{self, RefreshState, RefresherCtx};
 
 /// How often the background prober re-checks replica endpoint liveness.
 const PROBE_INTERVAL: Duration = Duration::from_millis(500);
-/// Connect timeout for a single liveness probe.
-const PROBE_TIMEOUT: Duration = Duration::from_millis(200);
 /// A connection that says nothing gets this long to send its `Submit`.
 const SUBMIT_TIMEOUT: Duration = Duration::from_secs(60);
 /// A terminal frame queued behind a stalled client waits at most this
@@ -91,6 +91,9 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 /// Write-buffer high-water mark: past this, `Trace` frames (and only
 /// `Trace` frames) are dropped rather than buffered without bound.
 const WRITE_HWM: usize = 256 * 1024;
+/// Lock stripes in the connection map engine threads use to route
+/// outbound frames.
+const CONN_STRIPES: usize = 8;
 /// Reactor token for the listening socket (owned by I/O worker 0).
 const LISTENER_TOKEN: Token = Token(u64::MAX - 1);
 
@@ -122,9 +125,6 @@ pub struct ServeOpts {
     /// connections. Defaults to cores − 1 (at least 1); 0 is rejected at
     /// bind.
     pub io_threads: usize,
-    /// Lock stripes in the connection map engine threads use to route
-    /// outbound frames. Defaults to 8; 0 is rejected at bind.
-    pub session_shards: usize,
     /// Morsel worker threads in the ONE pool every executing session
     /// shares (`--exec-workers`). 1 (the default) keeps execution serial
     /// and spawns no pool; 0 is rejected at bind. Sharing keeps admission
@@ -158,7 +158,6 @@ impl Default for ServeOpts {
                 .map(|n| n.get().saturating_sub(1))
                 .unwrap_or(1)
                 .max(1),
-            session_shards: 8,
             exec_workers: 1,
             admission: AdmissionPolicy::Fifo,
             refresh_interval: None,
@@ -337,7 +336,7 @@ impl WorkerHandle {
 }
 
 /// The sharded connection map: which connections are alive, striped over
-/// `session_shards` locks so engine threads streaming traces for
+/// [`CONN_STRIPES`] locks so engine threads streaming traces for
 /// different sessions never contend on one mutex. Routing is
 /// deterministic (`conn_id % io_threads`); the map's job is liveness.
 struct ConnMap {
@@ -393,6 +392,15 @@ struct Shared {
     stop: AtomicBool,
 }
 
+impl Shared {
+    fn replica_health(&self) -> Vec<(String, Vec<EndpointSnapshot>)> {
+        self.replica_sets
+            .iter()
+            .map(|s| (s.id().to_string(), s.snapshot()))
+            .collect()
+    }
+}
+
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared").field("opts", &self.opts).finish()
@@ -426,18 +434,12 @@ impl MediatorServer {
                 ),
             ));
         }
-        // Zero workers or zero shards cannot serve anything; reject at
-        // bind, not at first connection.
+        // Zero workers cannot serve anything; reject at bind, not at first
+        // connection.
         if opts.io_threads == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "io_threads must be at least 1",
-            ));
-        }
-        if opts.session_shards == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "session_shards must be at least 1",
             ));
         }
         if opts.exec_workers == 0 {
@@ -514,7 +516,7 @@ impl MediatorServer {
                 cond: Condvar::new(),
             },
             conns: ConnMap {
-                shards: (0..opts.session_shards)
+                shards: (0..CONN_STRIPES)
                     .map(|_| Mutex::new(std::collections::HashSet::new()))
                     .collect(),
                 workers: handles.clone(),
@@ -616,12 +618,8 @@ impl MediatorServer {
 
     /// Point-in-time health of every replica endpoint, grouped by logical
     /// wrapper id; empty when no wrapper groups are configured.
-    pub fn replica_health(&self) -> Vec<(String, Vec<dqs_replica::EndpointSnapshot>)> {
-        self.shared
-            .replica_sets
-            .iter()
-            .map(|s| (s.id().to_string(), s.snapshot()))
-            .collect()
+    pub fn replica_health(&self) -> Vec<(String, Vec<EndpointSnapshot>)> {
+        self.shared.replica_health()
     }
 
     /// Stop accepting, sever live client connections, and join every
@@ -1291,20 +1289,14 @@ fn run_job(shared: &Shared, mut job: Job) {
                     None => m.cache_misses += 1,
                 }
             }
-            let mut payload = with_queue_wait(metrics_json(&m), queue_wait_secs);
-            if let Some(cache) = &shared.cache {
-                payload = with_cache_gauges(payload, &cache.stats());
-            }
-            if !shared.replica_sets.is_empty() {
-                let health: Vec<(String, Vec<dqs_replica::EndpointSnapshot>)> = shared
-                    .replica_sets
-                    .iter()
-                    .map(|s| (s.id().to_string(), s.snapshot()))
-                    .collect();
-                payload = with_replica_health(payload, &health);
-            }
+            let cache = shared.cache.as_ref().map(|c| c.stats());
             Frame::Done {
-                metrics_json: payload,
+                metrics_json: done_payload(
+                    &m,
+                    queue_wait_secs,
+                    cache.as_ref(),
+                    &shared.replica_health(),
+                ),
             }
         }
         Err(e) => Frame::Error {
@@ -1329,14 +1321,7 @@ fn probe_replicas(shared: &Shared) {
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
                 }
-                let up = set
-                    .addr(idx)
-                    .to_socket_addrs()
-                    .ok()
-                    .and_then(|mut a| a.next())
-                    .map(|a| TcpStream::connect_timeout(&a, PROBE_TIMEOUT).is_ok())
-                    .unwrap_or(false);
-                if up {
+                if scan::dial(set.addr(idx), shared.opts.read_timeout).is_ok() {
                     set.mark_live(idx);
                 } else {
                     set.record_failure(idx);
@@ -1371,14 +1356,13 @@ struct CacheOutcome {
 /// wrapper groups are configured, in-process [`ThreadedWrapper`]s
 /// otherwise (relation `i` maps to group `i % groups`).
 ///
-/// A single-endpoint group dials a plain [`RemoteWrapper`] — with no peer
-/// to fail over to, a death should surface exactly as it always has. A
-/// multi-replica group asks its [`ReplicaSet`] for the best live endpoint
-/// and scans through a [`FailoverSource`], which survives mid-scan
-/// endpoint deaths by resuming on a peer. Cache keys use the *group id*,
-/// not the endpoint, so a scan recorded off one replica replays for its
-/// peers. Returns the driver, the per-relation cache outcomes, and the
-/// replica pins (which endpoint each live scan opened on).
+/// A remote scan asks its group's [`ReplicaSet`] for the best live
+/// endpoint and runs through a [`FailoverSource`], which survives mid-scan
+/// endpoint deaths by resuming on a peer — or, in a group of one, surfaces
+/// the death at once. Cache keys use the *group id*, not the endpoint, so
+/// a scan recorded off one replica replays for its peers. Returns the
+/// driver, the per-relation cache outcomes, and the replica pins (which
+/// endpoint each live scan opened on).
 ///
 /// With the refresher live (`refresh` is `Some`), remote scans consult
 /// its stat table: a live open asks for the wrapper's *current* total
@@ -1470,28 +1454,14 @@ fn build_driver(
                         delay: workload.delays[rel.0 as usize].clone(),
                         resume_from: 0,
                     };
-                    if set.len() == 1 {
-                        let addr = set.addr(0);
-                        pins.push((*rel, addr.clone()));
-                        Box::new(RemoteWrapper::connect(
-                            &addr,
-                            open,
-                            notify.clone(),
-                            opts.read_timeout,
-                        )?)
-                    } else {
-                        let source = FailoverSource::connect(
-                            Arc::clone(set),
-                            open,
-                            notify.clone(),
-                            FailoverOpts {
-                                read_timeout: opts.read_timeout,
-                                ..FailoverOpts::default()
-                            },
-                        )?;
-                        pins.push((*rel, source.pinned().to_string()));
-                        Box::new(source)
-                    }
+                    let source = FailoverSource::connect(
+                        Arc::clone(set),
+                        open,
+                        notify.clone(),
+                        opts.read_timeout,
+                    )?;
+                    pins.push((*rel, source.pinned().to_string()));
+                    Box::new(source)
                 }
             };
             let source = match (cache, key) {
@@ -1575,97 +1545,69 @@ impl Write for TraceFrames<'_> {
     }
 }
 
-/// Stamp the serving-side queue wait onto an engine metrics object.
-/// `RunMetrics` is pinned by the golden-fingerprint suite, so the field
-/// is spliced into the JSON at the server layer rather than grown on the
-/// struct: the `Done` payload leads with `queue_wait_secs`, then carries
-/// the engine metrics unchanged.
-pub fn with_queue_wait(metrics: String, wait_secs: f64) -> String {
-    debug_assert!(metrics.starts_with('{'));
-    format!("{{\"queue_wait_secs\":{wait_secs:.6},{}", &metrics[1..])
-}
-
-/// Splice the live cache gauges and freshness counters into a metrics
-/// payload, same pattern as [`with_queue_wait`]: the engine's
-/// `RunMetrics` is pinned by the golden-fingerprint suite, so serving-
-/// side counters ride in front of it rather than growing the struct.
-pub fn with_cache_gauges(metrics: String, s: &CacheStats) -> String {
-    debug_assert!(metrics.starts_with('{'));
-    format!(
-        "{{\"cache_resident_bytes\":{},\"cache_evictions\":{},\"cache_expired\":{},\
-         \"refreshes\":{},\"refresh_delta_bytes\":{},\"refresh_full_bytes\":{},\
-         \"stale_served\":{},{}",
-        s.resident_bytes,
-        s.evictions,
-        s.expirations,
-        s.refreshes,
-        s.refresh_delta_bytes,
-        s.refresh_full_bytes,
-        s.stale_served,
-        &metrics[1..]
-    )
-}
-
-/// Splice per-endpoint replica health — the EWMA delivery rates and
-/// Live/Degraded states `dqs-replica`'s `HealthTable` maintains — into a
-/// metrics payload, same pattern as [`with_queue_wait`]. Until now these
-/// gauges were invisible to operators: selection and failover consulted
-/// them internally but nothing exported them. Rates are tuples/second;
-/// `rate` is `null` for endpoints that never delivered a batch.
-pub fn with_replica_health(
-    metrics: String,
-    health: &[(String, Vec<dqs_replica::EndpointSnapshot>)],
+/// The `Done` payload: the engine's metrics led by the serving-side
+/// fields. `RunMetrics` is pinned by the golden-fingerprint suite, so what
+/// only the server knows rides in front of it rather than growing the
+/// struct — per-endpoint replica health (EWMA rate in tuples/second,
+/// `null` until a batch was measured; omitted when `health` is empty), the
+/// live cache gauges and freshness counters (when a cache is configured),
+/// then the session's queue wait.
+pub fn done_payload(
+    m: &RunMetrics,
+    queue_wait_secs: f64,
+    cache: Option<&CacheStats>,
+    health: &[(String, Vec<EndpointSnapshot>)],
 ) -> String {
-    use dqs_replica::EndpointState;
-    debug_assert!(metrics.starts_with('{'));
-    let groups: Vec<String> = health
-        .iter()
-        .map(|(id, endpoints)| {
-            let eps: Vec<String> = endpoints
-                .iter()
-                .map(|e| {
-                    let state = match e.state {
-                        EndpointState::Live => "\"live\"".to_string(),
-                        EndpointState::Degraded { until_nanos } => {
-                            format!("{{\"degraded_until_nanos\":{until_nanos}}}")
-                        }
-                    };
-                    let rate = e.rate.map_or("null".to_string(), |r| format!("{r:.3}"));
-                    format!(
-                        "{{\"addr\":\"{}\",\"state\":{state},\"rate_tps\":{rate},\
-                         \"opens\":{},\"failures\":{}}}",
-                        json_escape_str(&e.addr),
-                        e.opens,
-                        e.failures_total
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"group\":\"{}\",\"endpoints\":[{}]}}",
-                json_escape_str(id),
-                eps.join(",")
-            )
-        })
-        .collect();
+    let replicas = if health.is_empty() {
+        String::new()
+    } else {
+        let groups: Vec<String> = health
+            .iter()
+            .map(|(id, endpoints)| {
+                let eps: Vec<String> = endpoints.iter().map(endpoint_json).collect();
+                format!(
+                    "{{\"group\":{},\"endpoints\":[{}]}}",
+                    escape(id),
+                    eps.join(",")
+                )
+            })
+            .collect();
+        format!("\"replica_health\":[{}],", groups.join(","))
+    };
+    let cache = cache.map_or(String::new(), |s| {
+        format!(
+            "\"cache_resident_bytes\":{},\"cache_evictions\":{},\"cache_expired\":{},\
+             \"refreshes\":{},\"refresh_delta_bytes\":{},\"refresh_full_bytes\":{},\
+             \"stale_served\":{},",
+            s.resident_bytes,
+            s.evictions,
+            s.expirations,
+            s.refreshes,
+            s.refresh_delta_bytes,
+            s.refresh_full_bytes,
+            s.stale_served,
+        )
+    });
     format!(
-        "{{\"replica_health\":[{}],{}",
-        groups.join(","),
-        &metrics[1..]
+        "{{{replicas}{cache}\"queue_wait_secs\":{queue_wait_secs:.6},{}",
+        &metrics_json(m)[1..]
     )
 }
 
-/// Minimal JSON string escaping for spliced payload fields.
-fn json_escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn endpoint_json(e: &EndpointSnapshot) -> String {
+    let state = match e.state {
+        EndpointState::Live => "\"live\"".to_string(),
+        EndpointState::Degraded { until_nanos } => {
+            format!("{{\"degraded_until_nanos\":{until_nanos}}}")
         }
-    }
-    out
+    };
+    let rate = e.rate.map_or("null".to_string(), |r| format!("{r:.3}"));
+    format!(
+        "{{\"addr\":{},\"state\":{state},\"rate_tps\":{rate},\"opens\":{},\"failures\":{}}}",
+        escape(&e.addr),
+        e.opens,
+        e.failures_total
+    )
 }
 
 /// Flat JSON rendering of a finished run's metrics (the `Done` payload).
@@ -1739,26 +1681,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_wait_splice_leads_the_done_payload_and_stays_parseable() {
-        let m = RunMetrics {
-            strategy: "dse",
-            seed: 1,
-            ..RunMetrics::default()
-        };
-        let text = with_queue_wait(metrics_json(&m), 0.125);
-        assert!(text.starts_with("{\"queue_wait_secs\":0.125000,"), "{text}");
-        let v = dqs_exec::json::parse(&text).expect("valid JSON");
-        let obj = v.as_object().unwrap();
-        let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        assert_eq!(get("queue_wait_secs").and_then(|v| v.as_f64()), Some(0.125));
-        assert_eq!(
-            get("strategy").and_then(|v| v.as_str()),
-            Some("dse"),
-            "engine metrics ride along unchanged"
-        );
-    }
-
-    #[test]
     fn estimated_cost_orders_specs_by_expected_wrapper_time() {
         let slow = WorkloadSpec::from_json(bench::TINY_SPEC)
             .and_then(WorkloadSpec::into_workload)
@@ -1777,9 +1699,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_gauge_splice_leads_the_payload_and_stays_parseable() {
+    fn done_payload_leads_with_serving_fields_and_stays_parseable() {
         let m = RunMetrics {
-            strategy: "dse",
+            strategy: "spm",
             seed: 1,
             ..RunMetrics::default()
         };
@@ -1793,41 +1715,8 @@ mod tests {
             stale_served: 5,
             ..CacheStats::default()
         };
-        let text = with_cache_gauges(with_queue_wait(metrics_json(&m), 0.0), &stats);
-        assert!(
-            text.starts_with("{\"cache_resident_bytes\":4096,"),
-            "{text}"
-        );
-        let v = dqs_exec::json::parse(&text).expect("valid JSON");
-        let obj = v.as_object().unwrap();
-        let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        for (key, want) in [
-            ("cache_evictions", 2),
-            ("cache_expired", 1),
-            ("refreshes", 3),
-            ("refresh_delta_bytes", 64),
-            ("refresh_full_bytes", 512),
-            ("stale_served", 5),
-        ] {
-            assert_eq!(get(key).and_then(|v| v.as_u64()), Some(want), "{key}");
-        }
-        assert_eq!(
-            get("strategy").and_then(|v| v.as_str()),
-            Some("dse"),
-            "engine metrics ride along unchanged"
-        );
-    }
-
-    #[test]
-    fn replica_health_splice_exports_rates_and_states() {
-        use dqs_replica::{EndpointSnapshot, EndpointState};
-        let m = RunMetrics {
-            strategy: "spm",
-            seed: 1,
-            ..RunMetrics::default()
-        };
         let health = vec![(
-            "g0".to_string(),
+            "g\"0".to_string(),
             vec![
                 EndpointSnapshot {
                     addr: "127.0.0.1:7001".into(),
@@ -1845,24 +1734,55 @@ mod tests {
                 },
             ],
         )];
-        let text = with_replica_health(metrics_json(&m), &health);
-        assert!(text.starts_with("{\"replica_health\":["), "{text}");
-        let v = dqs_exec::json::parse(&text).expect("valid JSON: {text}");
-        let obj = v.as_object().unwrap();
-        let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        assert!(get("replica_health").is_some());
-        assert!(text.contains("\"rate_tps\":1234.500"), "{text}");
-        assert!(text.contains("\"state\":\"live\""), "{text}");
+
+        // In-process wrappers, no cache: the queue wait alone leads.
+        let bare = done_payload(&m, 0.125, None, &[]);
         assert!(
-            text.contains("\"state\":{\"degraded_until_nanos\":99}"),
+            bare.starts_with("{\"queue_wait_secs\":0.125000,\"strategy\""),
+            "{bare}"
+        );
+        // A cache adds its gauges in front; replica groups lead the lot.
+        let cached = done_payload(&m, 0.0, Some(&stats), &[]);
+        assert!(
+            cached.starts_with("{\"cache_resident_bytes\":4096,"),
+            "{cached}"
+        );
+        let text = done_payload(&m, 0.125, Some(&stats), &health);
+        assert!(
+            text.starts_with("{\"replica_health\":[{\"group\":\"g\\\"0\",\"endpoints\":[{\"addr\":\"127.0.0.1:7001\",\"state\":\"live\",\"rate_tps\":1234.500,\"opens\":3,\"failures\":0},"),
             "{text}"
         );
-        assert!(text.contains("\"rate_tps\":null"), "{text}");
-        assert_eq!(
-            get("strategy").and_then(|v| v.as_str()),
-            Some("spm"),
-            "engine metrics ride along unchanged"
+        assert!(
+            text.contains("\"state\":{\"degraded_until_nanos\":99},\"rate_tps\":null"),
+            "{text}"
         );
+
+        for payload in [&bare, &cached, &text] {
+            let v = dqs_exec::json::parse(payload).expect("valid JSON");
+            let obj = v.as_object().unwrap();
+            let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+            assert_eq!(
+                get("strategy").and_then(|v| v.as_str()),
+                Some("spm"),
+                "engine metrics ride along unchanged"
+            );
+            assert!(get("queue_wait_secs").and_then(|v| v.as_f64()).is_some());
+        }
+        let v = dqs_exec::json::parse(&text).unwrap();
+        let obj = v.as_object().unwrap();
+        let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        assert_eq!(get("queue_wait_secs").and_then(|v| v.as_f64()), Some(0.125));
+        assert!(get("replica_health").is_some());
+        for (key, want) in [
+            ("cache_evictions", 2),
+            ("cache_expired", 1),
+            ("refreshes", 3),
+            ("refresh_delta_bytes", 64),
+            ("refresh_full_bytes", 512),
+            ("stale_served", 5),
+        ] {
+            assert_eq!(get(key).and_then(|v| v.as_u64()), Some(want), "{key}");
+        }
     }
 
     #[test]
@@ -1887,19 +1807,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_io_threads_and_zero_shards_are_bind_errors() {
-        for opts in [
-            ServeOpts {
-                io_threads: 0,
-                ..ServeOpts::default()
-            },
-            ServeOpts {
-                session_shards: 0,
-                ..ServeOpts::default()
-            },
-        ] {
-            let err = MediatorServer::bind("127.0.0.1:0", opts).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        }
+    fn zero_io_threads_is_a_bind_error() {
+        let opts = ServeOpts {
+            io_threads: 0,
+            ..ServeOpts::default()
+        };
+        let err = MediatorServer::bind("127.0.0.1:0", opts).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

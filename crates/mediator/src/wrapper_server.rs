@@ -524,7 +524,7 @@ mod tests {
     use std::sync::mpsc::channel;
     use std::time::Duration;
 
-    use dqs_source::{Notice, RemoteOpen, RemoteWrapper, TupleSource};
+    use dqs_source::{FailoverSource, Notice, RemoteOpen, RemoteWrapper, TupleSource};
 
     fn open(rel: u16, total: u64, window: u32) -> RemoteOpen {
         RemoteOpen {
@@ -540,8 +540,8 @@ mod tests {
         }
     }
 
-    /// Drain one RemoteWrapper to completion, returning its keys.
-    fn drain(mut w: RemoteWrapper, nrx: std::sync::mpsc::Receiver<Notice>) -> Vec<u64> {
+    /// Drain one remote source to completion, returning its keys.
+    fn drain(mut w: FailoverSource, nrx: std::sync::mpsc::Receiver<Notice>) -> Vec<u64> {
         let mut keys = Vec::new();
         while !w.exhausted() {
             match nrx.recv_timeout(Duration::from_secs(30)).expect("notice") {

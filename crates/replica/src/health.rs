@@ -18,7 +18,8 @@
 //!
 //! Selection is rate-aware: endpoints never opened are explored first (so
 //! every replica gets measured), then the highest EWMA delivery rate among
-//! the eligible wins.
+//! the eligible wins. A group of one has nobody to divert to, so its
+//! endpoint is always selectable, cooldown or not.
 
 use std::time::Duration;
 
@@ -130,10 +131,13 @@ impl HealthTable {
     }
 
     fn eligible(&self, idx: usize, now_nanos: u64) -> bool {
-        match self.endpoints[idx].state {
-            EndpointState::Live => true,
-            EndpointState::Degraded { until_nanos } => now_nanos >= until_nanos,
-        }
+        // Cooldown diverts traffic to a peer; a lone endpoint has none, so
+        // it stays selectable and the next scan finds out for itself.
+        self.endpoints.len() == 1
+            || match self.endpoints[idx].state {
+                EndpointState::Live => true,
+                EndpointState::Degraded { until_nanos } => now_nanos >= until_nanos,
+            }
     }
 
     /// Pick the endpoint a new scan should open on, or `None` when every
@@ -330,6 +334,17 @@ mod tests {
         t.record_failure(1, 0);
         assert_eq!(t.select(SEC), None);
         assert!(t.select(3 * SEC).is_some(), "cooldowns expire");
+    }
+
+    #[test]
+    fn a_lone_endpoint_stays_selectable_through_its_cooldown() {
+        let mut t = table(1);
+        t.record_failure(0, 0);
+        assert!(matches!(
+            t.snapshot()[0].state,
+            EndpointState::Degraded { .. }
+        ));
+        assert_eq!(t.select(1), Some(0), "no peer to divert the scan to");
     }
 
     #[test]

@@ -126,14 +126,23 @@ impl ReplicaSet {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Select the best live endpoint and record the open on it.
-    /// `None` when every endpoint is on an unexpired cooldown.
+    /// Select the best live endpoint for a scan and record the open on
+    /// it. `None` when every endpoint is on an unexpired cooldown.
     pub fn select(&self) -> Option<(usize, String)> {
         let now = self.now_nanos();
         let mut t = self.lock();
         let idx = t.select(now)?;
         t.record_open(idx);
         Some((idx, t.addr(idx).to_string()))
+    }
+
+    /// The best live endpoint's address, for control-plane traffic (stat
+    /// polls, refresh fetches): nothing is recorded, so it neither counts
+    /// as a scan open nor uses up an endpoint's exploration turn.
+    pub fn best(&self) -> Option<String> {
+        let t = self.lock();
+        let idx = t.select(self.now_nanos())?;
+        Some(t.addr(idx).to_string())
     }
 
     /// The configured address of endpoint `idx`.
@@ -227,6 +236,7 @@ mod tests {
         assert!(set.record_failure(1));
         assert!(set.select().is_none());
         set.mark_live(1);
+        assert_eq!(set.best().as_deref(), Some("b"), "peeking records nothing");
         assert_eq!(set.select().map(|(i, _)| i), Some(1));
         assert_eq!(set.snapshot()[1].opens, 2);
     }

@@ -1,465 +1,458 @@
-//! The replica-aware remote source: rate-based endpoint selection at
-//! `Open` time, transparent mid-scan failover after.
+//! The remote source: rate-based endpoint selection at `Open` time,
+//! transparent mid-scan failover after.
 //!
-//! [`FailoverSource`] speaks the same wire protocol as
-//! [`crate::RemoteWrapper`], but against a [`ReplicaSet`] of
-//! interchangeable endpoints instead of one address. At construction it
-//! connects to the best live endpoint (exploration first, then highest
-//! EWMA rate); a supervisor thread then owns the connection and, when the
-//! endpoint dies mid-scan, re-opens the scan on a peer with
-//! `resume_from` set to the next undelivered tuple index. Tuple payloads
-//! are pure functions of `(rel, index, seed)` — the supervisor verifies
-//! this by checking every received key against [`synth_key`] — so the
+//! A [`FailoverSource`] is a [`PushSource`] whose producer reads one
+//! logical wrapper's scan through the [`crate::scan`] client, against a
+//! [`ReplicaSet`] of interchangeable endpoints. At construction it dials
+//! the best live endpoint (exploration first, then highest EWMA rate); a
+//! supervisor thread then owns the connection and, when the endpoint dies
+//! mid-scan, re-opens the scan on a peer with `resume_from` set to the
+//! next undelivered tuple index. Tuple payloads are pure functions of
+//! `(rel, index, seed)` — [`Scan`] checks every received key — so the
 //! engine sees one uninterrupted, bit-identical stream.
+//!
+//! A set with a single endpoint is the same source with no peer to move
+//! to: the first mid-scan failure is terminal, raised at once with the
+//! endpoint's own error. [`RemoteWrapper::connect`] is that case spelled
+//! with a bare address.
 //!
 //! Observability rides the existing notify channel: a
 //! [`Notice::ReplicaPinned`] when the scan opens, a
 //! [`Notice::ReplicaDegraded`] each time an endpoint is put on cooldown,
 //! a [`Notice::Failover`] each time the scan moves. Only when the retry
 //! budget is exhausted with no live peer does the source raise the
-//! terminal [`Notice::Fault`], aborting the run exactly as a plain
-//! [`crate::RemoteWrapper`] would.
+//! terminal [`Notice::Fault`].
 
-use std::net::TcpStream;
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dqs_relop::{synth_key, RelId, Tuple};
-use dqs_replica::ReplicaSet;
-use dqs_sim::SimDuration;
+use dqs_replica::{HealthConfig, ReplicaGroup, ReplicaSet};
 
-use crate::net::{read_frame, write_frame, Frame};
-use crate::remote::{frame_err, sock_err, RemoteOpen};
+use crate::pushed::{Feed, Producer, PushSource};
+use crate::scan::{dial, Grants, RemoteOpen, Scan};
 use crate::source::{Notice, SourceError, TupleSource};
 
-/// Retry and pacing knobs for a [`FailoverSource`].
-#[derive(Debug, Clone)]
-pub struct FailoverOpts {
-    /// Read timeout on the data socket; a silent endpoint surfaces as a
-    /// timeout failure (and a failover target) after this long.
-    pub read_timeout: Duration,
-    /// Consecutive failed attach attempts before the scan gives up and
-    /// raises a terminal fault.
-    pub max_attempts: u32,
-    /// Base backoff between failed attach attempts (scaled linearly by
-    /// the failure streak, capped at one second).
-    pub backoff: Duration,
-}
+/// Consecutive failed attach attempts before a scan gives up and raises
+/// a terminal fault.
+const MAX_ATTEMPTS: u32 = 5;
+/// Base backoff between failed attach attempts (scaled linearly by the
+/// failure streak, capped at one second).
+const BACKOFF: Duration = Duration::from_millis(50);
 
-impl Default for FailoverOpts {
-    fn default() -> Self {
-        FailoverOpts {
-            read_timeout: Duration::from_secs(30),
-            max_attempts: 5,
-            backoff: Duration::from_millis(50),
-        }
-    }
-}
+/// A [`crate::TupleSource`] served by whichever replica of a logical
+/// wrapper is currently fastest and alive.
+pub type FailoverSource = PushSource<ReplicaScan>;
 
-/// The window-grant half of the connection, shared between the engine
-/// thread (which consumes tuples and returns credits) and the supervisor
-/// (which swaps in a fresh writer after a failover).
+/// The remote producer: one scan, supervised across a replica set.
 #[derive(Debug)]
-struct GrantState {
-    /// `None` while between endpoints (mid-failover): credits simply
-    /// accumulate and are discarded at the swap, because a re-opened
-    /// connection starts with a full window.
-    writer: Option<TcpStream>,
-    ungranted: u32,
-}
-
-/// A [`TupleSource`] served by whichever replica of a logical wrapper is
-/// currently fastest and alive.
-#[derive(Debug)]
-pub struct FailoverSource {
-    open: RemoteOpen,
-    opts: FailoverOpts,
-    replicas: Arc<ReplicaSet>,
-    produced: u64,
-    suspended: bool,
+pub struct ReplicaScan {
     pinned: String,
-    grants: Arc<Mutex<GrantState>>,
-    /// The pre-connected stream handed to the supervisor at `start()`.
-    boot: Option<(TcpStream, usize, String)>,
-    notify: Option<Sender<Notice>>,
-    data_tx: Option<SyncSender<Tuple>>,
-    data_rx: Receiver<Tuple>,
+    grants: Arc<Grants>,
+    /// The supervisor and the connection dialed for it, until `start()`
+    /// opens the scan and moves both onto their own thread.
+    pending: Option<(Supervisor, TcpStream)>,
 }
 
 impl FailoverSource {
     /// Select the best live endpoint of `replicas`, connect to it, and
-    /// prepare (but do not start) a source for `open`. Endpoints that
-    /// refuse the connection are recorded as failures and the next best is
-    /// tried; only when every endpoint has been tried or is on cooldown
-    /// does this return an error.
+    /// prepare (but do not start) a source for `open`, announcing the
+    /// pin on `notify`. Endpoints that refuse the connection are recorded
+    /// as failures and the next best is tried; only when every endpoint
+    /// has been tried or is on cooldown does this return an error — a
+    /// mediator admitting a session finds out immediately that a wrapper
+    /// is down. `read_timeout` bounds every read, so a silent endpoint
+    /// surfaces as a timeout failure (and a failover target).
     pub fn connect(
         replicas: Arc<ReplicaSet>,
         open: RemoteOpen,
         notify: Sender<Notice>,
-        opts: FailoverOpts,
+        read_timeout: Duration,
     ) -> Result<Self, SourceError> {
-        assert!(open.window > 0, "window must be positive");
-        let mut last_err = SourceError::Io {
-            detail: format!("every endpoint of '{}' is on cooldown", replicas.id()),
+        let source = Self::attach(replicas, open, notify.clone(), read_timeout)?;
+        let pinned = Notice::ReplicaPinned {
+            rel: source.rel(),
+            endpoint: source.pinned().to_string(),
         };
+        notify.send(pinned).ok();
+        Ok(source)
+    }
+
+    fn attach(
+        replicas: Arc<ReplicaSet>,
+        open: RemoteOpen,
+        notify: Sender<Notice>,
+        read_timeout: Duration,
+    ) -> Result<Self, SourceError> {
+        let mut last_err = all_on_cooldown(&replicas);
         for _ in 0..replicas.len() {
             let Some((idx, addr)) = replicas.select() else {
                 break;
             };
-            match TcpStream::connect(&addr) {
-                Ok(stream) => {
-                    stream.set_nodelay(true).ok();
-                    stream
-                        .set_read_timeout(Some(opts.read_timeout))
-                        .map_err(|e| sock_err(e, "set read timeout"))?;
-                    let writer = stream
-                        .try_clone()
-                        .map_err(|e| sock_err(e, "clone socket"))?;
-                    let (data_tx, data_rx) = sync_channel(open.window as usize);
-                    let produced = open.resume_from;
-                    return Ok(FailoverSource {
-                        open,
-                        opts,
-                        replicas,
-                        produced,
-                        suspended: false,
-                        pinned: addr.clone(),
-                        grants: Arc::new(Mutex::new(GrantState {
-                            writer: Some(writer),
-                            ungranted: 0,
-                        })),
-                        boot: Some((stream, idx, addr)),
-                        notify: Some(notify),
-                        data_tx: Some(data_tx),
-                        data_rx,
-                    });
-                }
+            let stream = match dial(&addr, read_timeout) {
+                Ok(stream) => stream,
                 Err(e) => {
                     replicas.record_failure(idx);
-                    last_err = sock_err(e, &format!("connect {addr}"));
+                    last_err = e;
+                    continue;
                 }
-            }
+            };
+            let (rel, first, total, window) = (open.rel, open.resume_from, open.total, open.window);
+            let grants = Arc::new(Grants::new(rel, window, &stream)?);
+            let scan = ReplicaScan {
+                pinned: addr.clone(),
+                grants: Arc::clone(&grants),
+                pending: Some((
+                    Supervisor {
+                        replicas,
+                        open,
+                        read_timeout,
+                        grants,
+                        pinned: (idx, addr),
+                    },
+                    stream,
+                )),
+            };
+            return Ok(PushSource::around(
+                rel,
+                first,
+                total,
+                window as usize,
+                notify,
+                scan,
+            ));
         }
         Err(last_err)
     }
 
     /// The endpoint the scan opened on (for session pin records).
     pub fn pinned(&self) -> &str {
-        &self.pinned
+        &self.producer.pinned
+    }
+}
+
+/// The bare-address spelling of a remote source.
+pub enum RemoteWrapper {}
+
+impl RemoteWrapper {
+    /// Connect to the wrapper-server at `addr` and prepare (but do not
+    /// start) a source for `open`: a [`FailoverSource`] over a private
+    /// one-endpoint replica set, so a healthy scan announces arrivals only
+    /// and the first failure is a terminal [`Notice::Fault`].
+    pub fn connect(
+        addr: impl ToSocketAddrs,
+        open: RemoteOpen,
+        notify: Sender<Notice>,
+        read_timeout: Duration,
+    ) -> Result<FailoverSource, SourceError> {
+        let endpoint = addr
+            .to_socket_addrs()
+            .ok()
+            .and_then(|mut addrs| addrs.next())
+            .ok_or_else(|| SourceError::Io {
+                detail: "wrapper address did not resolve".into(),
+            })?
+            .to_string();
+        let lone = ReplicaGroup {
+            id: endpoint.clone(),
+            endpoints: vec![endpoint],
+        };
+        let replicas = Arc::new(ReplicaSet::new(lone, HealthConfig::default()));
+        FailoverSource::attach(replicas, open, notify, read_timeout)
+    }
+}
+
+impl Producer for ReplicaScan {
+    fn start(&mut self, feed: Feed) {
+        let (supervisor, stream) = self.pending.take().expect("started twice");
+        // The sub-query leaves on the caller's thread, so the wrapper is
+        // already working while the reader thread is being scheduled.
+        let opened = Scan::open(stream, &supervisor.open, supervisor.read_timeout);
+        thread::spawn(move || supervisor.run(feed, opened));
     }
 
-    /// The supervisor thread: owns the data connection, re-attaching to a
-    /// fresh replica whenever the current one fails, until the scan is
-    /// complete, abandoned, or out of retry budget.
-    #[allow(clippy::too_many_arguments)]
-    fn supervise(
-        replicas: Arc<ReplicaSet>,
-        open: RemoteOpen,
-        opts: FailoverOpts,
-        tx: SyncSender<Tuple>,
-        notify: Sender<Notice>,
-        grants: Arc<Mutex<GrantState>>,
-        boot: (TcpStream, usize, String),
-    ) {
+    fn consumed(&mut self, last: bool) {
+        self.grants.consumed(last);
+    }
+}
+
+fn all_on_cooldown(replicas: &ReplicaSet) -> SourceError {
+    SourceError::Io {
+        detail: format!("every endpoint of '{}' is on cooldown", replicas.id()),
+    }
+}
+
+/// The supervisor thread: owns the data connection, re-attaching to a
+/// fresh replica whenever the current one fails, until the scan is
+/// complete, abandoned, or out of retry budget.
+#[derive(Debug)]
+struct Supervisor {
+    replicas: Arc<ReplicaSet>,
+    open: RemoteOpen,
+    read_timeout: Duration,
+    grants: Arc<Grants>,
+    /// The endpoint dialed at construction: index, address.
+    pinned: (usize, String),
+}
+
+impl Supervisor {
+    /// `opened` is the scan `start()` opened on the pinned endpoint.
+    fn run(self, feed: Feed, opened: Result<Scan, SourceError>) {
+        let Supervisor {
+            replicas,
+            open,
+            read_timeout,
+            grants,
+            pinned: (idx, addr),
+        } = self;
         let rel = open.rel;
-        let mut next_index = open.resume_from;
-        let mut current: Option<(TcpStream, usize, String)> = Some(boot);
-        let mut prev_addr: Option<String> = None;
-        let mut failures: u32 = 0;
-        let mut last_err = SourceError::Io {
-            detail: "no attach attempted".into(),
-        };
-        // Invoked on any endpoint-level failure: put the endpoint on
-        // cooldown, announce the (first) degradation, and leave the grant
-        // writer empty until a replacement is attached. Returns false when
-        // the run has been abandoned.
-        let degrade = |idx: usize,
-                       addr: &str,
-                       err: &SourceError,
-                       grants: &Mutex<GrantState>,
-                       notify: &Sender<Notice>| {
-            if let Ok(mut g) = grants.lock() {
-                g.writer = None;
-            }
-            if replicas.record_failure(idx) {
-                return notify
-                    .send(Notice::ReplicaDegraded {
-                        rel,
-                        endpoint: addr.to_string(),
-                        error: err.clone(),
-                    })
-                    .is_ok();
-            }
-            true
-        };
+        let mut next = open.resume_from;
+        let mut attached = Some((opened, idx, addr));
+        // The endpoint the scan last ran on, while it is between endpoints.
+        let mut from: Option<String> = None;
+        // Failed attach attempts since the last delivered batch.
+        let mut failures = 0;
+        let mut last_err = all_on_cooldown(&replicas);
         loop {
             // --- attach: find a live endpoint and open (or resume) ------
-            let (mut stream, idx, addr) = match current.take() {
-                Some(boot) => boot,
+            let (opened, idx, addr) = match attached.take() {
+                Some(first) => first,
                 None => {
-                    if failures >= opts.max_attempts {
-                        notify
-                            .send(Notice::Fault {
-                                rel,
-                                error: last_err,
-                            })
-                            .ok();
+                    if failures >= MAX_ATTEMPTS {
+                        feed.fault(last_err);
                         return;
                     }
-                    if failures > 0 {
-                        let nap = (opts.backoff * failures).min(Duration::from_secs(1));
-                        thread::sleep(nap);
-                    }
+                    thread::sleep((BACKOFF * failures).min(Duration::from_secs(1)));
                     let Some((idx, addr)) = replicas.select() else {
                         failures += 1;
-                        last_err = SourceError::Io {
-                            detail: format!("every endpoint of '{}' is on cooldown", replicas.id()),
-                        };
+                        last_err = all_on_cooldown(&replicas);
                         continue;
                     };
-                    match TcpStream::connect(&addr) {
-                        Ok(s) => {
-                            s.set_nodelay(true).ok();
-                            if s.set_read_timeout(Some(opts.read_timeout)).is_err()
-                                || s.try_clone().is_err()
-                            {
-                                failures += 1;
-                                last_err = SourceError::Io {
-                                    detail: format!("socket setup failed for {addr}"),
-                                };
-                                if !degrade(idx, &addr, &last_err, &grants, &notify) {
-                                    return;
-                                }
-                                continue;
-                            }
-                            (s, idx, addr)
+                    let resumed = RemoteOpen {
+                        resume_from: next,
+                        ..open.clone()
+                    };
+                    let opened = dial(&addr, read_timeout)
+                        .and_then(|stream| Scan::open(stream, &resumed, read_timeout))
+                        .and_then(|scan| grants.attach(&scan).map(|()| scan));
+                    (opened, idx, addr)
+                }
+            };
+            let err = match opened {
+                Ok(mut scan) => {
+                    if let Some(from) = from.take() {
+                        let moved = Notice::Failover {
+                            rel,
+                            from,
+                            to: addr.clone(),
+                            resume_from: next,
+                        };
+                        if !feed.notice(moved) {
+                            return; // run abandoned
                         }
-                        Err(e) => {
-                            failures += 1;
-                            last_err = sock_err(e, &format!("connect {addr}"));
-                            if !degrade(idx, &addr, &last_err, &grants, &notify) {
-                                return;
+                    }
+                    // --- read: stream tuples until EOF or endpoint failure
+                    let mut last_batch = Instant::now();
+                    loop {
+                        match scan.next_batch() {
+                            Ok(Some(keys)) => {
+                                let tuples = keys.len() as u64;
+                                if !keys.into_iter().all(|key| feed.push(key)) {
+                                    return; // run abandoned
+                                }
+                                next = scan.next_index();
+                                let elapsed = last_batch.elapsed();
+                                last_batch = Instant::now();
+                                replicas.record_batch(idx, tuples, elapsed.as_nanos() as u64);
+                                failures = 0;
                             }
-                            continue;
+                            Ok(None) => return, // scan complete
+                            Err(e) => break e,
                         }
                     }
                 }
+                Err(e) => e,
             };
-            let open_frame = Frame::Open {
-                rel,
-                total: open.total,
-                window: open.window,
-                seed: open.seed,
-                stream: open.stream.clone(),
-                delay: open.delay.clone(),
-                resume_from: next_index,
-            };
-            if let Err(e) = write_frame(&mut stream, &open_frame) {
-                failures += 1;
-                last_err = frame_err(e, opts.read_timeout);
-                if !degrade(idx, &addr, &last_err, &grants, &notify) {
-                    return;
-                }
-                continue;
+            // The endpoint failed. Cooldown diverts a scan only when there
+            // is a peer to divert it to; alone, its error is the scan's.
+            let degraded = replicas.record_failure(idx);
+            if replicas.len() == 1 {
+                feed.fault(err);
+                return;
             }
-            // The connection is live: install its writer (a failover gets
-            // a fresh full window, so pending credits are discarded) and
-            // announce the move.
-            if let Some(from) = prev_addr.take() {
-                if let Ok(mut g) = grants.lock() {
-                    g.writer = stream.try_clone().ok();
-                    g.ungranted = 0;
-                }
-                if notify
-                    .send(Notice::Failover {
-                        rel,
-                        from,
-                        to: addr.clone(),
-                        resume_from: next_index,
-                    })
-                    .is_err()
-                {
+            if degraded {
+                let notice = Notice::ReplicaDegraded {
+                    rel,
+                    endpoint: addr.clone(),
+                    error: err.clone(),
+                };
+                if !feed.notice(notice) {
                     return; // run abandoned
                 }
             }
-
-            // --- read: stream tuples until EOF or endpoint failure ------
-            let mut last_batch = Instant::now();
-            let err: SourceError = loop {
-                match read_frame(&mut stream) {
-                    Ok(Some(Frame::TupleBatch {
-                        rel: batch_rel,
-                        keys,
-                    })) => {
-                        if batch_rel != rel {
-                            break SourceError::Protocol {
-                                detail: format!(
-                                    "batch for relation {} on a stream opened for {}",
-                                    batch_rel.0, rel.0
-                                ),
-                            };
-                        }
-                        let batch_len = keys.len() as u64;
-                        let mut bad = None;
-                        for key in keys {
-                            if next_index >= open.total {
-                                bad = Some(format!(
-                                    "endpoint sent more than the {} tuples opened",
-                                    open.total
-                                ));
-                                break;
-                            }
-                            if key != synth_key(rel, next_index) {
-                                bad = Some(format!(
-                                    "endpoint sent a wrong key at index {next_index}"
-                                ));
-                                break;
-                            }
-                            // Data before notice: emit() must never block.
-                            if tx.send(Tuple::new(key, rel)).is_err() {
-                                return; // run abandoned
-                            }
-                            if notify.send(Notice::Arrival(rel)).is_err() {
-                                return;
-                            }
-                            next_index += 1;
-                        }
-                        if let Some(detail) = bad {
-                            break SourceError::Protocol { detail };
-                        }
-                        let elapsed = last_batch.elapsed();
-                        last_batch = Instant::now();
-                        replicas.record_batch(idx, batch_len, elapsed.as_nanos() as u64);
-                        failures = 0;
-                    }
-                    Ok(Some(Frame::Eof { rel: eof_rel })) => {
-                        if eof_rel == rel && next_index == open.total {
-                            return; // scan complete
-                        }
-                        break SourceError::Protocol {
-                            detail: format!(
-                                "eof for relation {} after {next_index} of {} tuples",
-                                eof_rel.0, open.total
-                            ),
-                        };
-                    }
-                    Ok(Some(Frame::Error { code, message })) => {
-                        break SourceError::Protocol {
-                            detail: format!("wrapper error {code}: {message}"),
-                        };
-                    }
-                    Ok(Some(other)) => {
-                        break SourceError::Protocol {
-                            detail: format!("unexpected frame on data stream: {other:?}"),
-                        };
-                    }
-                    Ok(None) => {
-                        break SourceError::Disconnected {
-                            detail: format!(
-                                "endpoint closed after {next_index} of {} tuples",
-                                open.total
-                            ),
-                        };
-                    }
-                    Err(e) => break frame_err(e, opts.read_timeout),
-                }
-            };
-            // Endpoint failed mid-scan: degrade it and re-attach
-            // immediately (backoff only applies to consecutive failures).
             failures += 1;
-            if !degrade(idx, &addr, &err, &grants, &notify) {
-                return;
-            }
             last_err = err;
-            prev_addr = Some(addr);
+            from.get_or_insert(addr);
         }
     }
 }
 
-impl TupleSource for FailoverSource {
-    fn rel(&self) -> RelId {
-        self.open.rel
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::{read_frame, write_frame, Frame};
+    use crate::scan::tests::{black_hole, keys, mk_open, one_shot_server, serve};
+    use dqs_relop::{synth_key, RelId};
+    use std::net::TcpListener;
+    use std::sync::mpsc::{channel, Receiver};
 
-    fn total(&self) -> u64 {
-        self.open.total
-    }
-
-    fn produced(&self) -> u64 {
-        self.produced
-    }
-
-    fn is_suspended(&self) -> bool {
-        self.suspended
-    }
-
-    fn suspend(&mut self) {
-        self.suspended = true;
-    }
-
-    fn resume(&mut self) {
-        self.suspended = false;
-    }
-
-    fn start(&mut self) {
-        let boot = self.boot.take().expect("started twice");
-        let notify = self.notify.take().expect("started twice");
-        let tx = self.data_tx.take().expect("started twice");
-        if notify
-            .send(Notice::ReplicaPinned {
-                rel: self.open.rel,
-                endpoint: self.pinned.clone(),
-            })
-            .is_err()
-        {
-            return;
-        }
-        let replicas = Arc::clone(&self.replicas);
-        let open = self.open.clone();
-        let opts = self.opts.clone();
-        let grants = Arc::clone(&self.grants);
-        thread::spawn(move || Self::supervise(replicas, open, opts, tx, notify, grants, boot));
-    }
-
-    /// Push-paced: arrivals are announced on the notify channel.
-    fn next_gap(&mut self) -> Option<SimDuration> {
-        None
-    }
-
-    fn emit(&mut self) -> Tuple {
-        assert!(
-            self.produced < self.open.total,
-            "emit from exhausted wrapper"
-        );
-        // Data is sent before its notification, so this never blocks when
-        // called in response to a notify.
-        let t = self
-            .data_rx
-            .recv()
-            .expect("supervisor died before delivering all tuples");
-        self.produced += 1;
-        let mut g = self.grants.lock().unwrap_or_else(|p| p.into_inner());
-        g.ungranted += 1;
-        if u64::from(g.ungranted) * 2 >= u64::from(self.open.window)
-            || self.produced == self.open.total
-        {
-            let credits = g.ungranted;
-            if let Some(w) = g.writer.as_mut() {
-                let grant = Frame::WindowGrant {
-                    rel: self.open.rel,
-                    credits,
-                };
-                // A write failure is not fatal: the supervisor observes
-                // the broken connection and fails over.
-                if write_frame(w, &grant).is_ok() {
-                    g.ungranted = 0;
+    /// Drain `w` to exhaustion, returning its keys and every notice that
+    /// was not an arrival.
+    fn drain(mut w: FailoverSource, nrx: Receiver<Notice>) -> (Vec<u64>, Vec<Notice>) {
+        let (mut got, mut notices) = (Vec::new(), Vec::new());
+        w.start();
+        while !w.exhausted() {
+            match nrx.recv_timeout(Duration::from_secs(20)).expect("notice") {
+                Notice::Arrival(rel) => {
+                    assert_eq!(rel, RelId(3));
+                    got.push(w.emit().key);
                 }
+                other => notices.push(other),
             }
-            // With no writer (mid-failover) credits simply accumulate and
-            // are discarded when the fresh connection is installed.
         }
-        t
+        (got, notices)
+    }
+
+    #[test]
+    fn delivers_remote_tuples_granting_half_windows() {
+        // mk_open's window is 8: credits come back four at a time.
+        let addr = one_shot_server(|conn| serve(conn, 4, None));
+        let (ntx, nrx) = channel();
+        let w = RemoteWrapper::connect(addr, mk_open(40), ntx, Duration::from_secs(10)).unwrap();
+        let (got, notices) = drain(w, nrx);
+        assert_eq!(
+            got,
+            keys(RelId(3), 0..40),
+            "same keys as the in-process wrappers"
+        );
+        assert_eq!(notices, vec![], "a healthy bare-address scan only arrives");
+    }
+
+    #[test]
+    fn a_dying_replica_hands_the_scan_to_its_peer_at_the_next_index() {
+        let a = one_shot_server(|conn| serve(conn, 1, Some(10))).to_string();
+        let b = one_shot_server(|conn| serve(conn, 1, None)).to_string();
+        let group = ReplicaGroup {
+            id: "w0".into(),
+            endpoints: vec![a.clone(), b.clone()],
+        };
+        let replicas = Arc::new(ReplicaSet::new(group, HealthConfig::default()));
+        let (ntx, nrx) = channel();
+        let w = FailoverSource::connect(replicas, mk_open(40), ntx, Duration::from_secs(10))
+            .expect("replica a is up");
+        assert_eq!(w.pinned(), a);
+        let (got, notices) = drain(w, nrx);
+        assert_eq!(got, keys(RelId(3), 0..40), "not a tuple lost or repeated");
+        let rel = RelId(3);
+        assert!(
+            matches!(&notices[..], [
+                Notice::ReplicaPinned { endpoint, .. },
+                Notice::ReplicaDegraded { endpoint: lost, error, .. },
+                Notice::Failover { from, to, resume_from, .. },
+            // The dying peer's reset may discard tuples already in flight;
+            // the resume index is wherever the reader actually got to.
+            ] if *endpoint == a && *lost == a && error.kind() == "disconnected"
+                && *from == a && *to == b && *resume_from <= 10),
+            "{notices:?}"
+        );
+        assert!(notices.iter().all(|n| n.rel() == rel));
+    }
+
+    /// A lone endpoint has no peer to fail over to: its first failure is
+    /// the terminal fault, raised at once with no degrade notice before it
+    /// and no retry after.
+    #[test]
+    fn lone_endpoint_failure_is_an_immediate_fault() {
+        let addr = one_shot_server(|mut conn| {
+            let _ = read_frame(&mut conn); // consume Open
+            let batch = Frame::TupleBatch {
+                rel: RelId(3),
+                keys: vec![synth_key(RelId(3), 0), synth_key(RelId(3), 1)],
+            };
+            write_frame(&mut conn, &batch).unwrap();
+            // Drop the connection with 38 tuples still owed.
+        });
+
+        let (ntx, nrx) = channel();
+        let mut w =
+            RemoteWrapper::connect(addr, mk_open(40), ntx, Duration::from_secs(10)).unwrap();
+        w.start();
+        let mut arrivals = 0;
+        loop {
+            match nrx.recv_timeout(Duration::from_secs(20)).expect("notice") {
+                Notice::Arrival(_) => {
+                    let _ = w.emit();
+                    arrivals += 1;
+                }
+                Notice::Fault { rel, error } => {
+                    assert_eq!(rel, RelId(3));
+                    assert_eq!(error.kind(), "disconnected", "{error}");
+                    break;
+                }
+                other => panic!("unexpected notice: {other:?}"),
+            }
+        }
+        assert_eq!(arrivals, 2);
+        assert!(nrx.recv().is_err(), "a fault is the source's last word");
+    }
+
+    #[test]
+    fn connect_to_dead_address_errors_immediately() {
+        // Bind then drop to get a port that refuses connections.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        drop(listener);
+        let (ntx, _nrx) = channel();
+        let r = RemoteWrapper::connect(addr, mk_open(4), ntx, Duration::from_secs(1));
+        assert!(r.is_err(), "connect must fail eagerly");
+    }
+
+    /// An endpoint that never answers its SYN used to block the dial for
+    /// the OS connect timeout (minutes) while the session held its slot.
+    #[test]
+    fn a_black_holed_replica_fails_over_to_its_peer_within_the_connect_bound() {
+        let (dead, _listener, _held) = black_hole();
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer_addr = peer.local_addr().unwrap().to_string();
+        let group = ReplicaGroup {
+            id: "w0".into(),
+            endpoints: vec![dead.to_string(), peer_addr.clone()],
+        };
+        let replicas = Arc::new(ReplicaSet::new(group, HealthConfig::default()));
+        let (ntx, nrx) = channel();
+        let started = Instant::now();
+        let source = FailoverSource::connect(
+            Arc::clone(&replicas),
+            mk_open(4),
+            ntx,
+            Duration::from_secs(10),
+        )
+        .expect("the peer is reachable");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the dead endpoint cost {:?}, not one bounded connect",
+            started.elapsed()
+        );
+        assert_eq!(source.pinned(), peer_addr);
+        assert_eq!(
+            nrx.recv().unwrap(),
+            Notice::ReplicaPinned {
+                rel: RelId(3),
+                endpoint: peer_addr,
+            }
+        );
+        assert_eq!(replicas.snapshot()[0].failures_total, 1);
     }
 }

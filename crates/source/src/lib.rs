@@ -8,18 +8,25 @@
 //!   delivery substrate (simulated or real) is pluggable;
 //! * [`wrapper::Wrapper`] — black-box remote sources producing synthetic
 //!   tuples at the modelled pace;
-//! * [`threaded::ThreadedWrapper`] — the same contract realized by a real
-//!   producer thread sleeping actual gaps into a bounded channel;
+//! * [`pushed::PushSource`] — the one push-paced source: a producer
+//!   thread feeding a bounded channel, data before notice;
+//! * [`threaded::ThreadedWrapper`] — a `PushSource` whose producer sleeps
+//!   actual gaps in-process;
 //! * [`cached::ReplaySource`] / [`cached::RecordingSource`] — the cache
 //!   adapters: instant replay of a completed scan, tee-on-miss recording
 //!   of a live one (see `dqs-cache`);
 //! * [`net::Frame`] — the length-prefixed binary wire protocol that carries
 //!   the §2.1 window protocol (and query submission) over TCP;
-//! * [`remote::RemoteWrapper`] — the same contract again, fed by a
-//!   wrapper-server on the far side of a socket;
-//! * [`failover::FailoverSource`] — the replica-aware remote source: opens
-//!   on the best live endpoint of a `dqs_replica::ReplicaSet` and, on a
-//!   mid-scan death, re-opens on a peer at the next undelivered index;
+//! * [`scan`] — the one mediator-side client of that protocol: the
+//!   bounded [`scan::dial`], and [`scan::Scan`], which builds the `Open`,
+//!   validates everything a wrapper sends back and returns the window
+//!   credits;
+//! * [`failover::FailoverSource`] — the remote source, a `PushSource`
+//!   whose producer supervises a `Scan`: opens on the best live endpoint
+//!   of a `dqs_replica::ReplicaSet` and, on a mid-scan death, re-opens on
+//!   a peer at the next undelivered index
+//!   ([`failover::RemoteWrapper::connect`] spells the one-endpoint case
+//!   with a bare address);
 //! * [`queue::TupleQueue`] — the bounded communication queues of §2.1;
 //! * [`comm::CommManager`] — receives tuples, enforces the window protocol,
 //!   charges per-message CPU, estimates delivery rates (EWMA) and raises
@@ -43,8 +50,9 @@ pub mod comm;
 pub mod delay;
 pub mod failover;
 pub mod net;
+pub mod pushed;
 pub mod queue;
-pub mod remote;
+pub mod scan;
 pub mod source;
 pub mod threaded;
 pub mod wrapper;
@@ -55,10 +63,10 @@ pub use comm::{
     DEFAULT_RATE_CHANGE_THRESHOLD,
 };
 pub use delay::DelayModel;
-pub use failover::{FailoverOpts, FailoverSource};
+pub use failover::{FailoverSource, RemoteWrapper};
 pub use net::{read_frame, write_frame, Frame, FrameError, RelStat, MAX_FRAME_BYTES};
 pub use queue::TupleQueue;
-pub use remote::{RemoteOpen, RemoteWrapper};
+pub use scan::RemoteOpen;
 pub use source::{BoxSource, Notice, SourceError, TupleSource};
 pub use threaded::ThreadedWrapper;
 pub use wrapper::Wrapper;

@@ -3,41 +3,31 @@
 //! Where the simulated [`crate::Wrapper`] *describes* delivery delays, a
 //! [`ThreadedWrapper`] *performs* them: a detached thread draws gaps from
 //! the same [`DelayModel`] (same seeded stream, same deterministic keys),
-//! actually sleeps them, and sends each tuple through a bounded
-//! [`std::sync::mpsc::sync_channel`]. The channel bound is the transport
-//! half of the paper's window protocol (§2.1): a producer that outruns the
-//! consumer blocks in `send` exactly as a suspended wrapper would stop
-//! shipping tuples.
-//!
-//! After each data send the thread posts a [`Notice::Arrival`] on a shared
-//! *notify* channel; the real-time driver blocks on that channel and turns
-//! each notification into an `Arrival` for the scheduler. Data is sent
-//! before its notification, so by the time the CM calls
-//! [`TupleSource::emit`] the matching tuple is guaranteed to be waiting
-//! and the `recv` never blocks.
+//! actually sleeps them, and pushes each tuple into its
+//! [`PushSource`] — whose bounded channel is the transport half of the
+//! paper's window protocol (§2.1) and whose notify channel the real-time
+//! driver blocks on.
 
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::Sender;
 use std::thread;
 use std::time::Duration;
 
-use dqs_relop::{synth_key, RelId, Tuple};
-use dqs_sim::SimDuration;
+use dqs_relop::{synth_key, RelId};
 use rand_chacha::ChaCha8Rng;
 
 use crate::delay::DelayModel;
-use crate::source::{Notice, TupleSource};
+use crate::pushed::{Feed, Producer, PushSource};
+use crate::source::Notice;
 
 /// A wrapper whose tuples are produced by a real thread with real sleeps.
+pub type ThreadedWrapper = PushSource<Paced>;
+
+/// The in-process producer: sleeps each modelled gap, then pushes the
+/// tuple.
 #[derive(Debug)]
-pub struct ThreadedWrapper {
-    rel: RelId,
+pub struct Paced {
     total: u64,
-    produced: u64,
-    suspended: bool,
     delay: Option<(DelayModel, ChaCha8Rng)>,
-    notify: Option<Sender<Notice>>,
-    data_tx: Option<SyncSender<Tuple>>,
-    data_rx: Receiver<Tuple>,
 }
 
 impl ThreadedWrapper {
@@ -45,7 +35,8 @@ impl ThreadedWrapper {
     /// with `delay` driven by `rng`, holding at most `window` tuples in
     /// flight, and announcing each delivery on `notify`.
     ///
-    /// Nothing runs until [`TupleSource::start`] spawns the producer.
+    /// Nothing runs until [`crate::TupleSource::start`] spawns the
+    /// producer.
     pub fn new(
         rel: RelId,
         total: u64,
@@ -54,92 +45,35 @@ impl ThreadedWrapper {
         window: usize,
         notify: Sender<Notice>,
     ) -> Self {
-        assert!(window > 0, "window must be positive");
-        let (data_tx, data_rx) = sync_channel(window);
-        ThreadedWrapper {
-            rel,
+        let producer = Paced {
             total,
-            produced: 0,
-            suspended: false,
             delay: Some((delay, rng)),
-            notify: Some(notify),
-            data_tx: Some(data_tx),
-            data_rx,
-        }
+        };
+        PushSource::around(rel, 0, total, window, notify, producer)
     }
 }
 
-impl TupleSource for ThreadedWrapper {
-    fn rel(&self) -> RelId {
-        self.rel
-    }
-
-    fn total(&self) -> u64 {
-        self.total
-    }
-
-    fn produced(&self) -> u64 {
-        self.produced
-    }
-
-    fn is_suspended(&self) -> bool {
-        self.suspended
-    }
-
-    fn suspend(&mut self) {
-        self.suspended = true;
-    }
-
-    fn resume(&mut self) {
-        self.suspended = false;
-    }
-
-    fn start(&mut self) {
+impl Producer for Paced {
+    fn start(&mut self, feed: Feed) {
         let (delay, mut rng) = self.delay.take().expect("started twice");
-        let notify = self.notify.take().expect("started twice");
-        let tx = self.data_tx.take().expect("started twice");
-        let (rel, total) = (self.rel, self.total);
-        // Detached: the thread exits on its own when the run finishes
-        // (all tuples sent) or is abandoned (receiver dropped → send errs).
+        let total = self.total;
         thread::spawn(move || {
             for i in 0..total {
-                let gap: SimDuration = delay.gap(i, &mut rng);
-                thread::sleep(Duration::from_nanos(gap.as_nanos()));
-                let t = Tuple::new(synth_key(rel, i), rel);
-                if tx.send(t).is_err() {
-                    return;
-                }
-                if notify.send(Notice::Arrival(rel)).is_err() {
+                thread::sleep(Duration::from_nanos(delay.gap(i, &mut rng).as_nanos()));
+                if !feed.push(synth_key(feed.rel(), i)) {
                     return;
                 }
             }
         });
-    }
-
-    /// Push-paced: arrivals are announced on the notify channel, so there
-    /// is never a gap to pre-schedule.
-    fn next_gap(&mut self) -> Option<SimDuration> {
-        None
-    }
-
-    fn emit(&mut self) -> Tuple {
-        assert!(self.produced < self.total, "emit from exhausted wrapper");
-        // Data is sent before its notification, so this never blocks when
-        // called in response to a notify.
-        let t = self
-            .data_rx
-            .recv()
-            .expect("producer thread died before delivering all tuples");
-        self.produced += 1;
-        t
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqs_sim::SeedSplitter;
-    use std::sync::mpsc::channel;
+    use crate::TupleSource;
+    use dqs_sim::{SeedSplitter, SimDuration};
+    use std::sync::mpsc::{channel, Receiver};
 
     fn mk(total: u64) -> (ThreadedWrapper, Receiver<Notice>) {
         let (ntx, nrx) = channel();

@@ -488,11 +488,15 @@ fn killing_the_wrapper_surfaces_to_the_client() {
         .expect("session accepted");
     std::thread::sleep(Duration::from_millis(400));
     wrapper.drop_connections();
+    let killed = std::time::Instant::now();
 
     let err = client
         .join()
         .expect("client thread")
         .expect_err("the query must fail");
+    // A group of one has no peer to fail over to: the abort carries the
+    // endpoint's own error and comes at once, not after a retry budget
+    // has been slept out against a wrapper that is still listening.
     match err {
         dqs_mediator::ClientError::Server(msg) => {
             assert!(
@@ -502,6 +506,46 @@ fn killing_the_wrapper_surfaces_to_the_client() {
         }
         other => panic!("expected a server-side abort, got {other}"),
     }
+    assert!(
+        killed.elapsed() < Duration::from_secs(2),
+        "the abort took {:?}",
+        killed.elapsed()
+    );
+    mediator.shutdown();
+    wrapper.shutdown();
+}
+
+/// Cooldown diverts traffic only when there is a peer to divert it to: a
+/// lone wrapper that was down (and probed down) must be dialed by the very
+/// next session after it returns, not after its cooldown expires.
+#[test]
+fn the_session_after_a_lone_wrapper_returns_dials_it_immediately() {
+    let wrapper = WrapperServer::bind("127.0.0.1:0").expect("bind wrapper");
+    let wrapper_addr = wrapper.local_addr();
+    let mediator = MediatorServer::bind(
+        "127.0.0.1:0",
+        ServeOpts {
+            wrappers: vec![format!("w0={wrapper_addr}")],
+            ..ServeOpts::default()
+        },
+    )
+    .expect("bind mediator");
+    let addr = mediator.local_addr();
+
+    wrapper.shutdown();
+    let err = submit(addr, &quickstart_json(), &SubmitOpts::default(), |_| {})
+        .expect_err("nobody is listening");
+    assert!(err.to_string().contains("wrapper connect failed"), "{err}");
+    let down = &mediator.replica_health()[0].1[0];
+    assert!(
+        format!("{:?}", down.state).starts_with("Degraded"),
+        "the failed dial put the endpoint on cooldown: {down:?}"
+    );
+
+    let wrapper = WrapperServer::bind(wrapper_addr).expect("rebind wrapper");
+    let m = submit(addr, &quickstart_json(), &SubmitOpts::default(), |_| {})
+        .expect("the returned wrapper is dialed despite its cooldown");
+    assert!(m.output_tuples > 0);
     mediator.shutdown();
     wrapper.shutdown();
 }

@@ -216,3 +216,25 @@ fn over_budget_entries_are_deferred_and_stale_hits_are_counted() {
     mediator.shutdown();
     wrapper.shutdown();
 }
+
+/// The refresher's stat polls are control-plane dials, not scans: with
+/// no session ever submitted, no endpoint may show an open — polls that
+/// counted as opens inflated `replica_health` every cycle and used up
+/// each endpoint's explore-first turn before any scan could measure it.
+#[test]
+fn refresh_polls_do_not_count_as_scan_opens() {
+    let rep_a = WrapperServer::bind("127.0.0.1:0").expect("bind replica a");
+    let rep_b = WrapperServer::bind("127.0.0.1:0").expect("bind replica b");
+    let mediator = refresh_mediator(&format!("{},{}", rep_a.local_addr(), rep_b.local_addr()), 0);
+    // Several 100 ms refresh cycles, zero sessions.
+    std::thread::sleep(Duration::from_millis(600));
+    let health = mediator.replica_health();
+    let opens: Vec<u64> = health
+        .iter()
+        .flat_map(|(_, eps)| eps.iter().map(|e| e.opens))
+        .collect();
+    assert_eq!(opens, vec![0, 0], "{health:?}");
+    mediator.shutdown();
+    rep_a.shutdown();
+    rep_b.shutdown();
+}
