@@ -755,26 +755,14 @@ pub fn cache_experiment() -> CacheReport {
     let (warm, warm_wall) = run("warm");
     mediator.shutdown();
 
-    let counter = |raw: &str, key: &str| -> u64 {
-        dqs_exec::json::parse(raw)
-            .ok()
-            .and_then(|v| {
-                v.as_object().and_then(|obj| {
-                    obj.iter()
-                        .find(|(n, _)| n == key)
-                        .and_then(|(_, v)| v.as_u64())
-                })
-            })
-            .unwrap_or(0)
-    };
     CacheReport {
         cold_secs: cold.response_secs,
         warm_secs: warm.response_secs,
         cold_wall_secs: cold_wall,
         warm_wall_secs: warm_wall,
-        cache_hits: counter(&warm.raw, "cache_hits"),
-        cache_misses: counter(&cold.raw, "cache_misses"),
-        cache_bytes_served: counter(&warm.raw, "cache_bytes_served"),
+        cache_hits: json_counter(&warm.raw, "cache_hits"),
+        cache_misses: json_counter(&cold.raw, "cache_misses"),
+        cache_bytes_served: json_counter(&warm.raw, "cache_bytes_served"),
         output_tuples: cold.output_tuples,
         answers_match: cold.output_tuples == warm.output_tuples,
     }
@@ -840,13 +828,7 @@ pub fn cache_json(r: &CacheReport) -> String {
 fn json_counter(raw: &str, key: &str) -> u64 {
     dqs_exec::json::parse(raw)
         .ok()
-        .and_then(|v| {
-            v.as_object().and_then(|obj| {
-                obj.iter()
-                    .find(|(n, _)| n == key)
-                    .and_then(|(_, v)| v.as_u64())
-            })
-        })
+        .and_then(|v| v.get(key)?.as_u64())
         .unwrap_or(0)
 }
 

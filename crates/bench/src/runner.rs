@@ -1,9 +1,9 @@
 //! Strategy dispatch, per-phase statistics and repeated-run averaging.
 
-use dqs_core::DsePolicy;
+use dqs_core::run_named;
 use dqs_exec::{
-    run_workload, run_workload_observed, EngineEvent, EngineObserver, Interrupt, MaPolicy,
-    RunMetrics, ScramblingPolicy, SeqPolicy, SpmPolicy, TaskCtx, WorkerPool, Workload,
+    EngineEvent, EngineObserver, Interrupt, NullObserver, RunMetrics, SimDriver, TaskCtx,
+    WorkerPool, Workload,
 };
 use dqs_sim::{stats, SimTime};
 
@@ -140,24 +140,15 @@ impl EngineObserver for PhaseStats {
 }
 
 fn dispatch<O: EngineObserver>(workload: &Workload, strategy: StrategyKind, obs: O) -> RunMetrics {
-    match strategy {
-        StrategyKind::Seq => run_workload_observed(workload, SeqPolicy, obs),
-        StrategyKind::Ma => run_workload_observed(workload, MaPolicy::default(), obs),
-        StrategyKind::Scr => run_workload_observed(workload, ScramblingPolicy::new(), obs),
-        StrategyKind::Dse => run_workload_observed(workload, DsePolicy::new(), obs),
-        StrategyKind::Spm => run_workload_observed(workload, SpmPolicy::new(), obs),
-    }
+    let name = strategy.name().to_ascii_lowercase();
+    run_named(&name, workload, obs, SimDriver::new())
+        .expect("every StrategyKind is a named strategy")
+        .unwrap_or_else(|e| panic!("query execution aborted: {e}"))
 }
 
 /// Execute `workload` once under `strategy`.
 pub fn run_once(workload: &Workload, strategy: StrategyKind) -> RunMetrics {
-    match strategy {
-        StrategyKind::Seq => run_workload(workload, SeqPolicy),
-        StrategyKind::Ma => run_workload(workload, MaPolicy::default()),
-        StrategyKind::Scr => run_workload(workload, ScramblingPolicy::new()),
-        StrategyKind::Dse => run_workload(workload, DsePolicy::new()),
-        StrategyKind::Spm => run_workload(workload, SpmPolicy::new()),
-    }
+    dispatch(workload, strategy, NullObserver)
 }
 
 /// Execute `workload` once under `strategy`, also returning per-phase

@@ -20,10 +20,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use dqs_cli::spec::WorkloadSpec;
-use dqs_core::{lwb, DsePolicy};
+use dqs_core::{lwb, run_named, unknown_strategy};
 use dqs_exec::{
-    run_workload, run_workload_observed, run_workload_realtime, run_workload_realtime_observed,
-    JsonLinesSink, MaPolicy, Policy, RunMetrics, ScramblingPolicy, SeqPolicy, SpmPolicy, Workload,
+    EngineObserver, JsonLinesSink, NullObserver, RealTimeDriver, RunMetrics, SimDriver, Workload,
 };
 use dqs_mediator::{
     C10kOpts, ChurnOpts, MediatorServer, Progress, ServeOpts, SubmitOpts, WrapperServer,
@@ -37,7 +36,7 @@ fn usage() -> ExitCode {
          commands:\n\
          \u{20} explain   show the optimized plan, pipeline chains and annotations\n\
          \u{20} run       execute (options: --strategy seq|ma|scr|dse|spm, --seed N, --all,\n\
-         \u{20}           --real-time: threaded wall-clock execution instead of simulation,\n\
+         \u{20}           --real-time: wall-clock execution instead of simulation,\n\
          \u{20}           --workers N: morsel worker threads (default 1 = serial),\n\
          \u{20}           --trace-json <path>: write structured engine events as JSON lines)\n\
          \u{20} lwb       print the analytic response-time lower bound\n\
@@ -677,49 +676,40 @@ fn load(path: &str) -> Result<Workload, String> {
         .map_err(|e| e.to_string())
 }
 
-/// Execute `w` under one policy on the chosen substrate, optionally writing
-/// the JSON event trace. Real-time runs surface `RunError` as a message;
-/// the trace (including the final `abort` event) is flushed either way.
-fn dispatch<P: Policy>(
-    w: &Workload,
-    policy: P,
-    trace_json: Option<&str>,
-    real_time: bool,
-) -> Result<RunMetrics, String> {
-    let Some(path) = trace_json else {
-        return if real_time {
-            run_workload_realtime(w, policy).map_err(|e| e.to_string())
-        } else {
-            Ok(run_workload(w, policy))
-        };
-    };
-    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-    let mut sink = JsonLinesSink::new(std::io::BufWriter::new(file));
-    let result = if real_time {
-        run_workload_realtime_observed(w, policy, &mut sink).map_err(|e| e.to_string())
-    } else {
-        Ok(run_workload_observed(w, policy, &mut sink))
-    };
-    sink.finish()
-        .and_then(|mut out| out.flush())
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    result
-}
-
+/// Execute `w` under the named strategy on the chosen substrate, optionally
+/// writing the JSON event trace. An aborted run surfaces its `RunError` as
+/// a message; the trace (including the final `abort` event) is flushed
+/// either way.
 fn run_strategy(
     w: &Workload,
     name: &str,
     trace_json: Option<&str>,
     real_time: bool,
 ) -> Result<RunMetrics, String> {
-    match name {
-        "seq" => dispatch(w, SeqPolicy, trace_json, real_time),
-        "ma" => dispatch(w, MaPolicy::default(), trace_json, real_time),
-        "scr" => dispatch(w, ScramblingPolicy::new(), trace_json, real_time),
-        "dse" => dispatch(w, DsePolicy::new(), trace_json, real_time),
-        "spm" => dispatch(w, SpmPolicy::new(), trace_json, real_time),
-        other => Err(format!("unknown strategy {other:?} (seq|ma|scr|dse|spm)")),
+    fn on<O: EngineObserver>(
+        w: &Workload,
+        name: &str,
+        observer: O,
+        real_time: bool,
+    ) -> Result<RunMetrics, String> {
+        let run = if real_time {
+            run_named(name, w, observer, RealTimeDriver::new())
+        } else {
+            run_named(name, w, observer, SimDriver::new())
+        };
+        run.ok_or_else(|| unknown_strategy(name))?
+            .map_err(|e| e.to_string())
     }
+    let Some(path) = trace_json else {
+        return on(w, name, NullObserver, real_time);
+    };
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let mut sink = JsonLinesSink::new(std::io::BufWriter::new(file));
+    let result = on(w, name, &mut sink, real_time);
+    sink.finish()
+        .and_then(|mut out| out.flush())
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    result
 }
 
 fn print_metrics(m: &RunMetrics) {

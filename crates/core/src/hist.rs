@@ -232,8 +232,7 @@ mod tests {
         h.record_us(123);
         h.record_us(456_789);
         let v = dqs_exec::json::parse(&h.to_json()).expect("valid JSON");
-        let obj = v.as_object().unwrap();
-        let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        let get = |k: &str| v.get(k);
         assert_eq!(get("count").and_then(|v| v.as_u64()), Some(2));
         assert_eq!(get("max_us").and_then(|v| v.as_u64()), Some(456_789));
     }

@@ -10,19 +10,21 @@
 //!   virtual, a scheduled signal *is* the clock advancing, and runs are
 //!   bit-identical to the pre-driver engine by construction (same wrapper
 //!   seeding, same `(time, seq)` event ordering).
-//! * [`RealTimeDriver`] reads a monotonic [`WallClock`], keeps deadlines
-//!   in a [`TimerHeap`], and learns of tuple arrivals from the notify
-//!   channel that [`ThreadedWrapper`] producer threads post to. Modeled
-//!   CPU/disk completion times become real deadlines: the engine's cost
-//!   model still decides *when* a batch is done, so scheduling dynamics
-//!   (stalls, timeouts, rate estimation) carry over unchanged.
+//! * [`RealTimeDriver`] reads a monotonic [`WallClock`] and keeps
+//!   deadlines in a [`TimerHeap`]. In-process sources are the same
+//!   pull-paced wrappers the simulation uses — each modelled gap is one
+//!   more deadline, so pacing costs no thread — and only remote sources
+//!   announce arrivals on the notify channel. Modeled CPU/disk completion
+//!   times become real deadlines too: the engine's cost model still
+//!   decides *when* a batch is done, so scheduling dynamics (stalls,
+//!   timeouts, rate estimation) carry over unchanged.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 
 use dqs_relop::RelId;
 use dqs_sim::clock::until;
 use dqs_sim::{Clock, EventId, EventQueue, SimTime, TimerHeap, TimerId, WallClock};
-use dqs_source::{BoxSource, Notice, SourceError, ThreadedWrapper};
+use dqs_source::{BoxSource, Notice, SourceError};
 
 use crate::workload::{EngineConfig, Workload};
 use crate::world::sim_sources;
@@ -147,19 +149,19 @@ impl Driver for SimDriver {
     }
 }
 
-/// The wall-clock driver: threaded sources, real sleeps, real deadlines.
+/// The wall-clock driver: real sleeps, real deadlines.
 #[derive(Debug)]
 pub struct RealTimeDriver {
     clock: WallClock,
     timers: TimerHeap<Signal>,
     notify_rx: Receiver<Notice>,
-    /// Held only until [`Driver::sources`] hands clones to the wrappers;
-    /// dropping it afterwards lets `notify_rx` disconnect when every
-    /// producer thread finishes.
+    /// Held only until [`Driver::sources`]: remote sources took their
+    /// clones at construction, and dropping it lets `notify_rx` disconnect
+    /// when every reader thread finishes.
     notify_tx: Option<Sender<Notice>>,
     /// Sources built ahead of the run (remote wrappers a mediator
     /// connected eagerly); [`Driver::sources`] returns these when present
-    /// instead of spawning in-process threads.
+    /// instead of the workload's in-process wrappers.
     prebuilt: Option<Vec<BoxSource>>,
     /// The failure behind the last [`Signal::SourceFault`] delivered.
     fault: Option<(RelId, SourceError)>,
@@ -196,8 +198,8 @@ impl RealTimeDriver {
     }
 
     /// A driver whose sources are built by `connect` — which receives the
-    /// driver's notify sender to hand to each source — instead of spawned
-    /// in-process from the workload catalog. Connection errors surface
+    /// driver's notify sender to hand to each remote source — instead of
+    /// paced in-process from the workload catalog. Connection errors surface
     /// here, before any run starts, so a mediator can reject the session
     /// rather than abort it.
     pub fn try_with_sources<E>(
@@ -239,35 +241,20 @@ impl Driver for RealTimeDriver {
     type Timer = TimerId;
 
     fn sources(&mut self, workload: &Workload) -> Vec<BoxSource> {
-        let notify = self
-            .notify_tx
+        // Only prebuilt remote sources post notices, and they already hold
+        // their sender clones.
+        self.notify_tx
             .take()
             .expect("RealTimeDriver::sources called twice");
-        if let Some(prebuilt) = self.prebuilt.take() {
-            // Remote wrappers already hold their sender clones.
-            return prebuilt;
-        }
-        let seeds = dqs_sim::SeedSplitter::new(workload.config.seed);
-        workload
-            .catalog
-            .iter()
-            .map(|(rel, spec)| {
-                Box::new(ThreadedWrapper::new(
-                    rel,
-                    workload.actual_cardinality(rel),
-                    workload.delays[rel.0 as usize].clone(),
-                    seeds.stream(&format!("wrapper:{}", spec.name)),
-                    workload.config.queue_capacity,
-                    notify.clone(),
-                )) as BoxSource
-            })
-            .collect()
-        // `notify` drops here: only producer threads hold senders now.
+        self.prebuilt
+            .take()
+            .unwrap_or_else(|| sim_sources(workload))
     }
 
     fn queue_capacity(&self, _cfg: &EngineConfig) -> usize {
-        // The window protocol lives in the wrappers' bounded data channels;
-        // the CM queue must never overflow-panic on a burst of notifies.
+        // The window protocol lives in the remote sources' bounded data
+        // channels; the CM queue must never overflow-panic on a burst of
+        // notifies.
         usize::MAX >> 1
     }
 
@@ -300,7 +287,8 @@ impl Driver for RealTimeDriver {
                         }
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => {
-                            // All producers finished; sleep out the timer.
+                            // No remote source left to announce anything; sleep
+                            // out the timer.
                             std::thread::sleep(until(self.clock.now(), deadline));
                         }
                     }
@@ -312,7 +300,7 @@ impl Driver for RealTimeDriver {
                             self.fired += 1;
                             return Some((self.clock.now(), self.signal_for(notice)));
                         }
-                        // Producers done and nothing scheduled: nothing can
+                        // Readers done and nothing scheduled: nothing can
                         // ever happen again.
                         Err(_) => return None,
                     }
@@ -389,8 +377,27 @@ mod tests {
     #[test]
     fn real_time_driver_returns_none_when_nothing_can_happen() {
         let mut d = RealTimeDriver::new();
-        d.notify_tx = None; // as after sources() + all producers exiting
+        d.notify_tx = None; // as after sources() + all readers exiting
         assert_eq!(d.next(), None);
+    }
+
+    /// In-process wall-clock sources are the simulation's pull-paced
+    /// wrappers: their gaps become timer deadlines, nothing is spawned,
+    /// and nobody is left holding a notice sender.
+    #[test]
+    fn real_time_driver_paces_in_process_sources_on_its_timers() {
+        let (workload, _) = Workload::fig5();
+        let mut d = RealTimeDriver::new();
+        let mut sources = d.sources(&workload);
+        assert_eq!(sources.len(), workload.catalog.iter().count());
+        for s in &mut sources {
+            assert!(s.next_gap().is_some(), "{:?} is pull-paced", s.rel());
+        }
+        assert_eq!(
+            d.notify_rx.try_recv(),
+            Err(std::sync::mpsc::TryRecvError::Disconnected),
+            "no notice sender outlives sources()"
+        );
     }
 
     #[test]

@@ -50,6 +50,14 @@ impl Json {
         }
     }
 
+    /// The value under `key` if this is an object that has it.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.as_object()?
+            .iter()
+            .find(|(name, _)| name == key)
+            .map(|(_, value)| value)
+    }
+
     /// The elements if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {

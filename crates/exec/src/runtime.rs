@@ -379,8 +379,8 @@ pub fn run_workload_observed<P: Policy, O: EngineObserver>(
     Engine::with_observer(workload, policy, observer).run()
 }
 
-/// Run `workload` on the wall clock: wrappers are real threads delivering
-/// tuples through bounded channels, timeouts are real deadlines.
+/// Run `workload` on the wall clock: wrapper gaps, batch completions and
+/// timeouts are real deadlines.
 ///
 /// Unlike simulation this is not deterministic wall-clock-wise, but the
 /// deterministic parts — wrapper payloads, join fan-out, output

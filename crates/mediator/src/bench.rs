@@ -163,8 +163,7 @@ mod tests {
             max_ms: 71.5,
         };
         let v = dqs_exec::json::parse(&r.to_json()).expect("valid JSON");
-        let obj = v.as_object().unwrap();
-        let get = |k: &str| obj.iter().find(|(n, _)| n.as_str() == k).map(|(_, v)| v);
+        let get = |k: &str| v.get(k);
         assert_eq!(get("peak_concurrent").and_then(|v| v.as_u64()), Some(98));
         assert!(get("p99_ms").is_some());
     }

@@ -16,7 +16,8 @@ use dqs_source::net::{read_frame, write_frame, Frame};
 /// Submission options.
 #[derive(Debug, Clone)]
 pub struct SubmitOpts {
-    /// Strategy name (`seq` | `ma` | `scr` | `dse`).
+    /// Strategy name: one of `dqs_core::STRATEGY_NAMES`
+    /// (`seq` | `ma` | `scr` | `dse` | `spm`).
     pub strategy: String,
     /// Optional seed override.
     pub seed: Option<u64>,
@@ -211,10 +212,9 @@ pub fn invalidate(
 fn parse_metrics(text: &str) -> Result<RemoteMetrics, ClientError> {
     let v =
         json::parse(text).map_err(|e| ClientError::Protocol(format!("bad metrics JSON: {e}")))?;
-    let obj = v
-        .as_object()
+    v.as_object()
         .ok_or_else(|| ClientError::Protocol("metrics JSON is not an object".into()))?;
-    let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+    let get = |k: &str| v.get(k);
     Ok(RemoteMetrics {
         strategy: get("strategy")
             .and_then(|v| v.as_str())

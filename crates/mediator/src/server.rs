@@ -18,8 +18,9 @@
 //! partial frame in either direction costs buffered bytes, never a
 //! blocked thread. Connections are assigned to workers by
 //! `conn_id % io_threads`; cross-thread hand-off (engine → socket) goes
-//! through a lock-striped connection map plus a per-worker mailbox and
-//! [`dqs_reactor::Waker`].
+//! through a per-worker mailbox and [`dqs_reactor::Waker`], gated by a
+//! per-connection `alive` flag the session's job carries — routing a
+//! frame takes no lock.
 //!
 //! Query *execution* stays blocking by design — each admitted session
 //! runs a full engine on its own [`RealTimeDriver`] — but on a fixed pool
@@ -31,7 +32,8 @@
 //!
 //! Admission is the sans-io `dqs_core::session::SessionTable` behind a
 //! single mutex shared by I/O workers (submit, disconnect) and executor
-//! threads (finish, promote): at most `max_concurrent` sessions execute
+//! threads (finish, promote) — the same mutex, with one condvar, is the
+//! hand-off to the executor pool: at most `max_concurrent` sessions execute
 //! at once, each query re-planned under `memory_bytes / max_concurrent`
 //! — the §4 memory bound applied per-session so concurrent queries
 //! cannot starve each other — and a bounded FIFO backlog absorbs bursts.
@@ -61,12 +63,11 @@ use std::time::{Duration, Instant};
 
 use dqs_cache::{payload_bytes, CacheConfig, CacheKey, CacheStats, SharedCache};
 use dqs_core::session::{AdmissionPolicy, Decision, SessionConfig, SessionStats, SessionTable};
-use dqs_core::{DsePolicy, LatencyHistogram};
+use dqs_core::{run_named, unknown_strategy, LatencyHistogram, STRATEGY_NAMES};
 use dqs_exec::json::escape;
 use dqs_exec::spec::WorkloadSpec;
 use dqs_exec::{
-    Engine, EngineEvent, EngineObserver, JsonLinesSink, MaPolicy, Policy, RealTimeDriver, RunError,
-    RunMetrics, ScramblingPolicy, SeqPolicy, SpmPolicy, WorkerPool, Workload,
+    EngineEvent, EngineObserver, JsonLinesSink, RealTimeDriver, RunMetrics, WorkerPool, Workload,
 };
 use dqs_reactor::{Events, Interest, Poller, TimerId, TimerWheel, Token, Waker};
 use dqs_refresh::{RefreshPlanner, ScanProvenance};
@@ -76,7 +77,7 @@ use dqs_sim::{SeedSplitter, SimTime};
 use dqs_source::net::{FlushStatus, Frame, FrameDecoder, WriteBuffer};
 use dqs_source::{
     scan, BoxSource, FailoverSource, RecordingSource, RemoteOpen, ReplaySource, SourceError,
-    ThreadedWrapper,
+    Wrapper,
 };
 
 use crate::refresher::{self, RefreshState, RefresherCtx};
@@ -91,9 +92,6 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 /// Write-buffer high-water mark: past this, `Trace` frames (and only
 /// `Trace` frames) are dropped rather than buffered without bound.
 const WRITE_HWM: usize = 256 * 1024;
-/// Lock stripes in the connection map engine threads use to route
-/// outbound frames.
-const CONN_STRIPES: usize = 8;
 /// Reactor token for the listening socket (owned by I/O worker 0).
 const LISTENER_TOKEN: Token = Token(u64::MAX - 1);
 
@@ -106,7 +104,8 @@ pub struct ServeOpts {
     pub backlog: usize,
     /// Global memory budget partitioned across running sessions, bytes.
     pub memory_bytes: u64,
-    /// Wrapper group specs; empty means in-process threaded wrappers.
+    /// Wrapper group specs; empty means in-process wrappers paced on each
+    /// session's own timers.
     /// Each spec is `;`-separated chunks of either `id=host:port,host:port`
     /// (one logical wrapper with N interchangeable replicas) or bare
     /// `host:port` addresses (each its own single-endpoint wrapper, the
@@ -261,6 +260,9 @@ impl ServerMetrics {
 /// An admitted (or queued) submission, ready for an executor thread.
 struct Job {
     conn_id: u64,
+    /// Cleared by the connection's I/O worker when the client goes away;
+    /// frames for a dead connection are dropped at the source.
+    alive: Arc<AtomicBool>,
     session: u64,
     memory_bytes: u64,
     strategy: String,
@@ -269,42 +271,30 @@ struct Job {
     workload: Workload,
 }
 
-/// Admission state: the sans-io table plus the jobs parked in its
-/// backlog, under ONE mutex so an executor promoting a session and an
-/// I/O worker reaping a disconnected queued client can never double-count
-/// a slot.
+/// Admission state and the hand-off to the executor pool: the sans-io
+/// table, the jobs parked in its backlog and the jobs granted a slot but
+/// not yet picked up, under ONE mutex — so an executor promoting a session
+/// and an I/O worker reaping a disconnected queued client can never
+/// double-count a slot.
 struct Admission {
     table: SessionTable,
     queued: HashMap<u64, Job>,
+    /// Slot-holding jobs waiting for an executor ([`Shared::work`]).
+    ready: VecDeque<Job>,
 }
 
-/// Ready-to-run jobs for the executor pool.
-struct ExecQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    cond: Condvar,
-}
-
-impl ExecQueue {
-    fn push(&self, job: Job) {
-        self.jobs.lock().unwrap().push_back(job);
-        self.cond.notify_one();
-    }
-
-    /// Next job, or `None` once `stop` is raised.
-    fn pop(&self, stop: &AtomicBool) -> Option<Job> {
-        let mut jobs = self.jobs.lock().unwrap();
-        loop {
-            if let Some(job) = jobs.pop_front() {
-                return Some(job);
+impl Admission {
+    /// Release `session`'s slot and move the job the table promotes into
+    /// it, if any, to `ready`. `true` when one moved: the caller owes
+    /// [`Shared::work`] a notify and the backlog gauge a pop.
+    fn finish(&mut self, session: u64) -> bool {
+        let promoted = self.table.finish(session);
+        match promoted.and_then(|p| self.queued.remove(&p)) {
+            Some(job) => {
+                self.ready.push_back(job);
+                true
             }
-            if stop.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (j, _) = self
-                .cond
-                .wait_timeout(jobs, Duration::from_millis(200))
-                .unwrap();
-            jobs = j;
+            None => false,
         }
     }
 }
@@ -335,46 +325,10 @@ impl WorkerHandle {
     }
 }
 
-/// The sharded connection map: which connections are alive, striped over
-/// [`CONN_STRIPES`] locks so engine threads streaming traces for
-/// different sessions never contend on one mutex. Routing is
-/// deterministic (`conn_id % io_threads`); the map's job is liveness.
-struct ConnMap {
-    shards: Vec<Mutex<std::collections::HashSet<u64>>>,
-    workers: Vec<WorkerHandle>,
-}
-
-impl ConnMap {
-    fn shard(&self, conn_id: u64) -> &Mutex<std::collections::HashSet<u64>> {
-        &self.shards[conn_id as usize % self.shards.len()]
-    }
-
-    fn insert(&self, conn_id: u64) {
-        self.shard(conn_id).lock().unwrap().insert(conn_id);
-    }
-
-    fn remove(&self, conn_id: u64) {
-        self.shard(conn_id).lock().unwrap().remove(&conn_id);
-    }
-
-    fn contains(&self, conn_id: u64) -> bool {
-        self.shard(conn_id).lock().unwrap().contains(&conn_id)
-    }
-
-    /// Route a message to the worker owning `conn_id`; `false` if the
-    /// connection is gone (the message is dropped, not queued).
-    fn send(&self, conn_id: u64, msg: Msg) -> bool {
-        if !self.contains(conn_id) {
-            return false;
-        }
-        self.workers[conn_id as usize % self.workers.len()].send(msg);
-        true
-    }
-}
-
 struct Shared {
     admission: Mutex<Admission>,
-    exec: ExecQueue,
+    /// Signalled when a job lands in [`Admission::ready`] and at shutdown.
+    work: Condvar,
     opts: ServeOpts,
     /// The wrapper result cache all sessions share; `None` when disabled.
     cache: Option<Arc<SharedCache>>,
@@ -384,7 +338,8 @@ struct Shared {
     /// Scan provenance + wrapper stats shared between session builds and
     /// the refresher thread; `None` when refresh is disabled.
     refresh: Option<Arc<RefreshState>>,
-    conns: ConnMap,
+    /// Connection `id` belongs to worker `id % workers.len()`.
+    workers: Vec<WorkerHandle>,
     metrics: Arc<ServerMetrics>,
     /// The process's ONE morsel worker pool, shared by every executing
     /// session; `None` when `exec_workers == 1` (serial execution).
@@ -393,6 +348,32 @@ struct Shared {
 }
 
 impl Shared {
+    /// Route a message to the I/O worker owning `job`'s connection;
+    /// `false` if the client is gone (the message is dropped, not queued).
+    fn send(&self, job: &Job, msg: Msg) -> bool {
+        if !job.alive.load(Ordering::SeqCst) {
+            return false;
+        }
+        self.workers[job.conn_id as usize % self.workers.len()].send(msg);
+        true
+    }
+
+    /// The next slot-holding job and how long admission held it (zero for
+    /// direct admits), or `None` once `stop` is raised and nothing is ready.
+    fn next_job(&self) -> Option<(Job, Duration)> {
+        let mut admission = self.admission.lock().unwrap();
+        loop {
+            if let Some(job) = admission.ready.pop_front() {
+                let waited = admission.table.queue_wait(job.session).unwrap_or_default();
+                return Some((job, waited));
+            }
+            if self.stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            admission = self.work.wait(admission).unwrap();
+        }
+    }
+
     fn replica_health(&self) -> Vec<(String, Vec<EndpointSnapshot>)> {
         self.replica_sets
             .iter()
@@ -510,17 +491,10 @@ impl MediatorServer {
                     ..SessionConfig::default()
                 }),
                 queued: HashMap::new(),
+                ready: VecDeque::new(),
             }),
-            exec: ExecQueue {
-                jobs: Mutex::new(VecDeque::new()),
-                cond: Condvar::new(),
-            },
-            conns: ConnMap {
-                shards: (0..CONN_STRIPES)
-                    .map(|_| Mutex::new(std::collections::HashSet::new()))
-                    .collect(),
-                workers: handles.clone(),
-            },
+            work: Condvar::new(),
+            workers: handles.clone(),
             metrics,
             opts,
             cache,
@@ -557,8 +531,8 @@ impl MediatorServer {
                 thread::Builder::new()
                     .name(format!("dqs-exec-{idx}"))
                     .spawn(move || {
-                        while let Some(job) = shared.exec.pop(&shared.stop) {
-                            run_job(&shared, job);
+                        while let Some((job, waited)) = shared.next_job() {
+                            run_job(&shared, job, waited);
                         }
                     })
                     .expect("spawn exec worker")
@@ -629,10 +603,13 @@ impl MediatorServer {
     /// query first (an engine run cannot be interrupted mid-flight).
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for handle in &self.shared.conns.workers {
+        for handle in &self.shared.workers {
             handle.waker.wake();
         }
-        self.shared.exec.cond.notify_all();
+        // Taking the lock orders the store before every executor's next
+        // look at `stop`, so none sleeps through the wake-up.
+        drop(self.shared.admission.lock());
+        self.shared.work.notify_all();
         for h in self.io_workers.drain(..) {
             h.join().ok();
         }
@@ -680,6 +657,8 @@ struct Conn {
     eof: bool,
     /// Close once the write buffer drains.
     closing: bool,
+    /// Shared with the session's [`Job`]; cleared at [`IoWorker::close`].
+    alive: Arc<AtomicBool>,
     /// Pending submit/drain deadline in the worker's timer wheel.
     timer: Option<TimerId>,
 }
@@ -765,7 +744,7 @@ impl IoWorker {
     /// Drain the accept queue (worker 0 only), assigning each connection
     /// to a worker round-robin by id.
     fn accept_ready(&mut self) {
-        let n_workers = self.shared.conns.workers.len();
+        let n_workers = self.shared.workers.len();
         loop {
             let Some(listener) = &self.listener else {
                 return;
@@ -785,14 +764,11 @@ impl IoWorker {
                         .metrics
                         .connections_accepted
                         .fetch_add(1, Ordering::Relaxed);
-                    // Liveness entry first, so engine frames route from the
-                    // first instant the connection can possibly own a session.
-                    self.shared.conns.insert(id);
                     let target = id as usize % n_workers;
                     if target == self.idx {
                         self.adopt(id, stream);
                     } else {
-                        self.shared.conns.workers[target].send(Msg::Adopt(id, stream));
+                        self.shared.workers[target].send(Msg::Adopt(id, stream));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -809,7 +785,6 @@ impl IoWorker {
             .register(fd, Token(id), Interest::READABLE)
             .is_err()
         {
-            self.shared.conns.remove(id);
             return;
         }
         let timer = self
@@ -825,6 +800,7 @@ impl IoWorker {
                 interest: Interest::READABLE,
                 eof: false,
                 closing: false,
+                alive: Arc::new(AtomicBool::new(true)),
                 timer: Some(timer),
             },
         );
@@ -924,13 +900,9 @@ impl IoWorker {
         spec_json: String,
     ) {
         // Validate before admission: a bad spec must not consume a slot.
-        if !matches!(strategy.as_str(), "seq" | "ma" | "scr" | "dse" | "spm") {
-            self.queue_terminal(
-                id,
-                Frame::Rejected {
-                    reason: format!("unknown strategy {strategy:?} (seq|ma|scr|dse|spm)"),
-                },
-            );
+        if !STRATEGY_NAMES.contains(&strategy.as_str()) {
+            let reason = unknown_strategy(&strategy);
+            self.queue_terminal(id, Frame::Rejected { reason });
             return;
         }
         let mut workload =
@@ -953,49 +925,46 @@ impl IoWorker {
         // the whole spec, computable before the query runs. Cheap, so it
         // happens outside the admission lock even under FIFO.
         let cost_us = estimated_cost_us(&workload);
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
         let mut admission = self.shared.admission.lock().unwrap();
-        match admission.table.submit_with(cost_us, id) {
+        let (session, memory_bytes, position) = match admission.table.submit_with(cost_us, id) {
             Decision::Reject { reason } => {
                 drop(admission);
                 self.queue_terminal(id, Frame::Rejected { reason });
+                return;
             }
             Decision::Admit {
                 session,
                 memory_bytes,
-            } => {
-                drop(admission);
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.state = ConnState::InSession { session };
-                }
-                self.shared.exec.push(Job {
-                    conn_id: id,
-                    session,
-                    memory_bytes,
-                    strategy,
-                    trace,
-                    no_cache,
-                    workload,
-                });
-            }
+            } => (session, memory_bytes, None),
             Decision::Queue { session, position } => {
-                let memory_bytes = admission.table.partition_bytes();
-                admission.queued.insert(
-                    session,
-                    Job {
-                        conn_id: id,
-                        session,
-                        memory_bytes,
-                        strategy,
-                        trace,
-                        no_cache,
-                        workload,
-                    },
-                );
-                drop(admission);
+                (session, admission.table.partition_bytes(), Some(position))
+            }
+        };
+        let job = Job {
+            conn_id: id,
+            alive: Arc::clone(&conn.alive),
+            session,
+            memory_bytes,
+            strategy,
+            trace,
+            no_cache,
+            workload,
+        };
+        match position {
+            None => admission.ready.push_back(job),
+            Some(_) => {
+                admission.queued.insert(session, job);
+            }
+        }
+        drop(admission);
+        conn.state = ConnState::InSession { session };
+        match position {
+            None => self.shared.work.notify_one(),
+            Some(position) => {
                 self.shared.metrics.queue_push();
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.state = ConnState::InSession { session };
-                }
                 self.queue_frame(
                     id,
                     Frame::Queued {
@@ -1100,8 +1069,8 @@ impl IoWorker {
         }
     }
 
-    /// Tear a connection down: deregister, unmap, reap any queued
-    /// session, sever the socket.
+    /// Tear a connection down: deregister, mark it dead for its session's
+    /// job, reap any queued session, sever the socket.
     fn close(&mut self, id: u64) {
         let Some(mut conn) = self.conns.remove(&id) else {
             return;
@@ -1110,13 +1079,13 @@ impl IoWorker {
             self.timers.cancel(t);
         }
         self.poller.deregister(stream_fd(&conn.stream)).ok();
-        self.shared.conns.remove(id);
+        conn.alive.store(false, Ordering::SeqCst);
         if let ConnState::InSession { session } = conn.state {
             // A queued session whose client left must not wait for (or
             // hold) a slot. The single admission lock means an executor
             // promoting this very session either got there first (the job
-            // is gone from `queued`, the engine runs and the frames drop
-            // harmlessly) or we reap it here and it never runs.
+            // is gone from `queued`; whoever runs it finds `alive` cleared
+            // and releases the slot) or we reap it here and it never runs.
             let mut admission = self.shared.admission.lock().unwrap();
             if admission.queued.remove(&session).is_some() {
                 admission.table.finish(session);
@@ -1160,45 +1129,28 @@ fn estimated_cost_us(w: &Workload) -> u64 {
 /// Runs under the admission lock so promotion and queued-client
 /// disconnect cannot race.
 fn finish_and_promote(shared: &Shared, session: u64) {
-    let mut admission = shared.admission.lock().unwrap();
-    if let Some(promoted) = admission.table.finish(session) {
-        if let Some(job) = admission.queued.remove(&promoted) {
-            drop(admission);
-            shared.metrics.queue_pop();
-            shared.exec.push(job);
-        }
+    if shared.admission.lock().unwrap().finish(session) {
+        shared.metrics.queue_pop();
+        shared.work.notify_one();
     }
 }
 
 /// Execute one admitted session on this executor thread, streaming
-/// progress frames through the connection map.
-fn run_job(shared: &Shared, mut job: Job) {
-    // How long admission held this session before a slot freed (zero for
-    // direct admits) — read before anything can finish the session, fed
-    // to the server gauges and stamped onto the Done payload below.
-    let queue_wait_secs = {
-        let admission = shared.admission.lock().unwrap();
-        admission
-            .table
-            .queue_wait(job.session)
-            .unwrap_or_default()
-            .as_secs_f64()
-    };
+/// progress frames to the connection's I/O worker. `queue_wait` is how long
+/// admission held the session before a slot freed — fed to the server
+/// gauges and stamped onto the Done payload.
+fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
+    let queue_wait_secs = queue_wait.as_secs_f64();
     shared
         .metrics
-        .record_queue_wait((queue_wait_secs * 1e6) as u64);
-    // The client may have left while the job sat in the exec queue (or
-    // the backlog); don't burn an engine run on a dead connection.
-    if !shared.conns.send(
-        job.conn_id,
-        Msg::Frame(
-            job.conn_id,
-            Frame::Accepted {
-                session: job.session,
-                memory_bytes: job.memory_bytes,
-            },
-        ),
-    ) {
+        .record_queue_wait(queue_wait.as_micros() as u64);
+    // The client may have left while the job sat ready (or in the
+    // backlog); don't burn an engine run on a dead connection.
+    let accepted = Frame::Accepted {
+        session: job.session,
+        memory_bytes: job.memory_bytes,
+    };
+    if !shared.send(&job, Msg::Frame(job.conn_id, accepted)) {
         finish_and_promote(shared, job.session);
         return;
     }
@@ -1234,16 +1186,11 @@ fn run_job(shared: &Shared, mut job: Job) {
             // client that saw the outcome never observes its session
             // still counted as running.
             finish_and_promote(shared, job.session);
-            shared.conns.send(
-                job.conn_id,
-                Msg::Terminal(
-                    job.conn_id,
-                    Frame::Error {
-                        code: 2,
-                        message: format!("wrapper connect failed: {e}"),
-                    },
-                ),
-            );
+            let failed = Frame::Error {
+                code: 2,
+                message: format!("wrapper connect failed: {e}"),
+            };
+            shared.send(&job, Msg::Terminal(job.conn_id, failed));
             return;
         }
     };
@@ -1258,7 +1205,7 @@ fn run_job(shared: &Shared, mut job: Job) {
 
     let mut sink = JsonLinesSink::new(TraceFrames {
         shared,
-        conn_id: job.conn_id,
+        job: &job,
         enabled: job.trace,
         line: Vec::new(),
     });
@@ -1277,7 +1224,8 @@ fn run_job(shared: &Shared, mut job: Job) {
         };
         sink.on_event(SimTime::ZERO, &ev);
     }
-    let result = run_with_strategy(&job.strategy, &job.workload, sink, driver);
+    let result = run_named(&job.strategy, &job.workload, sink, driver)
+        .expect("strategy name validated at submit");
     let terminal = match result {
         Ok(mut m) => {
             for o in &outcomes {
@@ -1305,9 +1253,7 @@ fn run_job(shared: &Shared, mut job: Job) {
         },
     };
     finish_and_promote(shared, job.session);
-    shared
-        .conns
-        .send(job.conn_id, Msg::Terminal(job.conn_id, terminal));
+    shared.send(&job, Msg::Terminal(job.conn_id, terminal));
 }
 
 /// Background liveness prober. Between sessions, endpoint health only
@@ -1353,8 +1299,9 @@ struct CacheOutcome {
 /// is even dialed for them — and live scans are wrapped in a
 /// [`RecordingSource`] so their completion populates the cache. Without
 /// one, sources are exactly the pre-cache topology: remote sources when
-/// wrapper groups are configured, in-process [`ThreadedWrapper`]s
-/// otherwise (relation `i` maps to group `i % groups`).
+/// wrapper groups are configured (relation `i` maps to group
+/// `i % groups`), in-process pull-paced [`Wrapper`]s — the simulation's,
+/// their gaps served by the driver's timers — otherwise.
 ///
 /// A remote scan asks its group's [`ReplicaSet`] for the best live
 /// endpoint and runs through a [`FailoverSource`], which survives mid-scan
@@ -1436,13 +1383,11 @@ fn build_driver(
                 });
             }
             let live: BoxSource = match group {
-                None => Box::new(ThreadedWrapper::new(
+                None => Box::new(Wrapper::new(
                     *rel,
                     total,
                     workload.delays[rel.0 as usize].clone(),
                     seeds.stream(&stream),
-                    workload.config.queue_capacity,
-                    notify.clone(),
                 )),
                 Some(set) => {
                     let open = RemoteOpen {
@@ -1480,40 +1425,13 @@ fn build_driver(
     Ok((driver, outcomes, pins))
 }
 
-/// Run `workload` under the named strategy on `driver`, reporting events
-/// to `observer`.
-fn run_with_strategy<O: EngineObserver>(
-    strategy: &str,
-    workload: &Workload,
-    observer: O,
-    driver: RealTimeDriver,
-) -> Result<RunMetrics, RunError> {
-    fn go<P: Policy, O: EngineObserver>(
-        w: &Workload,
-        p: P,
-        o: O,
-        d: RealTimeDriver,
-    ) -> Result<RunMetrics, RunError> {
-        Engine::with_driver(w, p, o, d).try_run()
-    }
-    match strategy {
-        "seq" => go(workload, SeqPolicy, observer, driver),
-        "ma" => go(workload, MaPolicy::default(), observer, driver),
-        "scr" => go(workload, ScramblingPolicy::new(), observer, driver),
-        "spm" => go(workload, SpmPolicy::new(), observer, driver),
-        // Validated at submission; default cannot be reached with other
-        // names.
-        _ => go(workload, DsePolicy::new(), observer, driver),
-    }
-}
-
 /// A `Write` sink that forwards each completed JSON line to the client's
 /// I/O worker as a `Trace` frame (or discards it when tracing is off).
 /// Routing failures are swallowed: losing the trace must not abort the
 /// query.
 struct TraceFrames<'a> {
     shared: &'a Shared,
-    conn_id: u64,
+    job: &'a Job,
     enabled: bool,
     line: Vec<u8>,
 }
@@ -1527,10 +1445,8 @@ impl Write for TraceFrames<'_> {
             if b == b'\n' {
                 let line = String::from_utf8_lossy(&self.line).into_owned();
                 self.line.clear();
-                if !self.shared.conns.send(
-                    self.conn_id,
-                    Msg::Frame(self.conn_id, Frame::Trace { line }),
-                ) {
+                let trace = Msg::Frame(self.job.conn_id, Frame::Trace { line });
+                if !self.shared.send(self.job, trace) {
                     self.enabled = false; // client gone; stop trying
                 }
             } else {
@@ -1670,8 +1586,7 @@ mod tests {
         m.output_tuples = 90_000;
         let text = metrics_json(&m);
         let v = dqs_exec::json::parse(&text).expect("valid JSON");
-        let obj = v.as_object().unwrap();
-        let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        let get = |k: &str| v.get(k);
         assert_eq!(get("output_tuples").and_then(|v| v.as_u64()), Some(90_000));
         assert_eq!(
             get("strategy").and_then(|v| v.as_str()),
@@ -1759,8 +1674,7 @@ mod tests {
 
         for payload in [&bare, &cached, &text] {
             let v = dqs_exec::json::parse(payload).expect("valid JSON");
-            let obj = v.as_object().unwrap();
-            let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+            let get = |k: &str| v.get(k);
             assert_eq!(
                 get("strategy").and_then(|v| v.as_str()),
                 Some("spm"),
@@ -1769,8 +1683,7 @@ mod tests {
             assert!(get("queue_wait_secs").and_then(|v| v.as_f64()).is_some());
         }
         let v = dqs_exec::json::parse(&text).unwrap();
-        let obj = v.as_object().unwrap();
-        let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        let get = |k: &str| v.get(k);
         assert_eq!(get("queue_wait_secs").and_then(|v| v.as_f64()), Some(0.125));
         assert!(get("replica_health").is_some());
         for (key, want) in [
@@ -1783,6 +1696,126 @@ mod tests {
         ] {
             assert_eq!(get(key).and_then(|v| v.as_u64()), Some(want), "{key}");
         }
+    }
+
+    /// A session whose client disconnects gives its slot back exactly
+    /// once, wherever it was waiting: parked in the backlog (its I/O
+    /// worker reaps it at close) or already granted a slot but not yet
+    /// picked up (the executor finds `alive` cleared and never runs it).
+    #[test]
+    fn a_waiting_session_whose_client_left_releases_its_slot_once() {
+        use dqs_source::net::{read_frame, write_frame};
+
+        let server = MediatorServer::bind(
+            "127.0.0.1:0",
+            ServeOpts {
+                max_concurrent: 1,
+                backlog: 4,
+                io_threads: 1,
+                ..ServeOpts::default()
+            },
+        )
+        .unwrap();
+        let shared = Arc::clone(&server.shared);
+        let submit_tiny = || {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            let submit = Frame::Submit {
+                strategy: "dse".into(),
+                trace: false,
+                no_cache: false,
+                seed: None,
+                spec_json: bench::TINY_SPEC.into(),
+            };
+            write_frame(&mut conn, &submit).unwrap();
+            conn
+        };
+        let until = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting until {what}");
+                thread::sleep(Duration::from_millis(2));
+            }
+        };
+        // The one flag of the one parked job.
+        let parked_flag = || {
+            let admission = shared.admission.lock().unwrap();
+            let job = admission.queued.values().next().expect("a parked job");
+            Arc::clone(&job.alive)
+        };
+
+        // Take the only slot by hand, so real submissions park behind it.
+        let held = match shared.admission.lock().unwrap().table.submit_with(0, 0) {
+            Decision::Admit { session, .. } => session,
+            other => panic!("empty table must admit: {other:?}"),
+        };
+
+        // Parked in the backlog when its client leaves.
+        let mut parked = submit_tiny();
+        assert!(matches!(
+            read_frame(&mut parked),
+            Ok(Some(Frame::Queued { .. }))
+        ));
+        let alive = parked_flag();
+        drop(parked);
+        until("the parked session is reaped", &|| {
+            server.stats().queued == 0
+        });
+        assert!(!alive.load(Ordering::SeqCst));
+        assert!(shared.admission.lock().unwrap().queued.is_empty());
+        assert_eq!(server.stats().running, 1, "the held slot is untouched");
+
+        // Granted the slot, not yet picked up, when its client leaves: the
+        // admission lock keeps the executor out while the slot changes
+        // hands and the I/O worker marks the connection dead.
+        let mut ready = submit_tiny();
+        assert!(matches!(
+            read_frame(&mut ready),
+            Ok(Some(Frame::Queued { .. }))
+        ));
+        let alive = parked_flag();
+        {
+            let mut admission = shared.admission.lock().unwrap();
+            assert!(admission.finish(held), "the parked job takes the slot");
+            shared.metrics.queue_pop();
+            drop(ready);
+            until("the connection is marked dead", &|| {
+                !alive.load(Ordering::SeqCst)
+            });
+            assert_eq!(admission.ready.len(), 1);
+        }
+        shared.work.notify_one();
+        until("the dead session's slot is released", &|| {
+            server.stats().running == 0
+        });
+        let stats = server.stats();
+        assert_eq!(
+            (stats.queued, stats.admitted, stats.max_active_seen),
+            (0, 2, 1)
+        );
+        let m = server.metrics();
+        assert_eq!(
+            (
+                m.backlog_depth(),
+                m.backlog_enqueued(),
+                m.backlog_dequeued()
+            ),
+            (0, 2, 2)
+        );
+
+        // The slot is whole: the next client is admitted directly and served.
+        let mut next = submit_tiny();
+        assert!(matches!(
+            read_frame(&mut next),
+            Ok(Some(Frame::Accepted { .. }))
+        ));
+        assert!(matches!(
+            read_frame(&mut next),
+            Ok(Some(Frame::Done { .. }))
+        ));
+        assert_eq!(server.stats().running, 0);
+        server.shutdown();
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! The standalone wrapper-server: the remote half of the window protocol.
 //!
-//! A [`WrapperServer`] listens for mediator connections. Each connection
-//! carries one or more `Open` frames; every `Open` starts a producer
-//! thread that serves that relation — drawing inter-tuple gaps from the
-//! requested delay model with the requested seeded stream (so a remote
-//! run delivers byte-for-byte the tuples and pacing an in-process
-//! `ThreadedWrapper` would), sleeping them for real, and shipping each
-//! tuple as a `TupleBatch` frame while respecting the flow-control
-//! window: the producer holds at most `window` unacknowledged tuples and
-//! waits for `WindowGrant` credits beyond that, which is the paper's
-//! §2.1 suspension performed by the *source* side of the wire.
+//! A [`WrapperServer`] listens for mediator connections, one thread
+//! each. A connection carries at most one `Open`, and its thread serves
+//! that scan itself — drawing inter-tuple gaps from the requested delay
+//! model with the requested seeded stream (so a remote run delivers
+//! byte-for-byte the tuples and pacing an in-process `Wrapper` would),
+//! sleeping them for real, and shipping each tuple as a `TupleBatch`
+//! frame while respecting the flow-control window: it holds at most
+//! `window` unacknowledged tuples and, beyond that, stops to read
+//! `WindowGrant` credits off the same socket — the paper's §2.1
+//! suspension performed by the *source* side of the wire. The socket is
+//! also looked at between the slices of a long gap, which is how a peer
+//! that vanished mid-sleep is noticed. Anything but a grant during a
+//! scan, and a second `Open` after it, is refused with an `Error` frame.
 //!
-//! An `Open` may carry a non-zero `resume_from`: the producer then serves
+//! An `Open` may carry a non-zero `resume_from`: the scan then serves
 //! indices `resume_from..total`. Tuple payloads are pure functions of
 //! `(rel, index, seed)`, so a mediator failing over from a dead replica
 //! resumes the stream bit-identically on this one.
@@ -19,8 +22,7 @@
 //! The server keeps a registry of live connections so tests (and the
 //! mediator-kill scenario) can sever every peer at once with
 //! [`WrapperServer::drop_connections`], and [`WrapperServer::shutdown`]
-//! joins every handler and producer thread — no process kill, no leaked
-//! listeners.
+//! joins every connection thread — no process kill, no leaked listeners.
 //!
 //! ## Change tracking
 //!
@@ -42,26 +44,18 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use dqs_relop::{synth_key, RelId};
 use dqs_sim::SeedSplitter;
-use dqs_source::net::{read_frame, FlushStatus, Frame, RelStat, WriteBuffer};
-use dqs_source::DelayModel;
+use dqs_source::net::{read_frame, write_frame, Frame, RelStat};
+use dqs_source::RemoteOpen;
 
 /// Sleep in slices no longer than this, so a stopping server never waits
 /// out a long modelled gap.
 const SLEEP_SLICE: Duration = Duration::from_millis(50);
-
-/// Per-connection flow-control state: available credits per opened
-/// relation, plus a poison flag the reader raises when the socket dies.
-#[derive(Debug, Default)]
-struct Credits {
-    by_rel: HashMap<RelId, u64>,
-    dead: bool,
-}
 
 /// Per-relation change-tracking state. The wrapper is otherwise
 /// stateless about sizes (the mediator's `Open` names the total), so the
@@ -112,30 +106,8 @@ pub struct ChurnOpts {
     pub rounds: u64,
 }
 
-/// The connection's shared outbound channel: producers stage whole
-/// frames into the incremental [`WriteBuffer`] and flush through it, so
-/// a short write (or a `WouldBlock` under a send timeout) retains the
-/// remainder and the next flush resumes mid-frame instead of tearing it.
-#[derive(Debug)]
-struct OutChannel {
-    stream: TcpStream,
-    wb: WriteBuffer,
-}
-
-impl OutChannel {
-    /// Stage `frame` and push the buffer at the socket. Returns `false`
-    /// once the peer is unreachable; a blocked socket is not an error —
-    /// the staged bytes ride along with the next send.
-    fn send(&mut self, frame: &Frame) -> bool {
-        self.wb.push(frame);
-        matches!(
-            self.wb.flush(&mut self.stream),
-            Ok(FlushStatus::Flushed | FlushStatus::Blocked)
-        )
-    }
-}
-
-/// A serving wrapper process (minus the process): listener + producers.
+/// A serving wrapper process (minus the process): listener + one thread
+/// per connection.
 #[derive(Debug)]
 pub struct WrapperServer {
     addr: std::net::SocketAddr,
@@ -199,7 +171,7 @@ impl WrapperServer {
                 let conn_registry = Arc::clone(&accept_conns);
                 let conn_changes = Arc::clone(&accept_registry);
                 let handle = thread::spawn(move || {
-                    serve_connection(conn, conn_stop, per_tuple, conn_changes);
+                    serve_connection(conn, &conn_stop, per_tuple, &conn_changes);
                     // Self-removal keeps the registry bounded across many
                     // short-lived connections (e.g. liveness probes).
                     conn_registry.lock().unwrap().remove(&id);
@@ -284,8 +256,7 @@ impl WrapperServer {
     }
 
     /// Stop accepting, sever connections, and join every thread the
-    /// server spawned (accept loop, connection handlers, producers, the
-    /// churn writer).
+    /// server spawned (accept loop, connection threads, the churn writer).
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Self-connect to unblock the accept loop.
@@ -347,31 +318,20 @@ fn churn_loop(opts: ChurnOpts, stop: Arc<AtomicBool>, registry: ChangeRegistry) 
     }
 }
 
-/// One mediator connection: route `Open`s to producers, `WindowGrant`s
-/// to their credit pools and `StatRequest`s to the change registry until
-/// the peer goes away. Joins its producers before returning, so a
-/// finished handler means no stray threads.
+/// One mediator connection, served start to finish on this thread:
+/// `StatRequest`s are answered from the change registry, the one `Open`
+/// is produced in place, and the connection is then read until the peer
+/// closes it — closing first, with the scan's last grants still unread,
+/// would reset the socket under the peer's in-flight `Eof`.
 fn serve_connection(
-    conn: TcpStream,
-    stop: Arc<AtomicBool>,
+    mut conn: TcpStream,
+    stop: &AtomicBool,
     per_tuple: Duration,
-    registry: ChangeRegistry,
+    registry: &ChangeRegistry,
 ) {
-    let credits = Arc::new((Mutex::new(Credits::default()), Condvar::new()));
-    let writer = Arc::new(Mutex::new(OutChannel {
-        stream: match conn.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        },
-        wb: WriteBuffer::new(),
-    }));
-    let mut producers: Vec<JoinHandle<()>> = Vec::new();
-    let mut reader = conn;
-    // A read that yields a clean close, reset, or garbage means this
-    // connection is done; fall through to poison the credit pool so
-    // producers exit.
-    while let Ok(Some(frame)) = read_frame(&mut reader) {
-        match frame {
+    let mut scanned = false;
+    while let Ok(Some(frame)) = read_frame(&mut conn) {
+        let served = match frame {
             Frame::Open {
                 rel,
                 total,
@@ -380,7 +340,8 @@ fn serve_connection(
                 stream,
                 delay,
                 resume_from,
-            } => {
+            } if !scanned => {
+                scanned = true;
                 {
                     // Register the relation and learn its base size. The
                     // open total already includes any appends the peer
@@ -391,34 +352,20 @@ fn serve_connection(
                     let s = reg.entry(rel).or_default();
                     s.base = s.base.max(total.saturating_sub(s.extra));
                 }
-                {
-                    let (lock, _) = &*credits;
-                    lock.lock().unwrap().by_rel.insert(rel, u64::from(window));
-                }
-                let producer_credits = Arc::clone(&credits);
-                let producer_writer = Arc::clone(&writer);
-                let producer_stop = Arc::clone(&stop);
-                producers.push(thread::spawn(move || {
-                    produce(
-                        rel,
-                        total,
-                        resume_from,
-                        seed,
-                        &stream,
-                        delay,
-                        per_tuple,
-                        producer_credits,
-                        producer_writer,
-                        producer_stop,
-                    )
-                }));
+                let open = RemoteOpen {
+                    rel,
+                    total,
+                    window,
+                    seed,
+                    stream,
+                    delay,
+                    resume_from,
+                };
+                produce(&mut conn, &open, per_tuple, stop)
             }
-            Frame::WindowGrant { rel, credits: c } => {
-                let (lock, cond) = &*credits;
-                let mut pool = lock.lock().unwrap();
-                *pool.by_rel.entry(rel).or_insert(0) += u64::from(c);
-                cond.notify_all();
-            }
+            Frame::Open { .. } => refuse(&mut conn, "a connection carries one Open"),
+            // Credits for the finished scan's last tuples.
+            Frame::WindowGrant { .. } if scanned => true,
             Frame::StatRequest { rel } => {
                 let stats = {
                     let reg = registry.lock().unwrap();
@@ -430,91 +377,107 @@ fn serve_connection(
                     stats.sort_by_key(|s| s.rel.0);
                     stats
                 };
-                if !writer.lock().unwrap().send(&Frame::StatReply { stats }) {
-                    break;
-                }
+                write_frame(&mut conn, &Frame::StatReply { stats }).is_ok()
             }
             // Anything else is a protocol error from the peer; drop it.
-            _ => break,
+            _ => false,
+        };
+        if !served {
+            break;
         }
     }
-    // Poison: wake every producer so none waits forever on credits.
-    reader.shutdown(Shutdown::Both).ok();
-    let (lock, cond) = &*credits;
-    lock.lock().unwrap().dead = true;
-    cond.notify_all();
-    for p in producers {
-        p.join().ok();
+    conn.shutdown(Shutdown::Both).ok();
+}
+
+/// Tell the peer why the connection is about to close. Always `false`:
+/// the caller is done with the connection.
+fn refuse(conn: &mut TcpStream, message: &str) -> bool {
+    let error = Frame::Error {
+        code: 3,
+        message: message.into(),
+    };
+    write_frame(conn, &error).ok();
+    false
+}
+
+/// Read the peer's next frame, which during a scan of `rel` can only be
+/// a `WindowGrant` for it, into `credit`. `false` when the peer is gone
+/// or sent anything else.
+fn take_grant(conn: &mut TcpStream, rel: RelId, credit: &mut u64) -> bool {
+    match read_frame(conn) {
+        Ok(Some(Frame::WindowGrant { rel: r, credits })) if r == rel => {
+            *credit += u64::from(credits);
+            true
+        }
+        Ok(Some(_)) => refuse(conn, "only its window grants may follow an Open"),
+        _ => false,
     }
 }
 
-/// Sleep `gap`, a slice at a time, bailing out early when the server
-/// stops or the connection's credit pool is poisoned.
-fn interruptible_sleep(
-    gap: Duration,
-    stop: &AtomicBool,
-    credits: &(Mutex<Credits>, Condvar),
-) -> bool {
-    let mut left = gap;
-    while !left.is_zero() {
-        if stop.load(Ordering::SeqCst) || credits.0.lock().unwrap().dead {
+/// [`take_grant`] for everything the peer has already sent — its grants,
+/// or its EOF — without blocking for more.
+fn take_pending_grants(conn: &mut TcpStream, rel: RelId, credit: &mut u64) -> bool {
+    loop {
+        if conn.set_nonblocking(true).is_err() {
             return false;
         }
-        let slice = left.min(SLEEP_SLICE);
-        thread::sleep(slice);
-        left -= slice;
+        let idle = matches!(conn.peek(&mut [0]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+        if conn.set_nonblocking(false).is_err() {
+            return false;
+        }
+        if idle {
+            return true;
+        }
+        if !take_grant(conn, rel, credit) {
+            return false;
+        }
     }
-    true
 }
 
-/// Serve one relation from `resume_from`: sleep the modelled gap, wait
-/// for window credit, ship the tuple. Exits when done, when the
-/// connection dies, or when the server stops.
-#[allow(clippy::too_many_arguments)]
+/// Serve `open` from `resume_from`: sleep the modelled gap, wait for
+/// window credit, ship the tuple. `false` when the connection is done for
+/// — the peer died or broke protocol, or the server is stopping.
 fn produce(
-    rel: RelId,
-    total: u64,
-    resume_from: u64,
-    seed: u64,
-    stream: &str,
-    delay: DelayModel,
+    conn: &mut TcpStream,
+    open: &RemoteOpen,
     per_tuple: Duration,
-    credits: Arc<(Mutex<Credits>, Condvar)>,
-    writer: Arc<Mutex<OutChannel>>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut rng = SeedSplitter::new(seed).stream(stream);
-    for i in resume_from..total {
-        let gap = Duration::from_nanos(delay.gap(i, &mut rng).as_nanos()) + per_tuple;
-        if !interruptible_sleep(gap, &stop, &credits) {
-            return;
-        }
-        // Wait for a window credit (the remote suspension).
-        {
-            let (lock, cond) = &*credits;
-            let mut pool = lock.lock().unwrap();
-            loop {
-                if pool.dead || stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let available = pool.by_rel.get(&rel).copied().unwrap_or(0);
-                if available > 0 {
-                    *pool.by_rel.get_mut(&rel).unwrap() = available - 1;
-                    break;
-                }
-                let (p, _) = cond.wait_timeout(pool, Duration::from_millis(100)).unwrap();
-                pool = p;
+    stop: &AtomicBool,
+) -> bool {
+    let rel = open.rel;
+    let mut rng = SeedSplitter::new(open.seed).stream(&open.stream);
+    let mut credit = u64::from(open.window);
+    for i in open.resume_from..open.total {
+        // Sleep in slices, so neither a stopping server nor a vanished
+        // peer waits out a long modelled gap: between slices, whatever the
+        // peer sent (grants, or its EOF) is taken off the socket.
+        let mut left = Duration::from_nanos(open.delay.gap(i, &mut rng).as_nanos()) + per_tuple;
+        while !left.is_zero() {
+            if stop.load(Ordering::SeqCst) {
+                return false;
+            }
+            let slice = left.min(SLEEP_SLICE);
+            thread::sleep(slice);
+            left -= slice;
+            if !left.is_zero() && !take_pending_grants(conn, rel, &mut credit) {
+                return false;
             }
         }
+        // Out of window credit: the remote suspension.
+        while credit == 0 {
+            if !take_grant(conn, rel, &mut credit) {
+                return false;
+            }
+        }
+        credit -= 1;
         let batch = Frame::TupleBatch {
             rel,
             keys: vec![synth_key(rel, i)],
         };
-        if !writer.lock().unwrap().send(&batch) {
-            return; // peer gone; the mediator sees the disconnect
+        if write_frame(conn, &batch).is_err() {
+            return false; // peer gone; the mediator sees the disconnect
         }
     }
-    writer.lock().unwrap().send(&Frame::Eof { rel });
+    write_frame(conn, &Frame::Eof { rel }).is_ok()
 }
 
 #[cfg(test)]
@@ -522,9 +485,8 @@ mod tests {
     use super::*;
     use dqs_sim::SimDuration;
     use std::sync::mpsc::channel;
-    use std::time::Duration;
 
-    use dqs_source::{FailoverSource, Notice, RemoteOpen, RemoteWrapper, TupleSource};
+    use dqs_source::{DelayModel, FailoverSource, Notice, RemoteWrapper, TupleSource};
 
     fn open(rel: u16, total: u64, window: u32) -> RemoteOpen {
         RemoteOpen {
@@ -537,6 +499,19 @@ mod tests {
                 w: SimDuration::from_nanos(100),
             },
             resume_from: 0,
+        }
+    }
+
+    /// The `Open` frame a scan client would send for `o`.
+    fn open_frame(o: RemoteOpen) -> Frame {
+        Frame::Open {
+            rel: o.rel,
+            total: o.total,
+            window: o.window,
+            seed: o.seed,
+            stream: o.stream,
+            delay: o.delay,
+            resume_from: o.resume_from,
         }
     }
 
@@ -573,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_two_relations_on_one_connection_worth_of_server() {
+    fn serves_two_relations_on_two_connections_at_once() {
         let server = WrapperServer::bind("127.0.0.1:0").unwrap();
         let mut handles = Vec::new();
         for rel in [1u16, 2u16] {
@@ -591,6 +566,85 @@ mod tests {
         for (i, rel) in [1u16, 2u16].iter().enumerate() {
             let expected: Vec<u64> = (0..30).map(|j| synth_key(RelId(*rel), j)).collect();
             assert_eq!(keys[i], expected);
+        }
+        server.shutdown();
+    }
+
+    /// A connection carries one `Open`. A second is refused with an
+    /// `Error` frame and the connection closed — after the first scan was
+    /// served in full.
+    #[test]
+    fn a_second_open_on_a_connection_is_refused_after_the_first_scan() {
+        let server = WrapperServer::bind("127.0.0.1:0").unwrap();
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // The window covers the whole scan, so the wrapper never has to
+        // read mid-scan and meets the second Open only after its Eof.
+        write_frame(&mut conn, &open_frame(open(4, 10, 16))).unwrap();
+        write_frame(&mut conn, &open_frame(open(5, 10, 16))).unwrap();
+        for i in 0..10 {
+            assert_eq!(
+                read_frame(&mut conn).unwrap().unwrap(),
+                Frame::TupleBatch {
+                    rel: RelId(4),
+                    keys: vec![synth_key(RelId(4), i)],
+                }
+            );
+        }
+        assert_eq!(
+            read_frame(&mut conn).unwrap().unwrap(),
+            Frame::Eof { rel: RelId(4) }
+        );
+        match read_frame(&mut conn) {
+            Ok(Some(Frame::Error { message, .. })) => {
+                assert!(message.contains("one Open"), "{message}");
+                assert!(
+                    !matches!(read_frame(&mut conn), Ok(Some(_))),
+                    "nothing follows the refusal"
+                );
+            }
+            // The close may reset the socket under the in-flight Error.
+            Ok(None) | Err(_) => {}
+            Ok(Some(other)) => panic!("relation 5 must not be served: {other:?}"),
+        }
+        assert_eq!(
+            server.rel_stats().iter().map(|s| s.rel).collect::<Vec<_>>(),
+            vec![RelId(4)],
+            "the refused Open registered nothing"
+        );
+        server.shutdown();
+    }
+
+    /// A scan sleeping out a long modelled gap looks at its socket between
+    /// sleep slices, so a peer that disconnects is noticed — and the
+    /// connection's thread and registry entry reaped — within about one
+    /// slice, not at the end of the gap.
+    #[test]
+    fn a_peer_vanishing_mid_gap_is_reaped_within_a_sleep_slice() {
+        let server = WrapperServer::bind("127.0.0.1:0").unwrap();
+        let mut spec = open(3, 10, 4);
+        spec.delay = DelayModel::Constant {
+            w: SimDuration::from_secs(60),
+        };
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        write_frame(&mut conn, &open_frame(spec)).unwrap();
+        // The Open registers the relation just before the first gap starts.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server.rel_stats().is_empty() {
+            assert!(std::time::Instant::now() < deadline, "scan never opened");
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.conns.lock().unwrap().len(), 1);
+        drop(conn);
+        let begun = std::time::Instant::now();
+        while !server.conns.lock().unwrap().is_empty() {
+            assert!(
+                begun.elapsed() < Duration::from_secs(5),
+                "connection still held {:?} into a 60 s gap",
+                begun.elapsed()
+            );
+            thread::sleep(Duration::from_millis(5));
         }
         server.shutdown();
     }

@@ -4,14 +4,12 @@
 //! C10K substrate the event-driven mediator (and its load generator) run
 //! on. Three pieces:
 //!
-//! * [`Poller`] — OS readiness notification behind one portable API.
-//!   On Linux the default backend is **epoll** through a thin FFI shim
-//!   (no `libc` crate, no tokio — just the four syscalls the kernel
-//!   actually exposes); everywhere (including Linux, selectable for
-//!   tests) there is a **`poll(2)`** fallback with identical semantics.
-//!   Both are level-triggered: a socket that still has unread bytes or
-//!   writable buffer space keeps reporting ready, so a handler that
-//!   drains partially never deadlocks.
+//! * [`Poller`] — OS readiness notification: Linux **epoll** through a
+//!   thin FFI shim (no `libc` crate, no tokio — just the four syscalls
+//!   the kernel actually exposes). The crate is Linux-only, as the shim's
+//!   `epoll_*`/`pipe2` declarations always were. Level-triggered: a
+//!   socket that still has unread bytes or writable buffer space keeps
+//!   reporting ready, so a handler that drains partially never deadlocks.
 //! * [`Waker`] — a self-pipe that makes a [`Poller::wait`] return from
 //!   another thread: how engine threads tell an I/O worker "this
 //!   connection has frames to flush".
@@ -31,5 +29,5 @@ mod poller;
 pub mod sys;
 mod timer;
 
-pub use poller::{Backend, Event, Events, Interest, Poller, Token, Waker};
+pub use poller::{Event, Events, Interest, Poller, Token, Waker};
 pub use timer::{TimerId, TimerWheel};

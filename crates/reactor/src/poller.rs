@@ -1,7 +1,5 @@
-//! The portable readiness poller: epoll by default on Linux, `poll(2)`
-//! as the fallback backend, one API over both.
+//! The readiness poller: Linux `epoll(7)` behind a small safe API.
 
-use std::collections::HashMap;
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::Arc;
@@ -62,17 +60,6 @@ impl Interest {
         }
         m
     }
-
-    fn poll_mask(&self) -> i16 {
-        let mut m = 0i16;
-        if self.readable {
-            m |= sys::POLLIN;
-        }
-        if self.writable {
-            m |= sys::POLLOUT;
-        }
-        m
-    }
 }
 
 /// One readiness report.
@@ -91,26 +78,6 @@ pub struct Event {
 
 /// Reusable event buffer filled by [`Poller::wait`].
 pub type Events = Vec<Event>;
-
-/// Which OS facility backs a [`Poller`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Linux `epoll(7)` — the default on Linux.
-    Epoll,
-    /// POSIX `poll(2)` — the portable fallback, also selectable on Linux
-    /// so tests exercise both code paths.
-    Poll,
-}
-
-enum Impl {
-    Epoll {
-        epfd: RawFd,
-        buf: Vec<sys::EpollEvent>,
-    },
-    Poll {
-        fds: HashMap<RawFd, (u64, i16)>,
-    },
-}
 
 struct WakeFd(RawFd);
 
@@ -150,82 +117,49 @@ impl Waker {
 
 /// OS readiness notification for many file descriptors at once.
 ///
-/// Level-triggered on both backends: an fd stays ready until the
-/// condition is drained, so partial reads/writes are always safe. Not
-/// `Sync` — each I/O worker owns its poller; cross-thread signalling
-/// goes through the [`Waker`].
+/// Level-triggered: an fd stays ready until the condition is drained, so
+/// partial reads/writes are always safe. Not `Sync` — each I/O worker
+/// owns its poller; cross-thread signalling goes through the [`Waker`].
 pub struct Poller {
-    backend: Impl,
+    epfd: RawFd,
+    buf: Vec<sys::EpollEvent>,
     wake_read: RawFd,
     waker: Waker,
 }
 
 impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self.backend {
-            Impl::Epoll { .. } => "epoll",
-            Impl::Poll { .. } => "poll",
-        };
-        f.debug_struct("Poller").field("backend", &name).finish()
+        f.debug_struct("Poller").field("epfd", &self.epfd).finish()
     }
 }
 
 impl Poller {
-    /// A poller on the platform default backend (epoll on Linux).
+    /// A fresh epoll instance with its waker pipe registered.
     pub fn new() -> io::Result<Poller> {
-        if cfg!(target_os = "linux") {
-            Poller::with_backend(Backend::Epoll)
-        } else {
-            Poller::with_backend(Backend::Poll)
-        }
-    }
-
-    /// A poller on an explicit backend.
-    pub fn with_backend(backend: Backend) -> io::Result<Poller> {
         let (wake_read, wake_write) = sys::sys_pipe()?;
-        let backend = match backend {
-            Backend::Epoll => {
-                let epfd = match sys::sys_epoll_create() {
-                    Ok(fd) => fd,
-                    Err(e) => {
-                        sys::sys_close(wake_read);
-                        sys::sys_close(wake_write);
-                        return Err(e);
-                    }
-                };
-                sys::sys_epoll_ctl(
-                    epfd,
-                    sys::EPOLL_CTL_ADD,
-                    wake_read,
-                    sys::EPOLLIN,
-                    WAKER_TOKEN,
-                )?;
-                Impl::Epoll {
-                    epfd,
-                    buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
-                }
-            }
-            Backend::Poll => {
-                let mut fds = HashMap::new();
-                fds.insert(wake_read, (WAKER_TOKEN, sys::POLLIN));
-                Impl::Poll { fds }
+        let epfd = match sys::sys_epoll_create() {
+            Ok(fd) => fd,
+            Err(e) => {
+                sys::sys_close(wake_read);
+                sys::sys_close(wake_write);
+                return Err(e);
             }
         };
+        sys::sys_epoll_ctl(
+            epfd,
+            sys::EPOLL_CTL_ADD,
+            wake_read,
+            sys::EPOLLIN,
+            WAKER_TOKEN,
+        )?;
         Ok(Poller {
-            backend,
+            epfd,
+            buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
             wake_read,
             waker: Waker {
                 fd: Arc::new(WakeFd(wake_write)),
             },
         })
-    }
-
-    /// Which backend this poller runs on.
-    pub fn backend(&self) -> Backend {
-        match self.backend {
-            Impl::Epoll { .. } => Backend::Epoll,
-            Impl::Poll { .. } => Backend::Poll,
-        }
     }
 
     /// A handle other threads use to interrupt [`Poller::wait`].
@@ -238,50 +172,32 @@ impl Poller {
     /// be `u64::MAX` (reserved for the internal waker).
     pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
         assert_ne!(token.0, WAKER_TOKEN, "token u64::MAX is reserved");
-        match &mut self.backend {
-            Impl::Epoll { epfd, .. } => sys::sys_epoll_ctl(
-                *epfd,
-                sys::EPOLL_CTL_ADD,
-                fd,
-                interest.epoll_mask(),
-                token.0,
-            ),
-            Impl::Poll { fds } => {
-                fds.insert(fd, (token.0, interest.poll_mask()));
-                Ok(())
-            }
-        }
+        sys::sys_epoll_ctl(
+            self.epfd,
+            sys::EPOLL_CTL_ADD,
+            fd,
+            interest.epoll_mask(),
+            token.0,
+        )
     }
 
     /// Change an existing registration's interest (the token may change
     /// too).
     pub fn modify(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
         assert_ne!(token.0, WAKER_TOKEN, "token u64::MAX is reserved");
-        match &mut self.backend {
-            Impl::Epoll { epfd, .. } => sys::sys_epoll_ctl(
-                *epfd,
-                sys::EPOLL_CTL_MOD,
-                fd,
-                interest.epoll_mask(),
-                token.0,
-            ),
-            Impl::Poll { fds } => {
-                fds.insert(fd, (token.0, interest.poll_mask()));
-                Ok(())
-            }
-        }
+        sys::sys_epoll_ctl(
+            self.epfd,
+            sys::EPOLL_CTL_MOD,
+            fd,
+            interest.epoll_mask(),
+            token.0,
+        )
     }
 
     /// Stop watching `fd`. Call before closing the fd, or a recycled
     /// descriptor number could alias the stale registration.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Impl::Epoll { epfd, .. } => sys::sys_epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, 0, 0),
-            Impl::Poll { fds } => {
-                fds.remove(&fd);
-                Ok(())
-            }
-        }
+        sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Block until at least one registration is ready, the timeout
@@ -298,55 +214,21 @@ impl Poller {
             }
             None => -1,
         };
-        match &mut self.backend {
-            Impl::Epoll { epfd, buf } => {
-                let n = sys::sys_epoll_wait(*epfd, buf, timeout_ms)?;
-                for ev in buf.iter().take(n) {
-                    // Copy out of the (packed) struct before using.
-                    let mask = ev.events;
-                    let data = ev.data;
-                    if data == WAKER_TOKEN {
-                        sys::sys_drain(self.wake_read);
-                        continue;
-                    }
-                    events.push(Event {
-                        token: Token(data),
-                        readable: mask & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
-                        writable: mask & sys::EPOLLOUT != 0,
-                        hangup: mask & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    });
-                }
+        let n = sys::sys_epoll_wait(self.epfd, &mut self.buf, timeout_ms)?;
+        for ev in self.buf.iter().take(n) {
+            // Copy out of the (packed) struct before using.
+            let mask = ev.events;
+            let data = ev.data;
+            if data == WAKER_TOKEN {
+                sys::sys_drain(self.wake_read);
+                continue;
             }
-            Impl::Poll { fds } => {
-                let mut pollfds: Vec<sys::PollFd> = fds
-                    .iter()
-                    .map(|(&fd, &(_, mask))| sys::PollFd {
-                        fd,
-                        events: mask,
-                        revents: 0,
-                    })
-                    .collect();
-                let n = sys::sys_poll(&mut pollfds, timeout_ms)?;
-                if n == 0 {
-                    return Ok(());
-                }
-                for pfd in &pollfds {
-                    if pfd.revents == 0 {
-                        continue;
-                    }
-                    let (token, _) = fds[&pfd.fd];
-                    if token == WAKER_TOKEN {
-                        sys::sys_drain(self.wake_read);
-                        continue;
-                    }
-                    events.push(Event {
-                        token: Token(token),
-                        readable: pfd.revents & sys::POLLIN != 0,
-                        writable: pfd.revents & sys::POLLOUT != 0,
-                        hangup: pfd.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0,
-                    });
-                }
-            }
+            events.push(Event {
+                token: Token(data),
+                readable: mask & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
+                writable: mask & sys::EPOLLOUT != 0,
+                hangup: mask & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
+            });
         }
         Ok(())
     }
@@ -354,9 +236,7 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Impl::Epoll { epfd, .. } = self.backend {
-            sys::sys_close(epfd);
-        }
+        sys::sys_close(self.epfd);
         sys::sys_close(self.wake_read);
     }
 }

@@ -12,8 +12,6 @@ use std::os::fd::RawFd;
 
 /// C `int`.
 pub type CInt = i32;
-/// C `unsigned long` (the `nfds_t` of `poll(2)` on Linux).
-pub type CULong = u64;
 
 // --- epoll (Linux) ----------------------------------------------------------
 
@@ -49,31 +47,6 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-// --- poll (POSIX) -----------------------------------------------------------
-
-/// Readable (`poll(2)`).
-pub const POLLIN: i16 = 0x001;
-/// Writable (`poll(2)`).
-pub const POLLOUT: i16 = 0x004;
-/// Error condition (`poll(2)`, revents only).
-pub const POLLERR: i16 = 0x008;
-/// Hangup (`poll(2)`, revents only).
-pub const POLLHUP: i16 = 0x010;
-/// Invalid fd (`poll(2)`, revents only).
-pub const POLLNVAL: i16 = 0x020;
-
-/// One `poll(2)` registration, ABI-compatible with `struct pollfd`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct PollFd {
-    /// The file descriptor to watch.
-    pub fd: CInt,
-    /// Requested events.
-    pub events: i16,
-    /// Returned events.
-    pub revents: i16,
-}
-
 // --- pipes ------------------------------------------------------------------
 
 /// `O_NONBLOCK` on Linux.
@@ -85,7 +58,6 @@ extern "C" {
     fn epoll_create1(flags: CInt) -> CInt;
     fn epoll_ctl(epfd: CInt, op: CInt, fd: CInt, event: *mut EpollEvent) -> CInt;
     fn epoll_wait(epfd: CInt, events: *mut EpollEvent, maxevents: CInt, timeout: CInt) -> CInt;
-    fn poll(fds: *mut PollFd, nfds: CULong, timeout: CInt) -> CInt;
     fn pipe2(fds: *mut CInt, flags: CInt) -> CInt;
     fn read(fd: CInt, buf: *mut u8, count: usize) -> isize;
     fn write(fd: CInt, buf: *const u8, count: usize) -> isize;
@@ -120,21 +92,6 @@ pub fn sys_epoll_wait(
 ) -> io::Result<usize> {
     loop {
         let n = unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as CInt, timeout_ms) };
-        if n >= 0 {
-            return Ok(n as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
-}
-
-/// `poll(2)` over `fds`; `timeout_ms < 0` blocks indefinitely. Retries on
-/// `EINTR`.
-pub fn sys_poll(fds: &mut [PollFd], timeout_ms: CInt) -> io::Result<usize> {
-    loop {
-        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as CULong, timeout_ms) };
         if n >= 0 {
             return Ok(n as usize);
         }

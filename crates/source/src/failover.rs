@@ -1,15 +1,24 @@
 //! The remote source: rate-based endpoint selection at `Open` time,
 //! transparent mid-scan failover after.
 //!
-//! A [`FailoverSource`] is a [`PushSource`] whose producer reads one
-//! logical wrapper's scan through the [`crate::scan`] client, against a
-//! [`ReplicaSet`] of interchangeable endpoints. At construction it dials
-//! the best live endpoint (exploration first, then highest EWMA rate); a
-//! supervisor thread then owns the connection and, when the endpoint dies
-//! mid-scan, re-opens the scan on a peer with `resume_from` set to the
-//! next undelivered tuple index. Tuple payloads are pure functions of
-//! `(rel, index, seed)` — [`Scan`] checks every received key — so the
-//! engine sees one uninterrupted, bit-identical stream.
+//! A [`FailoverSource`] reads one logical wrapper's scan through the
+//! [`crate::scan`] client, against a [`ReplicaSet`] of interchangeable
+//! endpoints. At construction it dials the best live endpoint
+//! (exploration first, then highest EWMA rate); a reader thread then owns
+//! the connection and, when the endpoint dies mid-scan, re-opens the scan
+//! on a peer with `resume_from` set to the next undelivered tuple index.
+//! Tuple payloads are pure functions of `(rel, index, seed)` — [`Scan`]
+//! checks every received key — so the engine sees one uninterrupted,
+//! bit-identical stream.
+//!
+//! It is the one push-paced [`TupleSource`]: its tuples come to exist on
+//! the reader thread and cross to the engine through a bounded
+//! [`std::sync::mpsc::sync_channel`] — the transport half of the paper's
+//! window protocol (§2.1: a reader that outruns the consumer blocks in
+//! `send` exactly as a suspended wrapper stops shipping). Each tuple is in
+//! the channel before its [`Notice::Arrival`] is posted ("data before
+//! notice"), so by the time the communication manager calls
+//! [`TupleSource::emit`] the `recv` never blocks.
 //!
 //! A set with a single endpoint is the same source with no peer to move
 //! to: the first mid-scan failure is terminal, raised at once with the
@@ -24,14 +33,15 @@
 //! terminal [`Notice::Fault`].
 
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use dqs_relop::{RelId, Tuple};
 use dqs_replica::{HealthConfig, ReplicaGroup, ReplicaSet};
+use dqs_sim::SimDuration;
 
-use crate::pushed::{Feed, Producer, PushSource};
 use crate::scan::{dial, Grants, RemoteOpen, Scan};
 use crate::source::{Notice, SourceError, TupleSource};
 
@@ -44,15 +54,18 @@ const BACKOFF: Duration = Duration::from_millis(50);
 
 /// A [`crate::TupleSource`] served by whichever replica of a logical
 /// wrapper is currently fastest and alive.
-pub type FailoverSource = PushSource<ReplicaScan>;
-
-/// The remote producer: one scan, supervised across a replica set.
 #[derive(Debug)]
-pub struct ReplicaScan {
+pub struct FailoverSource {
+    rel: RelId,
+    total: u64,
+    produced: u64,
+    suspended: bool,
+    /// What the reader thread has delivered and the engine not yet taken.
+    data: Receiver<Tuple>,
     pinned: String,
     grants: Arc<Grants>,
-    /// The supervisor and the connection dialed for it, until `start()`
-    /// opens the scan and moves both onto their own thread.
+    /// The reader and the connection dialed for it, until `start()` opens
+    /// the scan and moves both onto their own thread.
     pending: Option<(Supervisor, TcpStream)>,
 }
 
@@ -73,8 +86,8 @@ impl FailoverSource {
     ) -> Result<Self, SourceError> {
         let source = Self::attach(replicas, open, notify.clone(), read_timeout)?;
         let pinned = Notice::ReplicaPinned {
-            rel: source.rel(),
-            endpoint: source.pinned().to_string(),
+            rel: source.rel,
+            endpoint: source.pinned.clone(),
         };
         notify.send(pinned).ok();
         Ok(source)
@@ -86,6 +99,7 @@ impl FailoverSource {
         notify: Sender<Notice>,
         read_timeout: Duration,
     ) -> Result<Self, SourceError> {
+        assert!(open.window > 0, "window must be positive");
         let mut last_err = all_on_cooldown(&replicas);
         for _ in 0..replicas.len() {
             let Some((idx, addr)) = replicas.select() else {
@@ -99,9 +113,14 @@ impl FailoverSource {
                     continue;
                 }
             };
-            let (rel, first, total, window) = (open.rel, open.resume_from, open.total, open.window);
-            let grants = Arc::new(Grants::new(rel, window, &stream)?);
-            let scan = ReplicaScan {
+            let grants = Arc::new(Grants::new(open.rel, open.window, &stream)?);
+            let (data_tx, data) = sync_channel(open.window as usize);
+            return Ok(FailoverSource {
+                rel: open.rel,
+                total: open.total,
+                produced: open.resume_from,
+                suspended: false,
+                data,
                 pinned: addr.clone(),
                 grants: Arc::clone(&grants),
                 pending: Some((
@@ -111,25 +130,74 @@ impl FailoverSource {
                         read_timeout,
                         grants,
                         pinned: (idx, addr),
+                        data: data_tx,
+                        notify,
                     },
                     stream,
                 )),
-            };
-            return Ok(PushSource::around(
-                rel,
-                first,
-                total,
-                window as usize,
-                notify,
-                scan,
-            ));
+            });
         }
         Err(last_err)
     }
 
     /// The endpoint the scan opened on (for session pin records).
     pub fn pinned(&self) -> &str {
-        &self.producer.pinned
+        &self.pinned
+    }
+}
+
+impl TupleSource for FailoverSource {
+    fn rel(&self) -> RelId {
+        self.rel
+    }
+
+    fn total(&self) -> u64 {
+        self.total
+    }
+
+    fn produced(&self) -> u64 {
+        self.produced
+    }
+
+    fn is_suspended(&self) -> bool {
+        self.suspended
+    }
+
+    fn suspend(&mut self) {
+        self.suspended = true;
+    }
+
+    fn resume(&mut self) {
+        self.suspended = false;
+    }
+
+    fn start(&mut self) {
+        let (supervisor, stream) = self.pending.take().expect("started twice");
+        // The sub-query leaves on the caller's thread, so the wrapper is
+        // already working while the reader thread is being scheduled.
+        let opened = Scan::open(stream, &supervisor.open, supervisor.read_timeout);
+        // Detached: the reader exits on its own at the scan's end, or when
+        // its sends fail because the run dropped this source.
+        thread::spawn(move || supervisor.run(opened));
+    }
+
+    /// Push-paced: arrivals are announced on the notify channel, so there
+    /// is never a gap to pre-schedule.
+    fn next_gap(&mut self) -> Option<SimDuration> {
+        None
+    }
+
+    fn emit(&mut self) -> Tuple {
+        assert!(self.produced < self.total, "emit from exhausted wrapper");
+        // Data is sent before its notification, so this never blocks when
+        // called in response to a notify.
+        let t = self
+            .data
+            .recv()
+            .expect("reader thread died before delivering all tuples");
+        self.produced += 1;
+        self.grants.consumed(self.produced == self.total);
+        t
     }
 }
 
@@ -164,29 +232,15 @@ impl RemoteWrapper {
     }
 }
 
-impl Producer for ReplicaScan {
-    fn start(&mut self, feed: Feed) {
-        let (supervisor, stream) = self.pending.take().expect("started twice");
-        // The sub-query leaves on the caller's thread, so the wrapper is
-        // already working while the reader thread is being scheduled.
-        let opened = Scan::open(stream, &supervisor.open, supervisor.read_timeout);
-        thread::spawn(move || supervisor.run(feed, opened));
-    }
-
-    fn consumed(&mut self, last: bool) {
-        self.grants.consumed(last);
-    }
-}
-
 fn all_on_cooldown(replicas: &ReplicaSet) -> SourceError {
     SourceError::Io {
         detail: format!("every endpoint of '{}' is on cooldown", replicas.id()),
     }
 }
 
-/// The supervisor thread: owns the data connection, re-attaching to a
-/// fresh replica whenever the current one fails, until the scan is
-/// complete, abandoned, or out of retry budget.
+/// The reader thread: owns the data connection, re-attaching to a fresh
+/// replica whenever the current one fails, until the scan is complete,
+/// abandoned, or out of retry budget.
 #[derive(Debug)]
 struct Supervisor {
     replicas: Arc<ReplicaSet>,
@@ -195,48 +249,66 @@ struct Supervisor {
     grants: Arc<Grants>,
     /// The endpoint dialed at construction: index, address.
     pinned: (usize, String),
+    /// Tuples in (bounded by the window), notices out.
+    data: SyncSender<Tuple>,
+    notify: Sender<Notice>,
 }
 
 impl Supervisor {
+    /// Deliver one tuple, blocking while the window is full. False when
+    /// the run was abandoned.
+    fn push(&self, key: u64) -> bool {
+        // Data before notice: emit() must never block.
+        self.data.send(Tuple::new(key, self.open.rel)).is_ok()
+            && self.notice(Notice::Arrival(self.open.rel))
+    }
+
+    /// Post a notice. False when the run was abandoned.
+    fn notice(&self, notice: Notice) -> bool {
+        self.notify.send(notice).is_ok()
+    }
+
+    /// Post the terminal fault: the source will deliver nothing more.
+    fn fault(&self, error: SourceError) {
+        self.notice(Notice::Fault {
+            rel: self.open.rel,
+            error,
+        });
+    }
+
     /// `opened` is the scan `start()` opened on the pinned endpoint.
-    fn run(self, feed: Feed, opened: Result<Scan, SourceError>) {
-        let Supervisor {
-            replicas,
-            open,
-            read_timeout,
-            grants,
-            pinned: (idx, addr),
-        } = self;
-        let rel = open.rel;
-        let mut next = open.resume_from;
-        let mut attached = Some((opened, idx, addr));
+    fn run(self, opened: Result<Scan, SourceError>) {
+        let replicas = &self.replicas;
+        let rel = self.open.rel;
+        let mut next = self.open.resume_from;
+        let mut attached = Some((opened, self.pinned.0, self.pinned.1.clone()));
         // The endpoint the scan last ran on, while it is between endpoints.
         let mut from: Option<String> = None;
         // Failed attach attempts since the last delivered batch.
         let mut failures = 0;
-        let mut last_err = all_on_cooldown(&replicas);
+        let mut last_err = all_on_cooldown(replicas);
         loop {
             // --- attach: find a live endpoint and open (or resume) ------
             let (opened, idx, addr) = match attached.take() {
                 Some(first) => first,
                 None => {
                     if failures >= MAX_ATTEMPTS {
-                        feed.fault(last_err);
+                        self.fault(last_err);
                         return;
                     }
                     thread::sleep((BACKOFF * failures).min(Duration::from_secs(1)));
                     let Some((idx, addr)) = replicas.select() else {
                         failures += 1;
-                        last_err = all_on_cooldown(&replicas);
+                        last_err = all_on_cooldown(replicas);
                         continue;
                     };
                     let resumed = RemoteOpen {
                         resume_from: next,
-                        ..open.clone()
+                        ..self.open.clone()
                     };
-                    let opened = dial(&addr, read_timeout)
-                        .and_then(|stream| Scan::open(stream, &resumed, read_timeout))
-                        .and_then(|scan| grants.attach(&scan).map(|()| scan));
+                    let opened = dial(&addr, self.read_timeout)
+                        .and_then(|stream| Scan::open(stream, &resumed, self.read_timeout))
+                        .and_then(|scan| self.grants.attach(&scan).map(|()| scan));
                     (opened, idx, addr)
                 }
             };
@@ -249,7 +321,7 @@ impl Supervisor {
                             to: addr.clone(),
                             resume_from: next,
                         };
-                        if !feed.notice(moved) {
+                        if !self.notice(moved) {
                             return; // run abandoned
                         }
                     }
@@ -259,7 +331,7 @@ impl Supervisor {
                         match scan.next_batch() {
                             Ok(Some(keys)) => {
                                 let tuples = keys.len() as u64;
-                                if !keys.into_iter().all(|key| feed.push(key)) {
+                                if !keys.into_iter().all(|key| self.push(key)) {
                                     return; // run abandoned
                                 }
                                 next = scan.next_index();
@@ -279,7 +351,7 @@ impl Supervisor {
             // is a peer to divert it to; alone, its error is the scan's.
             let degraded = replicas.record_failure(idx);
             if replicas.len() == 1 {
-                feed.fault(err);
+                self.fault(err);
                 return;
             }
             if degraded {
@@ -288,7 +360,7 @@ impl Supervisor {
                     endpoint: addr.clone(),
                     error: err.clone(),
                 };
-                if !feed.notice(notice) {
+                if !self.notice(notice) {
                     return; // run abandoned
                 }
             }
@@ -330,7 +402,16 @@ mod tests {
         // mk_open's window is 8: credits come back four at a time.
         let addr = one_shot_server(|conn| serve(conn, 4, None));
         let (ntx, nrx) = channel();
-        let w = RemoteWrapper::connect(addr, mk_open(40), ntx, Duration::from_secs(10)).unwrap();
+        let mut w =
+            RemoteWrapper::connect(addr, mk_open(40), ntx, Duration::from_secs(10)).unwrap();
+        assert_eq!(w.next_gap(), None, "push-paced: no gap to pre-schedule");
+        assert_eq!((w.total(), w.produced()), (40, 0));
+        w.suspend();
+        assert!(w.is_suspended());
+        w.resume();
+        assert!(!w.is_suspended());
+        // Five windows' worth: the reader blocks on the full channel until
+        // the consumer drains it, and everything still arrives in order.
         let (got, notices) = drain(w, nrx);
         assert_eq!(
             got,

@@ -7,11 +7,9 @@
 //! * [`source::TupleSource`] — the wrapper contract the CM drives, so the
 //!   delivery substrate (simulated or real) is pluggable;
 //! * [`wrapper::Wrapper`] — black-box remote sources producing synthetic
-//!   tuples at the modelled pace;
-//! * [`pushed::PushSource`] — the one push-paced source: a producer
-//!   thread feeding a bounded channel, data before notice;
-//! * [`threaded::ThreadedWrapper`] — a `PushSource` whose producer sleeps
-//!   actual gaps in-process;
+//!   tuples at the modelled pace: pull-paced, so the same type serves the
+//!   simulated clock and the in-process wall clock (its gaps become the
+//!   driver's timer deadlines);
 //! * [`cached::ReplaySource`] / [`cached::RecordingSource`] — the cache
 //!   adapters: instant replay of a completed scan, tee-on-miss recording
 //!   of a live one (see `dqs-cache`);
@@ -21,10 +19,11 @@
 //!   bounded [`scan::dial`], and [`scan::Scan`], which builds the `Open`,
 //!   validates everything a wrapper sends back and returns the window
 //!   credits;
-//! * [`failover::FailoverSource`] — the remote source, a `PushSource`
-//!   whose producer supervises a `Scan`: opens on the best live endpoint
-//!   of a `dqs_replica::ReplicaSet` and, on a mid-scan death, re-opens on
-//!   a peer at the next undelivered index
+//! * [`failover::FailoverSource`] — the remote source and the one
+//!   push-paced one (a reader thread feeding a bounded channel, data
+//!   before notice): opens its `Scan` on the best live endpoint of a
+//!   `dqs_replica::ReplicaSet` and, on a mid-scan death, re-opens on a
+//!   peer at the next undelivered index
 //!   ([`failover::RemoteWrapper::connect`] spells the one-endpoint case
 //!   with a bare address);
 //! * [`queue::TupleQueue`] — the bounded communication queues of §2.1;
@@ -50,11 +49,9 @@ pub mod comm;
 pub mod delay;
 pub mod failover;
 pub mod net;
-pub mod pushed;
 pub mod queue;
 pub mod scan;
 pub mod source;
-pub mod threaded;
 pub mod wrapper;
 
 pub use cached::{RecordingSource, ReplaySource};
@@ -68,5 +65,4 @@ pub use net::{read_frame, write_frame, Frame, FrameError, RelStat, MAX_FRAME_BYT
 pub use queue::TupleQueue;
 pub use scan::RemoteOpen;
 pub use source::{BoxSource, Notice, SourceError, TupleSource};
-pub use threaded::ThreadedWrapper;
 pub use wrapper::Wrapper;

@@ -55,7 +55,9 @@ pub enum Frame {
     /// Mediator → wrapper: serve `total` tuples of `rel`, keeping at most
     /// `window` unacknowledged tuples in flight. The delay model and the
     /// seeded stream name make the remote wrapper's pacing reproduce the
-    /// in-process [`crate::ThreadedWrapper`] exactly.
+    /// in-process [`crate::Wrapper`] exactly. A connection carries one
+    /// `Open`: the wrapper serves the scan on the connection's own thread
+    /// and refuses a second with an [`Frame::Error`].
     Open {
         /// Relation id in the mediator's catalog (also keys the tuples).
         rel: RelId,

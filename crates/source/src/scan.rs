@@ -6,9 +6,12 @@
 //! [`Scan`] the single reader of the §2.1 window protocol — it builds the
 //! [`Frame::Open`], validates every [`Frame::TupleBatch`] / [`Frame::Eof`]
 //! / [`Frame::Error`] that comes back, and (with [`Grants`]) writes the
-//! [`Frame::WindowGrant`]s. Push-paced sources
+//! [`Frame::WindowGrant`]s. The push-paced source
 //! ([`crate::FailoverSource`]), the refresher's tail fetch
-//! ([`Scan::drain`]) and its stat poll ([`stat`]) are all callers.
+//! ([`Scan::drain`]) and its stat poll ([`stat`]) are all callers. A
+//! wrapper connection carries one `Open` — every scan (and every
+//! failover resume) [`dial`]s its own, which is what lets the wrapper
+//! serve a scan on exactly one thread.
 //!
 //! Every failure is a typed [`SourceError`]: tuple payloads are pure
 //! functions of `(rel, index)`, so the reader checks each key against
@@ -47,7 +50,7 @@ pub struct RemoteOpen {
     /// Master seed for the server's delay stream.
     pub seed: u64,
     /// Seed-splitter stream label (e.g. `wrapper:orders`), so the remote
-    /// pacing reproduces the in-process `ThreadedWrapper` exactly.
+    /// pacing reproduces the in-process `Wrapper` exactly.
     pub stream: String,
     /// Delivery pacing the server should perform.
     pub delay: DelayModel,

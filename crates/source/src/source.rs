@@ -4,7 +4,7 @@
 //! §2.1 treats wrappers as black boxes that stream result tuples to the
 //! mediator. The simulated [`crate::Wrapper`] realizes that contract by
 //! drawing inter-tuple gaps from a [`crate::DelayModel`]; the
-//! [`crate::ThreadedWrapper`] realizes it with a real producer thread and
+//! [`crate::FailoverSource`] realizes it with a socket reader thread and
 //! a bounded channel. The CM drives either through this trait and cannot
 //! tell them apart.
 
@@ -15,8 +15,8 @@ use dqs_sim::SimDuration;
 
 /// Why a push-paced source stopped delivering before its last tuple.
 ///
-/// Threaded wrappers cannot fail (their producer is in-process); remote
-/// wrappers can, in all the ways sockets do. The producer side reports the
+/// In-process wrappers cannot fail; remote wrappers can, in all the ways
+/// sockets do. The reader side reports the
 /// failure out-of-band as a [`Notice::Fault`] so the engine can abort the
 /// run with a typed reason instead of hanging on a queue that will never
 /// fill.

@@ -219,15 +219,7 @@ fn cache_counters(metrics_json: &str) -> (u64, u64) {
     let Ok(v) = json::parse(metrics_json) else {
         return (0, 0);
     };
-    let Some(obj) = v.as_object() else {
-        return (0, 0);
-    };
-    let get = |k: &str| {
-        obj.iter()
-            .find(|(n, _)| n == k)
-            .and_then(|(_, v)| v.as_u64())
-            .unwrap_or(0)
-    };
+    let get = |k: &str| v.get(k).and_then(|c| c.as_u64()).unwrap_or(0);
     (get("cache_hits"), get("cache_misses"))
 }
 
@@ -431,8 +423,7 @@ mod tests {
             max_ms: 100.0,
         };
         let v = json::parse(&r.to_json()).expect("valid JSON");
-        let obj = v.as_object().unwrap();
-        let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        let get = |k: &str| v.get(k);
         assert_eq!(get("errored").and_then(|v| v.as_u64()), Some(1));
         let total = get("total").and_then(|v| v.as_object()).unwrap();
         assert!(total.iter().any(|(k, _)| k == "p99_ms"));

@@ -103,8 +103,8 @@ impl Trace {
     /// validated against the pool.
     pub fn from_json(text: &str) -> Result<Trace, String> {
         let v = json::parse(text).map_err(|e| format!("trace: {e}"))?;
-        let obj = v.as_object().ok_or("trace: not a JSON object")?;
-        let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        v.as_object().ok_or("trace: not a JSON object")?;
+        let get = |k: &str| v.get(k);
         match get("version").and_then(Json::as_u64) {
             Some(1) => {}
             Some(v) => return Err(format!("trace: unsupported version {v}")),
@@ -123,10 +123,9 @@ impl Trace {
             .ok_or("trace: missing events array")?;
         let mut events = Vec::with_capacity(raw.len());
         for (i, ev) in raw.iter().enumerate() {
-            let eobj = ev
-                .as_object()
+            ev.as_object()
                 .ok_or_else(|| format!("trace: event {i} is not an object"))?;
-            let eget = |k: &str| eobj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+            let eget = |k: &str| ev.get(k);
             let at_ms = eget("at_ms")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("trace: event {i} missing at_ms"))?;

@@ -9,8 +9,8 @@
 //! the refactor moved the substrate behind a trait without perturbing a
 //! single event, cost charge, or RNG draw.
 //!
-//! The wall-clock half exercises `RealTimeDriver`: threaded wrappers with
-//! microsecond sleeps must complete a join and produce the same output
+//! The wall-clock half exercises `RealTimeDriver`: wrappers paced by
+//! microsecond deadlines must complete a join and produce the same output
 //! cardinality as the simulated run for the same seed (the deterministic
 //! parts — payloads and join fan-out — are substrate-independent; only
 //! timing differs).
@@ -132,7 +132,7 @@ fn smoke_workload() -> Workload {
         )
 }
 
-/// `RealTimeDriver` completes the query on actual threads and sleeps, and
+/// `RealTimeDriver` completes the query on the wall clock, really sleeping its delays, and
 /// the substrate-independent outcome — output cardinality — matches the
 /// simulated run of the same workload and seed.
 #[test]

@@ -16,12 +16,8 @@ use dqs_relop::RelId;
 /// Lift one integer counter out of the raw metrics JSON a run reports.
 fn metric_u64(raw: &str, key: &str) -> u64 {
     let v = dqs_exec::json::parse(raw).expect("metrics JSON parses");
-    v.as_object()
-        .and_then(|obj| {
-            obj.iter()
-                .find(|(n, _)| n == key)
-                .and_then(|(_, v)| v.as_u64())
-        })
+    v.get(key)
+        .and_then(|v| v.as_u64())
         .unwrap_or_else(|| panic!("metrics JSON lacks {key}: {raw}"))
 }
 
