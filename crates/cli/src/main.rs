@@ -24,11 +24,9 @@ use dqs_core::{lwb, run_named, unknown_strategy};
 use dqs_exec::{
     EngineObserver, JsonLinesSink, NullObserver, RealTimeDriver, RunMetrics, SimDriver, Workload,
 };
-use dqs_mediator::{
-    C10kOpts, ChurnOpts, MediatorServer, Progress, ServeOpts, SubmitOpts, WrapperServer,
-};
+use dqs_mediator::{ChurnOpts, MediatorServer, Progress, ServeOpts, SubmitOpts, WrapperServer};
 use dqs_plan::{AnnotatedPlan, ChainSet};
-use dqs_workload::{Arrival, GenOpts, ReplayOpts};
+use dqs_workload::{Arrival, GenOpts, ReplayOpts, ReplayReport, Trace, TINY_SPEC};
 
 fn usage() -> ExitCode {
     eprint!(
@@ -65,16 +63,17 @@ fn usage() -> ExitCode {
          \u{20}           wrapper's entries only, --connect-timeout MS)\n\
          \u{20} bench c10k  open-loop load generator (--connect ADDR, --sessions N,\n\
          \u{20}           --batch N: arrival burst size, --strategy X, --spec PATH,\n\
-         \u{20}           --timeout-secs N, --out FILE: default BENCH_c10k.json)\n\
+         \u{20}           --timeout-secs N, --out FILE: also write the report there;\n\
+         \u{20}           fails if any session errored or was rejected)\n\
          \u{20} workload gen  seeded trace generator (--out FILE: default trace.json,\n\
          \u{20}           --seed N, --specs N: pool size, --events N, --zipf S,\n\
          \u{20}           --arrival poisson|bursty|diurnal, --rate R: arrivals/sec\n\
          \u{20}           (diurnal: the peak), --on-ms/--off-ms: bursty windows,\n\
          \u{20}           --base-rate R, --period-ms T: diurnal curve)\n\
          \u{20} workload replay  fire a trace at a mediator (TRACE --connect ADDR,\n\
-         \u{20}           --batch N, --timeout-secs N, --out FILE: default\n\
-         \u{20}           BENCH_workload.json; reports queue-wait vs execution\n\
-         \u{20}           percentiles and cache hit rate)\n"
+         \u{20}           --batch N, --timeout-secs N, --out FILE: also write the\n\
+         \u{20}           report there; prints queue-wait vs execution percentiles\n\
+         \u{20}           and cache hit rate as one JSON line)\n"
     );
     ExitCode::from(2)
 }
@@ -384,87 +383,41 @@ fn cmd_invalidate(args: &[String]) -> ExitCode {
     }
 }
 
-/// `dqs bench c10k --connect ADDR [...]`: the open-loop load generator.
+/// `dqs bench c10k --connect ADDR [...]`: the open-loop load generator —
+/// a flood trace (every session due at t = 0) of one spec, replayed.
 fn cmd_bench(args: &[String]) -> ExitCode {
     if args.first().map(String::as_str) != Some("c10k") {
         eprintln!("error: bench wants a mode; only `bench c10k` exists");
         return ExitCode::from(2);
     }
     let args = &args[1..];
-    let Some(addr) = flag_value(args, "--connect") else {
-        eprintln!("error: bench c10k requires --connect ADDR");
-        return ExitCode::from(2);
-    };
-    let mut opts = C10kOpts {
-        addr: addr.to_string(),
-        ..C10kOpts::default()
-    };
-    if let Some(n) = flag_value(args, "--sessions") {
-        match n.parse() {
-            Ok(n) => opts.sessions = n,
+    let sessions = match flag_value(args, "--sessions") {
+        Some(n) => match n.parse() {
+            Ok(n) => n,
             Err(_) => {
                 eprintln!("error: --sessions wants an integer, got {n:?}");
                 return ExitCode::from(2);
             }
-        }
-    }
-    if let Some(n) = flag_value(args, "--batch") {
-        match n.parse() {
-            Ok(n) if n > 0 => opts.connect_batch = n,
-            _ => {
-                eprintln!("error: --batch wants a positive integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--timeout-secs") {
-        match n.parse::<u64>() {
-            Ok(s) => opts.timeout = Duration::from_secs(s),
-            Err(_) => {
-                eprintln!("error: --timeout-secs wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(s) = flag_value(args, "--strategy") {
-        opts.strategy = s.to_string();
-    }
-    if let Some(path) = flag_value(args, "--spec") {
-        match std::fs::read_to_string(path) {
-            Ok(text) => opts.spec_json = text,
+        },
+        None => 11_500,
+    };
+    let spec = match flag_value(args, "--spec") {
+        Some(path) => match std::fs::read_to_string(path) {
+            Ok(text) => text,
             Err(e) => {
                 eprintln!("error: cannot read {path}: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-    }
-    let out = flag_value(args, "--out").unwrap_or("BENCH_c10k.json");
-    let report = match dqs_mediator::run_c10k(&opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: bench failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        },
+        None => TINY_SPEC.to_string(),
     };
-    let json = report.to_json();
-    if let Err(e) = std::fs::write(out, format!("{json}\n")) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("{json}");
-    println!(
-        "c10k: {}/{} completed, {} errored, peak {} concurrent, p99 {:.2} ms -> {}",
-        report.completed,
-        report.sessions,
-        report.errored,
-        report.peak_concurrent,
-        report.p99_ms,
-        out
-    );
-    if report.errored > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    let strategy = flag_value(args, "--strategy").unwrap_or("dse");
+    match replay_and_print("bench c10k", &Trace::flood(sessions, &spec, strategy), args) {
+        // A flood is judged on every session completing, so a backlog too
+        // small to hold them all fails the run like any other error.
+        Ok(report) if report.errored + report.rejected > 0 => ExitCode::FAILURE,
+        Ok(_) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }
 
@@ -595,12 +548,8 @@ fn cmd_workload_replay(args: &[String]) -> ExitCode {
         eprintln!("error: workload replay requires a trace path");
         return ExitCode::from(2);
     };
-    let Some(addr) = flag_value(args, "--connect") else {
-        eprintln!("error: workload replay requires --connect ADDR");
-        return ExitCode::from(2);
-    };
     let trace = match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
-        Ok(text) => match dqs_workload::Trace::from_json(&text) {
+        Ok(text) => match Trace::from_json(&text) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -612,6 +561,22 @@ fn cmd_workload_replay(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    match replay_and_print("workload replay", &trace, args) {
+        Ok(report) if report.errored > 0 => ExitCode::FAILURE,
+        Ok(_) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+/// What `bench c10k` and `workload replay` share: fire `trace` at the
+/// mediator named by `--connect` (with `--batch`, `--timeout-secs`), print
+/// the report's JSON line and a one-line summary, and write the JSON line
+/// to `--out FILE` only when asked. The caller rules on the exit code.
+fn replay_and_print(what: &str, trace: &Trace, args: &[String]) -> Result<ReplayReport, ExitCode> {
+    let Some(addr) = flag_value(args, "--connect") else {
+        eprintln!("error: {what} requires --connect ADDR");
+        return Err(ExitCode::from(2));
+    };
     let mut opts = ReplayOpts {
         addr: addr.to_string(),
         ..ReplayOpts::default()
@@ -621,7 +586,7 @@ fn cmd_workload_replay(args: &[String]) -> ExitCode {
             Ok(n) if n > 0 => opts.connect_batch = n,
             _ => {
                 eprintln!("error: --batch wants a positive integer, got {n:?}");
-                return ExitCode::from(2);
+                return Err(ExitCode::from(2));
             }
         }
     }
@@ -630,27 +595,26 @@ fn cmd_workload_replay(args: &[String]) -> ExitCode {
             Ok(s) => opts.timeout = Duration::from_secs(s),
             Err(_) => {
                 eprintln!("error: --timeout-secs wants an integer, got {n:?}");
-                return ExitCode::from(2);
+                return Err(ExitCode::from(2));
             }
         }
     }
-    let out = flag_value(args, "--out").unwrap_or("BENCH_workload.json");
-    let report = match dqs_workload::replay(&trace, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: replay failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = dqs_workload::replay(trace, &opts).map_err(|e| {
+        eprintln!("error: {what} failed: {e}");
+        ExitCode::FAILURE
+    })?;
     let json = report.to_json();
-    if let Err(e) = std::fs::write(out, format!("{json}\n")) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+    let out = flag_value(args, "--out");
+    if let Some(out) = out {
+        std::fs::write(out, format!("{json}\n")).map_err(|e| {
+            eprintln!("error: cannot write {out}: {e}");
+            ExitCode::FAILURE
+        })?;
     }
     println!("{json}");
     println!(
-        "workload: {}/{} completed ({} rejected, {} errored), peak {} open, \
-         p99 total {:.2} ms = queue {:.2} + exec {:.2}, cache hit rate {:.1}% -> {}",
+        "{what}: {}/{} completed ({} rejected, {} errored), peak {} open, \
+         p99 total {:.2} ms = queue {:.2} + exec {:.2}, cache hit rate {:.1}%{}",
         report.completed,
         report.sessions,
         report.rejected,
@@ -660,13 +624,9 @@ fn cmd_workload_replay(args: &[String]) -> ExitCode {
         report.queue_wait.p99_ms,
         report.exec.p99_ms,
         report.cache_hit_rate() * 100.0,
-        out
+        out.map(|o| format!(" -> {o}")).unwrap_or_default()
     );
-    if report.errored > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(report)
 }
 
 fn load(path: &str) -> Result<Workload, String> {

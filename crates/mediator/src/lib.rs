@@ -28,13 +28,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod client;
 mod refresher;
 pub mod server;
 pub mod wrapper_server;
 
-pub use bench::{run_c10k, C10kOpts, C10kReport};
 pub use client::{invalidate, submit, ClientError, Progress, RemoteMetrics, SubmitOpts};
 pub use server::{MediatorServer, ServeOpts, ServerMetrics};
 pub use wrapper_server::{ChurnOpts, WrapperServer};

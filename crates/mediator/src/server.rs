@@ -1574,7 +1574,6 @@ pub fn metrics_json(m: &RunMetrics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench;
 
     #[test]
     fn metrics_json_is_parseable_and_carries_the_cardinality() {
@@ -1597,10 +1596,10 @@ mod tests {
 
     #[test]
     fn estimated_cost_orders_specs_by_expected_wrapper_time() {
-        let slow = WorkloadSpec::from_json(bench::TINY_SPEC)
+        let slow = WorkloadSpec::from_json(dqs_workload::TINY_SPEC)
             .and_then(WorkloadSpec::into_workload)
             .expect("tiny spec builds");
-        let fast_spec = bench::TINY_SPEC.replace("3000", "100");
+        let fast_spec = dqs_workload::TINY_SPEC.replace("3000", "100");
         let fast = WorkloadSpec::from_json(&fast_spec)
             .and_then(WorkloadSpec::into_workload)
             .expect("fast spec builds");
@@ -1726,7 +1725,7 @@ mod tests {
                 trace: false,
                 no_cache: false,
                 seed: None,
-                spec_json: bench::TINY_SPEC.into(),
+                spec_json: dqs_workload::TINY_SPEC.into(),
             };
             write_frame(&mut conn, &submit).unwrap();
             conn

@@ -21,8 +21,8 @@
 //!   cache hit rate — the observables an `--admission fifo|sjf|fair`
 //!   A/B is judged on.
 //!
-//! The C10K bench (`dqs bench c10k`) is a thin preset over [`replay()`]:
-//! a flood trace with every arrival at t = 0.
+//! The C10K bench (`dqs bench c10k`) is [`replay()`] of [`Trace::flood`]:
+//! every arrival at t = 0.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,4 +33,4 @@ pub mod trace;
 
 pub use generate::{generate, Arrival, DelayClass, GenOpts, Grammar};
 pub use replay::{replay, LatencySummary, ReplayOpts, ReplayReport};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent, TINY_SPEC};

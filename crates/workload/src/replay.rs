@@ -1,6 +1,6 @@
 //! The open-loop traffic replay harness.
 //!
-//! Grown from the C10K load generator (which is now a thin preset over
+//! Grown from the C10K load generator (now [`Trace::flood`] replayed by
 //! this engine): one thread, one [`Poller`], thousands of non-blocking
 //! client state machines — but instead of flooding every session at
 //! once, the driver fires each [`crate::trace::TraceEvent`] when its
@@ -133,7 +133,8 @@ impl ReplayReport {
         }
     }
 
-    /// The `BENCH_workload.json` payload.
+    /// Flat JSON rendering: the line `dqs workload replay` and
+    /// `dqs bench c10k` print.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"sessions\":{},\"completed\":{},\"errored\":{},\"rejected\":{},\

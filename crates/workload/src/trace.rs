@@ -52,9 +52,30 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
 }
 
+/// The spec `dqs bench c10k` floods a mediator with unless told otherwise.
+///
+/// A deliberately tiny workload: two 64-tuple relations and one join,
+/// paced at wrapper-like millisecond delays so a session spends its
+/// ~200 ms *sleeping on arrivals*, not burning CPU. That is both the
+/// honest shape of the paper's workloads (wrapper latency dominates)
+/// and what lets an open-loop generator actually pile sessions up: the
+/// executors sleep, the core stays free for the accept path, and the
+/// backlog — not the CPU — absorbs the load.
+pub const TINY_SPEC: &str = r#"{
+  "relations": [
+    {"name": "a", "cardinality": 64, "delay": {"constant_us": 3000}},
+    {"name": "b", "cardinality": 64, "delay": {"constant_us": 3000}}
+  ],
+  "joins": [{"left": "a", "right": "b", "selectivity": 0.002}],
+  "config": {"seed": 7}
+}"#;
+
 impl Trace {
     /// A degenerate trace: `sessions` submissions of one spec, all due at
-    /// t=0 — the open-loop flood the classic c10k bench fires.
+    /// t=0 — the open-loop flood `dqs bench c10k` fires. Submit-to-terminal
+    /// latency under it is dominated by queueing, so the total percentiles
+    /// characterise the admission queue and `throughput_per_sec` the
+    /// executor pool's drain rate.
     pub fn flood(sessions: usize, spec_json: &str, strategy: &str) -> Trace {
         Trace {
             seed: 0,

@@ -10,7 +10,8 @@ use std::net::TcpStream;
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
-use dqs_mediator::{bench, submit, C10kOpts, MediatorServer, Progress, ServeOpts, SubmitOpts};
+use dqs_mediator::{submit, MediatorServer, Progress, ServeOpts, SubmitOpts};
+use dqs_workload::{replay, ReplayOpts, Trace, TINY_SPEC};
 
 fn quickstart_json() -> String {
     std::fs::read_to_string(concat!(
@@ -192,9 +193,9 @@ fn backlog_depth_gauge_drains_when_a_queued_client_disconnects() {
 }
 
 /// A scaled-down C10K: three hundred concurrent sessions through the
-/// library entry point the CLI bench uses, zero errors, and a peak that
-/// proves they really were concurrent (one slot running, the rest held
-/// open in the backlog).
+/// flood replay `dqs bench c10k` runs, none errored and none rejected, and
+/// a peak that proves they really were concurrent (eight slots running,
+/// the rest held open in the backlog).
 #[test]
 fn c10k_smoke_three_hundred_sessions_zero_errors() {
     let sessions = 300;
@@ -207,24 +208,27 @@ fn c10k_smoke_three_hundred_sessions_zero_errors() {
         },
     )
     .expect("bind mediator");
-    let report = bench::run_c10k(&C10kOpts {
-        addr: mediator.local_addr().to_string(),
-        sessions,
-        connect_batch: 50,
-        timeout: Duration::from_secs(120),
-        ..C10kOpts::default()
-    })
+    let report = replay(
+        &Trace::flood(sessions, TINY_SPEC, "dse"),
+        &ReplayOpts {
+            addr: mediator.local_addr().to_string(),
+            connect_batch: 50,
+            timeout: Duration::from_secs(120),
+        },
+    )
     .expect("bench runs");
 
     assert_eq!(report.errored, 0, "no session may fail: {report:?}");
+    assert_eq!(report.rejected, 0, "the backlog holds them all: {report:?}");
     assert_eq!(report.completed, sessions);
     assert!(
         report.peak_concurrent >= sessions / 2,
         "open-loop arrivals must actually pile up (peak {})",
         report.peak_concurrent
     );
-    assert!(report.p50_ms > 0.0 && report.p99_ms >= report.p50_ms);
-    assert!(report.p999_ms >= report.p99_ms);
+    let total = report.total;
+    assert!(total.p50_ms > 0.0 && total.p99_ms >= total.p50_ms);
+    assert!(total.p999_ms >= total.p99_ms);
     assert!(mediator.metrics().connections_accepted() >= sessions as u64);
 
     // The report round-trips through its own JSON.
