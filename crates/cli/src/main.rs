@@ -15,8 +15,11 @@
 //! dqs workload replay trace.json --connect ADDR   open-loop trace replay
 //! ```
 
+use std::fmt::Display;
 use std::io::Write;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use dqs_cli::spec::WorkloadSpec;
@@ -78,57 +81,105 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// `--flag VALUE` lookup.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Report a usage error and exit 2.
+fn refuse(message: impl Display) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// Report a runtime failure.
+fn failed(message: impl Display) -> ExitCode {
+    eprintln!("error: {message}");
+    ExitCode::FAILURE
+}
+
+/// One sub-command's arguments. Each lookup marks what it took, so
+/// [`Args::finish`] can refuse whatever nobody asked for: a misspelled flag
+/// must not silently run with a default.
+struct Args {
+    items: Vec<String>,
+    taken: Vec<bool>,
+}
+
+impl Args {
+    fn new(items: &[String]) -> Args {
+        Args {
+            items: items.to_vec(),
+            taken: vec![false; items.len()],
+        }
+    }
+
+    /// The leading spec or trace path: the first argument, unless it is a
+    /// flag. `or` is the complaint when it is missing.
+    fn path(&mut self, or: &str) -> String {
+        match self.items.first() {
+            Some(first) if !first.starts_with("--") => {
+                self.taken[0] = true;
+                first.clone()
+            }
+            _ => refuse(or),
+        }
+    }
+
+    /// Mark the first untaken occurrence of `name` as taken.
+    fn take(&mut self, name: &str) -> Option<usize> {
+        let i = (0..self.items.len()).find(|&i| !self.taken[i] && self.items[i] == name)?;
+        self.taken[i] = true;
+        Some(i)
+    }
+
+    /// Was the bare switch `name` given?
+    fn has(&mut self, name: &str) -> bool {
+        self.take(name).is_some()
+    }
+
+    /// `name VALUE` parsed as `T`; exits 2 if the value is missing (or is
+    /// itself a flag) or does not parse.
+    fn get<T: FromStr>(&mut self, name: &str) -> Option<T>
+    where
+        T::Err: Display,
+    {
+        let at = self.take(name)? + 1;
+        let Some(value) = self.items.get(at).filter(|v| !v.starts_with("--")) else {
+            refuse(format_args!("{name} wants a value"));
+        };
+        self.taken[at] = true;
+        match value.parse() {
+            Ok(v) => Some(v),
+            Err(e) => refuse(format_args!("{name} {value:?}: {e}")),
+        }
+    }
+
+    /// `--connect ADDR`, which the client sub-commands cannot do without.
+    fn connect(&mut self, what: &str) -> String {
+        self.get("--connect")
+            .unwrap_or_else(|| refuse(format_args!("{what} requires --connect ADDR")))
+    }
+
+    /// Exit 2 naming the first argument no lookup consumed.
+    fn finish(self) {
+        if let Some(i) = self.taken.iter().position(|t| !t) {
+            refuse(format_args!("unexpected argument {:?}", self.items[i]));
+        }
+    }
 }
 
 /// `dqs wrapper --listen ADDR [--churn-ms T]`: a foreground
 /// wrapper-server process, optionally with a background write stream.
-fn cmd_wrapper(args: &[String]) -> ExitCode {
-    let Some(listen) = flag_value(args, "--listen") else {
-        eprintln!("error: wrapper requires --listen ADDR (e.g. 127.0.0.1:7401)");
-        return ExitCode::from(2);
-    };
-    let mut churn = None;
-    if let Some(ms) = flag_value(args, "--churn-ms") {
-        let interval = match ms.parse::<u64>() {
-            Ok(ms) if ms > 0 => Duration::from_millis(ms),
-            _ => {
-                eprintln!("error: --churn-ms wants positive milliseconds, got {ms:?}");
-                return ExitCode::from(2);
-            }
-        };
-        let tuples = match flag_value(args, "--churn-tuples") {
-            Some(n) => match n.parse::<u64>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!("error: --churn-tuples wants a positive integer, got {n:?}");
-                    return ExitCode::from(2);
-                }
-            },
-            None => 64,
-        };
-        let rounds = match flag_value(args, "--churn-count") {
-            Some(n) => match n.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("error: --churn-count wants an integer, got {n:?}");
-                    return ExitCode::from(2);
-                }
-            },
-            None => 0,
-        };
-        churn = Some(ChurnOpts {
-            interval,
-            tuples,
-            rounds,
-        });
-    }
-    match WrapperServer::bind_with(listen, Duration::ZERO, churn) {
+fn cmd_wrapper(mut args: Args) -> ExitCode {
+    let listen: String = args.get("--listen").unwrap_or_else(|| {
+        refuse("wrapper requires --listen ADDR (e.g. 127.0.0.1:7401)");
+    });
+    let interval = args.get::<NonZeroU64>("--churn-ms");
+    let tuples = args.get::<NonZeroU64>("--churn-tuples");
+    let rounds = args.get("--churn-count").unwrap_or(0);
+    args.finish();
+    let churn = interval.map(|ms| ChurnOpts {
+        interval: Duration::from_millis(ms.get()),
+        tuples: tuples.map_or(64, NonZeroU64::get),
+        rounds,
+    });
+    match WrapperServer::bind_with(&listen, Duration::ZERO, churn) {
         Ok(server) => {
             // Printed on its own line so scripts can scrape the port —
             // flushed explicitly because piped stdout is block-buffered,
@@ -139,117 +190,40 @@ fn cmd_wrapper(args: &[String]) -> ExitCode {
             server.run_forever();
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("error: cannot bind {listen}: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => failed(format_args!("cannot bind {listen}: {e}")),
     }
 }
 
 /// `dqs serve --listen ADDR [--wrappers A,B] [...]`: the mediator service.
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let Some(listen) = flag_value(args, "--listen") else {
-        eprintln!("error: serve requires --listen ADDR (e.g. 127.0.0.1:7400)");
-        return ExitCode::from(2);
-    };
+fn cmd_serve(mut args: Args) -> ExitCode {
+    let listen: String = args.get("--listen").unwrap_or_else(|| {
+        refuse("serve requires --listen ADDR (e.g. 127.0.0.1:7400)");
+    });
     let mut opts = ServeOpts::default();
-    if let Some(w) = flag_value(args, "--wrappers") {
+    if let Some(w) = args.get::<String>("--wrappers") {
         // Groups are ';'-separated so a group's replica list can use
         // commas: `w0=h:1,h:2;w1=h:3`. A bare comma list still means
         // distinct single-endpoint wrappers (parsed in dqs-replica).
         opts.wrappers = w.split(';').map(str::to_string).collect();
     }
-    if let Some(n) = flag_value(args, "--max-concurrent") {
-        match n.parse() {
-            Ok(n) => opts.max_concurrent = n,
-            Err(_) => {
-                eprintln!("error: --max-concurrent wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--backlog") {
-        match n.parse() {
-            Ok(n) => opts.backlog = n,
-            Err(_) => {
-                eprintln!("error: --backlog wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--memory-mb") {
-        match n.parse::<u64>() {
-            Ok(mb) => opts.memory_bytes = mb << 20,
-            Err(_) => {
-                eprintln!("error: --memory-mb wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--cache-mb") {
-        match n.parse::<u64>() {
-            Ok(mb) => opts.cache_bytes = mb << 20,
-            Err(_) => {
-                eprintln!("error: --cache-mb wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--cache-ttl-ms") {
-        match n.parse::<u64>() {
-            Ok(ms) => opts.cache_ttl = Some(Duration::from_millis(ms)),
-            Err(_) => {
-                eprintln!("error: --cache-ttl-ms wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--io-threads") {
-        match n.parse() {
-            Ok(n) => opts.io_threads = n,
-            Err(_) => {
-                eprintln!("error: --io-threads wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--exec-workers") {
-        match n.parse() {
-            Ok(n) if n > 0 => opts.exec_workers = n,
-            _ => {
-                eprintln!("error: --exec-workers wants a positive integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(p) = flag_value(args, "--admission") {
-        match p.parse() {
-            Ok(policy) => opts.admission = policy,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--refresh-interval-ms") {
-        match n.parse::<u64>() {
-            Ok(ms) if ms > 0 => opts.refresh_interval = Some(Duration::from_millis(ms)),
-            _ => {
-                eprintln!("error: --refresh-interval-ms wants positive milliseconds, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = flag_value(args, "--refresh-budget-kbps") {
-        match n.parse::<u64>() {
-            Ok(k) => opts.refresh_budget_kbps = k,
-            Err(_) => {
-                eprintln!("error: --refresh-budget-kbps wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    match MediatorServer::bind(listen, opts) {
+    let mb = |n: u64| n << 20;
+    let ms = Duration::from_millis;
+    opts.max_concurrent = args.get("--max-concurrent").unwrap_or(opts.max_concurrent);
+    opts.backlog = args.get("--backlog").unwrap_or(opts.backlog);
+    opts.memory_bytes = args.get("--memory-mb").map_or(opts.memory_bytes, mb);
+    opts.cache_bytes = args.get("--cache-mb").map_or(opts.cache_bytes, mb);
+    opts.cache_ttl = args.get("--cache-ttl-ms").map(ms);
+    opts.io_threads = args.get("--io-threads").unwrap_or(opts.io_threads);
+    opts.exec_workers = args
+        .get::<NonZeroUsize>("--exec-workers")
+        .map_or(opts.exec_workers, NonZeroUsize::get);
+    opts.admission = args.get("--admission").unwrap_or(opts.admission);
+    opts.refresh_interval = args
+        .get::<NonZeroU64>("--refresh-interval-ms")
+        .map(|t| ms(t.get()));
+    opts.refresh_budget_kbps = args.get("--refresh-budget-kbps").unwrap_or(0);
+    args.finish();
+    match MediatorServer::bind(&listen, opts) {
         Ok(server) => {
             // Flushed for the same reason as the wrapper: ephemeral-port
             // scripts scrape this line through a pipe.
@@ -258,57 +232,32 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             server.run_forever();
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("error: cannot bind {listen}: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => failed(format_args!("cannot bind {listen}: {e}")),
     }
 }
 
 /// `dqs submit <spec.json> --connect ADDR [...]`: run a query remotely.
-fn cmd_submit(args: &[String]) -> ExitCode {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("error: submit requires a spec path");
-        return ExitCode::from(2);
-    };
-    let Some(addr) = flag_value(args, "--connect") else {
-        eprintln!("error: submit requires --connect ADDR");
-        return ExitCode::from(2);
-    };
-    let spec_json = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut opts = SubmitOpts {
-        strategy: flag_value(args, "--strategy").unwrap_or("dse").to_string(),
-        seed: None,
-        trace: args.iter().any(|a| a == "--trace"),
-        no_cache: args.iter().any(|a| a == "--no-cache"),
+fn cmd_submit(mut args: Args) -> ExitCode {
+    let path = args.path("submit requires a spec path");
+    let addr = args.connect("submit");
+    let opts = SubmitOpts {
+        strategy: args.get("--strategy").unwrap_or_else(|| "dse".to_string()),
+        seed: args.get("--seed"),
+        trace: args.has("--trace"),
+        no_cache: args.has("--no-cache"),
         // Default to retrying for a while: lets the quickstart launch
         // `serve` and `submit` together without a sleep in between.
-        connect_timeout: Duration::from_millis(10_000),
+        connect_timeout: Duration::from_millis(args.get("--connect-timeout").unwrap_or(10_000)),
     };
-    if let Some(s) = flag_value(args, "--seed") {
-        match s.parse() {
-            Ok(seed) => opts.seed = Some(seed),
-            Err(_) => {
-                eprintln!("error: --seed wants an integer, got {s:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(ms) = flag_value(args, "--connect-timeout") {
-        match ms.parse::<u64>() {
-            Ok(ms) => opts.connect_timeout = Duration::from_millis(ms),
-            Err(_) => {
-                eprintln!("error: --connect-timeout wants milliseconds, got {ms:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    // `--json` dumps the raw Done payload so scripts can grep
+    // serving-side counters (stale_served, refreshes, ...) that the human
+    // rendering below does not lift into fields.
+    let raw = args.has("--json");
+    args.finish();
+    let spec_json = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) => return failed(format_args!("cannot read {path}: {e}")),
+    };
     let result = dqs_mediator::submit(addr, &spec_json, &opts, |p| match p {
         Progress::Queued(pos) => eprintln!("queued at position {pos}"),
         Progress::Accepted {
@@ -321,98 +270,51 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         Progress::TraceLine(line) => println!("{line}"),
     });
     match result {
+        Ok(m) if raw => println!("{}", m.raw),
         Ok(m) => {
-            // `--json` dumps the raw Done payload so scripts can grep
-            // serving-side counters (stale_served, refreshes, ...) that
-            // the human rendering below does not lift into fields.
-            if args.iter().any(|a| a == "--json") {
-                println!("{}", m.raw);
-            } else {
-                println!("strategy       {}", m.strategy);
-                println!("response       {:.6} s", m.response_secs);
-                println!("output tuples  {}", m.output_tuples);
-            }
-            ExitCode::SUCCESS
+            println!("strategy       {}", m.strategy);
+            println!("response       {:.6} s", m.response_secs);
+            println!("output tuples  {}", m.output_tuples);
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => return failed(e),
     }
+    ExitCode::SUCCESS
 }
 
 /// `dqs invalidate --connect ADDR [--rel N] [--wrapper ID]`: refresh the
 /// mediator's result cache by dropping entries — one relation's, one
 /// logical wrapper's (the replica-group id scans were recorded under),
 /// their conjunction, or all of them.
-fn cmd_invalidate(args: &[String]) -> ExitCode {
-    let Some(addr) = flag_value(args, "--connect") else {
-        eprintln!("error: invalidate requires --connect ADDR");
-        return ExitCode::from(2);
-    };
-    let rel = match flag_value(args, "--rel") {
-        Some(n) => match n.parse::<u16>() {
-            Ok(r) => Some(dqs_relop::RelId(r)),
-            Err(_) => {
-                eprintln!("error: --rel wants a relation id, got {n:?}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let timeout = match flag_value(args, "--connect-timeout") {
-        Some(ms) => match ms.parse::<u64>() {
-            Ok(ms) => Duration::from_millis(ms),
-            Err(_) => {
-                eprintln!("error: --connect-timeout wants milliseconds, got {ms:?}");
-                return ExitCode::from(2);
-            }
-        },
-        None => Duration::from_millis(10_000),
-    };
-    let wrapper = flag_value(args, "--wrapper").map(str::to_string);
+fn cmd_invalidate(mut args: Args) -> ExitCode {
+    let addr = args.connect("invalidate");
+    let rel = args.get("--rel").map(dqs_relop::RelId);
+    let timeout = Duration::from_millis(args.get("--connect-timeout").unwrap_or(10_000));
+    let wrapper = args.get("--wrapper");
+    args.finish();
     match dqs_mediator::invalidate(addr, rel, wrapper, timeout) {
         Ok((entries, bytes)) => {
             println!("invalidated {entries} cached scans ({bytes} bytes released)");
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => failed(e),
     }
 }
 
 /// `dqs bench c10k --connect ADDR [...]`: the open-loop load generator —
 /// a flood trace (every session due at t = 0) of one spec, replayed.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    if args.first().map(String::as_str) != Some("c10k") {
-        eprintln!("error: bench wants a mode; only `bench c10k` exists");
-        return ExitCode::from(2);
-    }
-    let args = &args[1..];
-    let sessions = match flag_value(args, "--sessions") {
-        Some(n) => match n.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("error: --sessions wants an integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        },
-        None => 11_500,
-    };
-    let spec = match flag_value(args, "--spec") {
-        Some(path) => match std::fs::read_to_string(path) {
+fn cmd_bench_c10k(mut args: Args) -> ExitCode {
+    let sessions = args.get("--sessions").unwrap_or(11_500);
+    let spec_path = args.get::<String>("--spec");
+    let strategy = args.get("--strategy").unwrap_or_else(|| "dse".to_string());
+    let replay = Replay::parse("bench c10k", args);
+    let spec = match spec_path {
+        Some(path) => match std::fs::read_to_string(&path) {
             Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failed(format_args!("cannot read {path}: {e}")),
         },
         None => TINY_SPEC.to_string(),
     };
-    let strategy = flag_value(args, "--strategy").unwrap_or("dse");
-    match replay_and_print("bench c10k", &Trace::flood(sessions, &spec, strategy), args) {
+    match replay.run(&Trace::flood(sessions, &spec, &strategy)) {
         // A flood is judged on every session completing, so a backlog too
         // small to hold them all fails the run like any other error.
         Ok(report) if report.errored + report.rejected > 0 => ExitCode::FAILURE,
@@ -421,114 +323,53 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     }
 }
 
-/// `dqs workload gen|replay [...]`: the workload generator and the
-/// open-loop trace replay harness.
-fn cmd_workload(args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("gen") => cmd_workload_gen(&args[1..]),
-        Some("replay") => cmd_workload_replay(&args[1..]),
-        _ => {
-            eprintln!("error: workload wants a mode: `workload gen` or `workload replay`");
-            ExitCode::from(2)
-        }
-    }
-}
-
 /// `dqs workload gen --out trace.json [...]`: synthesize a trace.
-fn cmd_workload_gen(args: &[String]) -> ExitCode {
+fn cmd_workload_gen(mut args: Args) -> ExitCode {
     let mut opts = GenOpts::default();
-    macro_rules! int_flag {
-        ($flag:literal, $target:expr) => {
-            if let Some(n) = flag_value(args, $flag) {
-                match n.parse() {
-                    Ok(v) => $target = v,
-                    Err(_) => {
-                        eprintln!("error: {} wants an integer, got {n:?}", $flag);
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-        };
-    }
-    int_flag!("--seed", opts.seed);
-    int_flag!("--specs", opts.specs);
-    int_flag!("--events", opts.events);
+    opts.seed = args.get("--seed").unwrap_or(opts.seed);
+    opts.specs = args.get("--specs").unwrap_or(opts.specs);
+    opts.events = args.get("--events").unwrap_or(opts.events);
     if opts.specs == 0 || opts.events == 0 {
-        eprintln!("error: --specs and --events must be positive");
-        return ExitCode::from(2);
+        refuse("--specs and --events must be positive");
     }
-    if let Some(s) = flag_value(args, "--zipf") {
-        match s.parse() {
-            Ok(z) => opts.zipf_s = z,
-            Err(_) => {
-                eprintln!("error: --zipf wants a number, got {s:?}");
-                return ExitCode::from(2);
-            }
-        }
+    opts.zipf_s = args.get("--zipf").unwrap_or(opts.zipf_s);
+    let rate: f64 = args.get("--rate").unwrap_or(200.0);
+    if rate <= 0.0 {
+        refuse(format_args!("--rate wants a positive number, got {rate}"));
     }
-    let rate = match flag_value(args, "--rate") {
-        Some(r) => match r.parse::<f64>() {
-            Ok(r) if r > 0.0 => r,
-            _ => {
-                eprintln!("error: --rate wants a positive number, got {r:?}");
-                return ExitCode::from(2);
-            }
-        },
-        None => 200.0,
-    };
-    let parse_ms = |flag: &str, default: u64| -> Result<u64, ExitCode> {
-        match flag_value(args, flag) {
-            Some(n) => n.parse().map_err(|_| {
-                eprintln!("error: {flag} wants milliseconds, got {n:?}");
-                ExitCode::from(2)
-            }),
-            None => Ok(default),
-        }
-    };
-    opts.arrival = match flag_value(args, "--arrival").unwrap_or("poisson") {
+    let (on_ms, off_ms) = (
+        args.get("--on-ms").unwrap_or(200),
+        args.get("--off-ms").unwrap_or(300),
+    );
+    let base = args.get("--base-rate").unwrap_or((rate / 10.0).max(0.1));
+    let period_ms = args.get("--period-ms").unwrap_or(10_000);
+    let arrival = args
+        .get("--arrival")
+        .unwrap_or_else(|| "poisson".to_string());
+    opts.arrival = match arrival.as_str() {
         "poisson" => Arrival::Poisson { rate_per_sec: rate },
-        "bursty" => {
-            let (on_ms, off_ms) = match (parse_ms("--on-ms", 200), parse_ms("--off-ms", 300)) {
-                (Ok(on), Ok(off)) => (on, off),
-                (Err(code), _) | (_, Err(code)) => return code,
-            };
-            Arrival::Bursty {
-                rate_per_sec: rate,
-                on_ms,
-                off_ms,
-            }
-        }
-        "diurnal" => {
-            let base = match flag_value(args, "--base-rate") {
-                Some(b) => match b.parse::<f64>() {
-                    Ok(b) if b > 0.0 && b <= rate => b,
-                    _ => {
-                        eprintln!("error: --base-rate wants 0 < R ≤ --rate, got {b:?}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => (rate / 10.0).max(0.1),
-            };
-            let period_ms = match parse_ms("--period-ms", 10_000) {
-                Ok(p) => p,
-                Err(code) => return code,
-            };
-            Arrival::Diurnal {
-                base_per_sec: base,
-                peak_per_sec: rate,
-                period_ms,
-            }
-        }
-        other => {
-            eprintln!("error: unknown arrival {other:?} (poisson|bursty|diurnal)");
-            return ExitCode::from(2);
-        }
+        "bursty" => Arrival::Bursty {
+            rate_per_sec: rate,
+            on_ms,
+            off_ms,
+        },
+        "diurnal" if base > 0.0 && base <= rate => Arrival::Diurnal {
+            base_per_sec: base,
+            peak_per_sec: rate,
+            period_ms,
+        },
+        "diurnal" => refuse(format_args!("--base-rate wants 0 < R ≤ --rate, got {base}")),
+        other => refuse(format_args!(
+            "unknown arrival {other:?} (poisson|bursty|diurnal)"
+        )),
     };
-    let out = flag_value(args, "--out").unwrap_or("trace.json");
+    let out = args
+        .get("--out")
+        .unwrap_or_else(|| "trace.json".to_string());
+    args.finish();
     let trace = dqs_workload::generate(&opts);
-    if let Err(e) = std::fs::write(out, format!("{}\n", trace.to_json())) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+    if let Err(e) = std::fs::write(&out, format!("{}\n", trace.to_json())) {
+        return failed(format_args!("cannot write {out}: {e}"));
     }
     println!(
         "workload gen: {} events over {} specs, {:.1} s span, seed {} -> {}",
@@ -543,90 +384,81 @@ fn cmd_workload_gen(args: &[String]) -> ExitCode {
 
 /// `dqs workload replay TRACE --connect ADDR [...]`: fire a trace at a
 /// live mediator and report the latency split.
-fn cmd_workload_replay(args: &[String]) -> ExitCode {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("error: workload replay requires a trace path");
-        return ExitCode::from(2);
-    };
-    let trace = match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
+fn cmd_workload_replay(mut args: Args) -> ExitCode {
+    let path = args.path("workload replay requires a trace path");
+    let replay = Replay::parse("workload replay", args);
+    let trace = match std::fs::read_to_string(&path) {
         Ok(text) => match Trace::from_json(&text) {
             Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failed(e),
         },
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failed(format_args!("cannot read {path}: {e}")),
     };
-    match replay_and_print("workload replay", &trace, args) {
+    match replay.run(&trace) {
         Ok(report) if report.errored > 0 => ExitCode::FAILURE,
         Ok(_) => ExitCode::SUCCESS,
         Err(code) => code,
     }
 }
 
-/// What `bench c10k` and `workload replay` share: fire `trace` at the
+/// What `bench c10k` and `workload replay` share: fire a trace at the
 /// mediator named by `--connect` (with `--batch`, `--timeout-secs`), print
 /// the report's JSON line and a one-line summary, and write the JSON line
 /// to `--out FILE` only when asked. The caller rules on the exit code.
-fn replay_and_print(what: &str, trace: &Trace, args: &[String]) -> Result<ReplayReport, ExitCode> {
-    let Some(addr) = flag_value(args, "--connect") else {
-        eprintln!("error: {what} requires --connect ADDR");
-        return Err(ExitCode::from(2));
-    };
-    let mut opts = ReplayOpts {
-        addr: addr.to_string(),
-        ..ReplayOpts::default()
-    };
-    if let Some(n) = flag_value(args, "--batch") {
-        match n.parse() {
-            Ok(n) if n > 0 => opts.connect_batch = n,
-            _ => {
-                eprintln!("error: --batch wants a positive integer, got {n:?}");
-                return Err(ExitCode::from(2));
-            }
+struct Replay {
+    what: &'static str,
+    opts: ReplayOpts,
+    out: Option<String>,
+}
+
+impl Replay {
+    /// Takes the rest of `args`: these are the last flags either command
+    /// looks at.
+    fn parse(what: &'static str, mut args: Args) -> Replay {
+        let mut opts = ReplayOpts {
+            addr: args.connect(what),
+            ..ReplayOpts::default()
+        };
+        if let Some(n) = args.get::<NonZeroUsize>("--batch") {
+            opts.connect_batch = n.get();
         }
-    }
-    if let Some(n) = flag_value(args, "--timeout-secs") {
-        match n.parse::<u64>() {
-            Ok(s) => opts.timeout = Duration::from_secs(s),
-            Err(_) => {
-                eprintln!("error: --timeout-secs wants an integer, got {n:?}");
-                return Err(ExitCode::from(2));
-            }
+        if let Some(secs) = args.get("--timeout-secs") {
+            opts.timeout = Duration::from_secs(secs);
         }
+        let out = args.get("--out");
+        args.finish();
+        Replay { what, opts, out }
     }
-    let report = dqs_workload::replay(trace, &opts).map_err(|e| {
-        eprintln!("error: {what} failed: {e}");
-        ExitCode::FAILURE
-    })?;
-    let json = report.to_json();
-    let out = flag_value(args, "--out");
-    if let Some(out) = out {
-        std::fs::write(out, format!("{json}\n")).map_err(|e| {
-            eprintln!("error: cannot write {out}: {e}");
-            ExitCode::FAILURE
-        })?;
+
+    fn run(&self, trace: &Trace) -> Result<ReplayReport, ExitCode> {
+        let what = self.what;
+        let report = dqs_workload::replay(trace, &self.opts)
+            .map_err(|e| failed(format_args!("{what} failed: {e}")))?;
+        let json = report.to_json();
+        if let Some(out) = &self.out {
+            std::fs::write(out, format!("{json}\n"))
+                .map_err(|e| failed(format_args!("cannot write {out}: {e}")))?;
+        }
+        println!("{json}");
+        println!(
+            "{what}: {}/{} completed ({} rejected, {} errored), peak {} open, \
+             p99 total {:.2} ms = queue {:.2} + exec {:.2}, cache hit rate {:.1}%{}",
+            report.completed,
+            report.sessions,
+            report.rejected,
+            report.errored,
+            report.peak_concurrent,
+            report.total.p99_ms,
+            report.queue_wait.p99_ms,
+            report.exec.p99_ms,
+            report.cache_hit_rate() * 100.0,
+            self.out
+                .as_ref()
+                .map(|o| format!(" -> {o}"))
+                .unwrap_or_default()
+        );
+        Ok(report)
     }
-    println!("{json}");
-    println!(
-        "{what}: {}/{} completed ({} rejected, {} errored), peak {} open, \
-         p99 total {:.2} ms = queue {:.2} + exec {:.2}, cache hit rate {:.1}%{}",
-        report.completed,
-        report.sessions,
-        report.rejected,
-        report.errored,
-        report.peak_concurrent,
-        report.total.p99_ms,
-        report.queue_wait.p99_ms,
-        report.exec.p99_ms,
-        report.cache_hit_rate() * 100.0,
-        out.map(|o| format!(" -> {o}")).unwrap_or_default()
-    );
-    Ok(report)
 }
 
 fn load(path: &str) -> Result<Workload, String> {
@@ -733,59 +565,74 @@ fn explain(w: &Workload) {
     );
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    // The networked subcommands take flags, not a leading spec path.
-    match cmd.as_str() {
-        "wrapper" => return cmd_wrapper(&args[1..]),
-        "serve" => return cmd_serve(&args[1..]),
-        "submit" => return cmd_submit(&args[1..]),
-        "invalidate" => return cmd_invalidate(&args[1..]),
-        "bench" => return cmd_bench(&args[1..]),
-        "workload" => return cmd_workload(&args[1..]),
-        _ => {}
-    }
-    let Some(path) = args.get(1) else {
-        return usage();
-    };
-    let mut workload = match load(path) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--seed") {
-        match args.get(i + 1).and_then(|s| s.parse().ok()) {
-            Some(seed) => workload.config.seed = seed,
-            None => return usage(),
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--workers") {
-        match args.get(i + 1).and_then(|s| s.parse().ok()) {
-            Some(w) if w >= 1 => workload.config.workers = w,
-            _ => return usage(),
+/// What `dqs run` takes beyond the spec: `--strategy X | --all`,
+/// `--real-time`, `--trace-json PATH`.
+struct RunOpts {
+    strategy: String,
+    all: bool,
+    real_time: bool,
+    trace_json: Option<String>,
+}
+
+impl RunOpts {
+    fn parse(args: &mut Args) -> RunOpts {
+        RunOpts {
+            strategy: args.get("--strategy").unwrap_or_else(|| "dse".to_string()),
+            all: args.has("--all"),
+            real_time: args.has("--real-time"),
+            trace_json: args.get("--trace-json"),
         }
     }
 
-    match cmd.as_str() {
-        "validate" => {
-            println!(
-                "ok: {} relations, {} joins planned, {} pipeline chains",
-                workload.catalog.len(),
-                workload.qep.join_count(),
-                ChainSet::decompose(&workload.qep).len()
-            );
-            ExitCode::SUCCESS
+    fn run(&self, workload: &Workload) -> Result<(), String> {
+        if !self.all {
+            let path = self.trace_json.as_deref();
+            print_metrics(&run_strategy(
+                workload,
+                &self.strategy,
+                path,
+                self.real_time,
+            )?);
+            return Ok(());
         }
-        "explain" => {
-            explain(&workload);
-            ExitCode::SUCCESS
+        for s in ["seq", "ma", "scr", "dse", "spm"] {
+            // One trace file per strategy: `<path>.<strategy>`.
+            let path = self.trace_json.as_ref().map(|p| format!("{p}.{s}"));
+            print_metrics(&run_strategy(workload, s, path.as_deref(), self.real_time)?);
+            println!();
         }
-        "lwb" => {
+        Ok(())
+    }
+}
+
+/// `dqs explain|lwb|validate|run <spec.json> [--seed N] [--workers N]`:
+/// the commands that work on a spec in this process.
+fn cmd_local(cmd: &str, mut args: Args) -> ExitCode {
+    let path = args.path("a spec path comes first");
+    let seed = args.get("--seed");
+    let workers = args.get::<NonZeroUsize>("--workers");
+    let run = (cmd == "run").then(|| RunOpts::parse(&mut args));
+    args.finish();
+    let mut workload = match load(&path) {
+        Ok(w) => w,
+        Err(e) => return failed(e),
+    };
+    workload.config.seed = seed.unwrap_or(workload.config.seed);
+    workload.config.workers = workers.map_or(workload.config.workers, NonZeroUsize::get);
+    match (cmd, run) {
+        (_, Some(run)) => {
+            if let Err(e) = run.run(&workload) {
+                return failed(e);
+            }
+        }
+        ("validate", _) => println!(
+            "ok: {} relations, {} joins planned, {} pipeline chains",
+            workload.catalog.len(),
+            workload.qep.join_count(),
+            ChainSet::decompose(&workload.qep).len()
+        ),
+        ("explain", _) => explain(&workload),
+        _ => {
             let l = lwb(&workload);
             println!(
                 "LWB {:.6} s (cpu work {:.6} s, max retrieval {:.6} s)",
@@ -793,54 +640,30 @@ fn main() -> ExitCode {
                 l.cpu_work.as_secs_f64(),
                 l.max_retrieval.as_secs_f64()
             );
-            ExitCode::SUCCESS
         }
-        "run" => {
-            let trace_json =
-                args.iter()
-                    .position(|a| a == "--trace-json")
-                    .map(|i| match args.get(i + 1) {
-                        Some(p) => p.clone(),
-                        None => String::new(),
-                    });
-            if trace_json.as_deref() == Some("") {
-                return usage();
-            }
-            let real_time = args.iter().any(|a| a == "--real-time");
-            if args.iter().any(|a| a == "--all") {
-                for s in ["seq", "ma", "scr", "dse", "spm"] {
-                    // One trace file per strategy: `<path>.<strategy>`.
-                    let per_strategy = trace_json.as_ref().map(|p| format!("{p}.{s}"));
-                    match run_strategy(&workload, s, per_strategy.as_deref(), real_time) {
-                        Ok(m) => {
-                            print_metrics(&m);
-                            println!();
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                return ExitCode::SUCCESS;
-            }
-            let strategy = args
-                .iter()
-                .position(|a| a == "--strategy")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-                .unwrap_or("dse");
-            match run_strategy(&workload, strategy, trace_json.as_deref(), real_time) {
-                Ok(m) => {
-                    print_metrics(&m);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+    }
+    ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = argv.split_first() else {
+        return usage();
+    };
+    // `bench` and `workload` take a mode word before their arguments.
+    let mode = rest.first().map_or("", String::as_str);
+    let args = |skip: usize| Args::new(&rest[skip..]);
+    match (cmd.as_str(), mode) {
+        ("wrapper", _) => cmd_wrapper(args(0)),
+        ("serve", _) => cmd_serve(args(0)),
+        ("submit", _) => cmd_submit(args(0)),
+        ("invalidate", _) => cmd_invalidate(args(0)),
+        ("bench", "c10k") => cmd_bench_c10k(args(1)),
+        ("bench", _) => refuse("bench wants a mode; only `bench c10k` exists"),
+        ("workload", "gen") => cmd_workload_gen(args(1)),
+        ("workload", "replay") => cmd_workload_replay(args(1)),
+        ("workload", _) => refuse("workload wants a mode: `workload gen` or `workload replay`"),
+        ("explain" | "lwb" | "validate" | "run", _) => cmd_local(cmd, args(0)),
         _ => usage(),
     }
 }

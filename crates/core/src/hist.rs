@@ -9,6 +9,8 @@
 //! trades exactness for O(1) memory and O(1) record, which is what a
 //! serving mediator needs to track queue-wait over millions of sessions.
 
+use dqs_exec::json::{self, arr, fields, fixed};
+
 /// Exact percentile on an ascending-sorted slice: the smallest sample at
 /// or above quantile `q` of the distribution (nearest-rank). Empty input
 /// yields 0.
@@ -137,27 +139,36 @@ impl LatencyHistogram {
 
     /// Compact JSON rendering: cumulative stats plus the sparse buckets.
     pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .nonzero_buckets()
-            .into_iter()
-            .map(|(le, n)| format!("[{le},{n}]"))
-            .collect();
-        format!(
-            "{{\"count\":{},\"mean_us\":{:.1},\"max_us\":{},\"p50_us\":{},\
-             \"p99_us\":{},\"buckets\":[{}]}}",
-            self.count,
-            self.mean_us(),
-            self.max_us,
-            self.percentile_us(0.50),
-            self.percentile_us(0.99),
-            buckets.join(",")
-        )
+        json::object(|o| {
+            fields!(o,
+                "count": self.count, "mean_us": fixed(self.mean_us(), 1), "max_us": self.max_us,
+                "p50_us": self.percentile_us(0.50), "p99_us": self.percentile_us(0.99),
+                "buckets": arr(self.nonzero_buckets())
+            )
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The document, byte for byte as the pre-writer `format!` produced it.
+    #[test]
+    fn to_json_matches_the_golden_rendering() {
+        let mut h = LatencyHistogram::default();
+        for us in [1u64, 3, 3, 900, 1_000, 70_000, 5_000_000] {
+            h.record_us(us);
+        }
+        assert_eq!(
+            h.to_json(),
+            r#"{"count":7,"mean_us":724558.1,"max_us":5000000,"p50_us":1024,"p99_us":5000000,"buckets":[[2,1],[4,2],[1024,2],[131072,1],[8388608,1]]}"#
+        );
+        assert_eq!(
+            LatencyHistogram::default().to_json(),
+            r#"{"count":0,"mean_us":0.0,"max_us":0,"p50_us":0,"p99_us":0,"buckets":[]}"#
+        );
+    }
 
     #[test]
     fn percentiles_pick_the_right_ranks() {

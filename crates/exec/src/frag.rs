@@ -200,11 +200,6 @@ impl FragTable {
         self.frags.iter()
     }
 
-    /// Fragments of chain `pc` (in creation order).
-    pub fn of_pc(&self, pc: PcId) -> &[FragId] {
-        &self.by_pc[pc.0 as usize]
-    }
-
     /// The single *live* fragment representing chain `pc`'s remaining work:
     /// the Whole fragment, or the CF once degraded. `None` once complete.
     pub fn live_body(&self, pc: PcId) -> Option<FragId> {

@@ -1,15 +1,20 @@
-//! A small, strict JSON parser.
+//! A small, strict JSON parser, and the writer every emitted document
+//! goes through.
 //!
 //! The build environment has no crates.io access, so workload specs are
 //! parsed with this hand-written recursive-descent parser instead of
 //! `serde_json`. It accepts exactly RFC 8259 documents (no comments, no
 //! trailing commas, no NaN/Infinity) and reports byte offsets on errors.
+//! The way out is [`ToJson`]: trace lines, `Done` payloads, reports and
+//! generated specs all list their fields through it.
 //!
 //! Numbers are held as `f64`; integer accessors reject values that cannot
 //! be represented exactly (magnitude above 2^53 or fractional), which is
 //! far beyond anything a workload spec needs.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+pub use crate::fields;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -362,23 +367,195 @@ impl Parser<'_> {
     }
 }
 
-/// Escape `s` for embedding in JSON output (adds the surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+// ---------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------
+
+/// A value that writes itself as JSON text. The impls below are the only
+/// code in the workspace that knows JSON syntax on the way out; every
+/// emitted document lists its fields through [`object`] / [`obj`] and
+/// [`fields!`](crate::fields), so quoting, commas and escaping cannot be
+/// got wrong at a call site.
+///
+/// Integers are written exactly (a full `u64` seed survives, which
+/// [`Json::Number`] could not hold); `f64` uses Rust's shortest
+/// round-trip rendering, [`fixed`] a set number of decimals.
+pub trait ToJson {
+    /// Append this value's JSON text to `out`.
+    fn write_json(self, out: &mut String);
+}
+
+macro_rules! integers_to_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+integers_to_json!(u16, u32, u64, usize);
+
+impl ToJson for bool {
+    fn write_json(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+}
+
+impl ToJson for f64 {
+    fn write_json(self, out: &mut String) {
+        write_float(self, None, out);
+    }
+}
+
+/// `v` with exactly `decimals` digits after the point (`{:.N}`).
+pub fn fixed(v: f64, decimals: usize) -> impl ToJson {
+    Fixed(v, decimals)
+}
+
+struct Fixed(f64, usize);
+
+impl ToJson for Fixed {
+    fn write_json(self, out: &mut String) {
+        write_float(self.0, Some(self.1), out);
+    }
+}
+
+/// JSON has no NaN or infinity; they are written as `null`.
+fn write_float(v: f64, decimals: Option<usize>, out: &mut String) {
+    if !v.is_finite() {
+        return out.push_str("null");
+    }
+    let _ = match decimals {
+        Some(n) => write!(out, "{v:.n$}"),
+        None => write!(out, "{v}"),
+    };
+}
+
+impl ToJson for &str {
+    fn write_json(self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl ToJson for &String {
+    fn write_json(self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+/// `None` is `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
-    out.push('"');
+}
+
+/// A pair is a two-element array (`[bucket, count]`, `[query, secs]`).
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json(self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
+    }
+}
+
+/// An array of whatever `items` yields.
+pub fn arr<I>(items: I) -> impl ToJson
+where
+    I: IntoIterator,
+    I::Item: ToJson,
+{
+    Arr(items)
+}
+
+struct Arr<I>(I);
+
+impl<I> ToJson for Arr<I>
+where
+    I: IntoIterator,
+    I::Item: ToJson,
+{
+    fn write_json(self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.0.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// An object under construction; see [`Object::field`].
+#[derive(Debug)]
+pub struct Object<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl Object<'_> {
+    /// Append `"key":value`. Usually spelled through
+    /// [`fields!`](crate::fields).
+    pub fn field(&mut self, key: &str, value: impl ToJson) {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        key.write_json(self.out);
+        self.out.push(':');
+        value.write_json(self.out);
+    }
+}
+
+/// A nested object whose fields `fields` lists.
+pub fn obj<F: FnOnce(&mut Object<'_>)>(fields: F) -> impl ToJson {
+    Obj(fields)
+}
+
+struct Obj<F>(F);
+
+impl<F: FnOnce(&mut Object<'_>)> ToJson for Obj<F> {
+    fn write_json(self, out: &mut String) {
+        out.push('{');
+        (self.0)(&mut Object { out, empty: true });
+        out.push('}');
+    }
+}
+
+/// One whole document: the object whose fields `fields` lists, as text.
+pub fn object<F: FnOnce(&mut Object<'_>)>(fields: F) -> String {
+    let mut out = String::new();
+    obj(fields).write_json(&mut out);
     out
+}
+
+/// List fields on an [`Object`], in document order:
+/// `fields!(o, "rel": 3, "finished": true)`.
+#[macro_export]
+macro_rules! fields {
+    ($object:ident, $($key:literal : $value:expr),+ $(,)?) => {{
+        $( $object.field($key, $value); )+
+    }};
 }
 
 #[cfg(test)]
@@ -433,6 +610,62 @@ mod tests {
     #[test]
     fn escape_round_trips() {
         let s = "a\"b\\c\nd\u{1}";
-        assert_eq!(parse(&escape(s)).unwrap().as_str(), Some(s));
+        let doc = object(|o| fields!(o, "s": s));
+        assert_eq!(doc, r#"{"s":"a\"b\\c\nd\u0001"}"#);
+        assert_eq!(parse(&doc).unwrap().get("s").unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn writer_nests_and_keeps_numbers_exact() {
+        let doc = object(|o| {
+            fields!(o,
+                "seed": u64::MAX, "f": 0.1 + 0.2, "secs": fixed(1.0 / 3.0, 6), "nan": f64::NAN,
+                "none": None::<u64>, "on": true, "ids": arr([2u16, 1]),
+                "pairs": arr([(0u32, 1.5)]), "why": obj(|o| fields!(o, "end_of_qf": 4u32)),
+                "empty": obj(|_| {})
+            )
+        });
+        assert_eq!(
+            doc,
+            "{\"seed\":18446744073709551615,\"f\":0.30000000000000004,\"secs\":0.333333,\
+             \"nan\":null,\"none\":null,\"on\":true,\"ids\":[2,1],\"pairs\":[[0,1.5]],\
+             \"why\":{\"end_of_qf\":4},\"empty\":{}}"
+        );
+        assert!(parse(&doc).is_ok());
+    }
+
+    /// JSON syntax lives in this file only: outside it, no shipped line
+    /// under `crates/*/src` (tests excluded) splices an object by hand —
+    /// the `{{\"` that opens one in a `format!` string, or the `\":{`
+    /// that nests one.
+    #[test]
+    fn no_crate_splices_json_by_hand() {
+        fn scan(dir: &std::path::Path, offenders: &mut Vec<String>) {
+            for entry in std::fs::read_dir(dir).expect("readable source dir") {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    scan(&path, offenders);
+                } else if path.extension().is_some_and(|e| e == "rs")
+                    && !path.ends_with("exec/src/json.rs")
+                {
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    let shipped = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+                    for (n, line) in shipped.enumerate() {
+                        if line.contains("{{\\\"") || line.contains("\\\":{") {
+                            offenders.push(format!("{}:{}: {line}", path.display(), n + 1));
+                        }
+                    }
+                }
+            }
+        }
+        let crates = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
+        let mut offenders = Vec::new();
+        for krate in std::fs::read_dir(crates).unwrap() {
+            let src = krate.unwrap().path().join("src");
+            if src.is_dir() {
+                scan(&src, &mut offenders);
+            }
+        }
+        assert!(offenders.is_empty(), "{offenders:#?}");
     }
 }

@@ -15,7 +15,7 @@
 //!   [`RealTimeDriver`];
 //! * [`error`] — typed [`RunError`] abort reasons;
 //! * [`observe`] — structured, typed engine events ([`EngineEvent`]) and the
-//!   [`EngineObserver`] trait, with text-trace, metrics and JSON-lines sinks;
+//!   [`EngineObserver`] trait, with metrics and JSON-lines sinks;
 //! * [`policy::Policy`] — the DQS interface: scheduling plans recomputed at
 //!   every interruption;
 //! * [`strategies`] — the SEQ / MA / scrambling baselines and the adaptive
@@ -66,9 +66,7 @@ pub use error::RunError;
 pub use frag::{FragId, FragKind, FragSink, FragSource, FragStatus, FragTable, TempId};
 pub use metrics::RunMetrics;
 pub use multi::{combine, SingleQuery};
-pub use observe::{
-    EngineEvent, EngineObserver, JsonLinesSink, MetricsObserver, NullObserver, TextTrace,
-};
+pub use observe::{EngineEvent, EngineObserver, JsonLinesSink, MetricsObserver, NullObserver};
 pub use policy::{Interrupt, PlanCtx, Policy};
 pub use pool::{PoolStats, TaskCtx, WorkerPool};
 pub use runtime::{

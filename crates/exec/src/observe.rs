@@ -8,10 +8,9 @@
 //!
 //! * [`MetricsObserver`] — always on; folds events into
 //!   [`RunMetrics`](crate::metrics::RunMetrics) counters.
-//! * [`TextTrace`] — enabled by `EngineConfig::trace`; renders the classic
-//!   human-readable trace ([`dqs_sim::Trace`]).
 //! * [`JsonLinesSink`] — streams one JSON object per event to any writer
-//!   (the CLI's `--trace-json`).
+//!   (the CLI's `--trace-json`), through [`render`] — the only function
+//!   that turns an event into text.
 //! * Any user observer passed to
 //!   [`Engine::with_observer`](crate::Engine::with_observer). The default
 //!   [`NullObserver`] is a static no-op the optimizer erases.
@@ -24,11 +23,11 @@ use std::io::Write;
 
 use dqs_plan::PcId;
 use dqs_relop::{HtId, RelId};
-use dqs_sim::{SimTime, Trace, TraceKind};
+use dqs_sim::SimTime;
 
 use crate::error::RunError;
 use crate::frag::{FragId, TempId};
-use crate::json::escape;
+use crate::json::{self, arr, fields, fixed, obj, ToJson};
 use crate::metrics::MetricsAcc;
 use crate::policy::Interrupt;
 
@@ -295,182 +294,128 @@ impl EngineObserver for MetricsObserver {
     }
 }
 
-/// Renders events into the classic human-readable [`Trace`]. This is the
-/// only place engine activity is turned into text for the text trace.
-#[derive(Debug)]
-pub struct TextTrace {
-    trace: Trace,
-}
-
-impl TextTrace {
-    /// A collecting text trace.
-    pub fn new() -> TextTrace {
-        TextTrace {
-            trace: Trace::enabled(),
-        }
-    }
-
-    /// Take the rendered trace out.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-}
-
-impl Default for TextTrace {
-    fn default() -> Self {
-        TextTrace::new()
-    }
-}
-
-impl EngineObserver for TextTrace {
-    fn on_event(&mut self, at: SimTime, ev: &EngineEvent<'_>) {
-        let (kind, detail) = match *ev {
-            EngineEvent::Arrival { rel, finished } => (
-                TraceKind::Arrival,
-                format!("rel {} tuple (finished={finished})", rel.0),
-            ),
-            EngineEvent::BatchStart { frag, tuples } => (
-                TraceKind::Batch,
-                format!("batch start frag {} ({tuples} tuples)", frag.0),
-            ),
-            EngineEvent::BatchDone { frag, .. } => {
-                (TraceKind::Batch, format!("batch done frag {}", frag.0))
+/// The one place an engine event becomes text: one flat JSON object with
+/// `"at_us"` (virtual time in microseconds), `"type"`, then the variant's
+/// fields. [`JsonLinesSink`] writes these lines to a file; the mediator
+/// sends them as `Trace` frames.
+pub fn render(at: SimTime, ev: &EngineEvent<'_>) -> String {
+    json::object(|o| {
+        fields!(o, "at_us": at.saturating_since(SimTime::ZERO).as_micros_f64());
+        match *ev {
+            EngineEvent::Arrival { rel, finished } => {
+                fields!(o, "type": "arrival", "rel": rel.0, "finished": finished)
             }
-            EngineEvent::PlanComputed { why, sp } => (
-                TraceKind::Plan,
-                format!(
-                    "{why:?} -> sp {:?}",
-                    sp.iter().map(|f| f.0).collect::<Vec<_>>()
-                ),
-            ),
-            EngineEvent::InterruptRaised(why) => (
-                TraceKind::Interrupt,
-                match why {
-                    Interrupt::Timeout => "TimeOut".into(),
-                    Interrupt::EndOfQf(f) => format!("EndOfQF frag {}", f.0),
-                    other => format!("{other:?}"),
-                },
-            ),
-            EngineEvent::Degraded { pc, mf, cf, temp } => (
-                TraceKind::Other,
-                format!(
-                    "degrade pc {} -> mf {} cf {} (temp {})",
-                    pc.0, mf.0, cf.0, temp.0
-                ),
-            ),
+            EngineEvent::BatchStart { frag, tuples } => {
+                fields!(o, "type": "batch_start", "frag": frag.0, "tuples": tuples)
+            }
+            EngineEvent::BatchDone { frag, output } => {
+                fields!(o, "type": "batch_done", "frag": frag.0, "output": output)
+            }
+            EngineEvent::PlanComputed { why, sp } => {
+                fields!(o, "type": "plan", "why": why, "sp": arr(sp.iter().map(|f| f.0)))
+            }
+            EngineEvent::InterruptRaised(why) => fields!(o, "type": "interrupt", "why": why),
+            EngineEvent::Degraded { pc, mf, cf, temp } => {
+                fields!(o, "type": "degrade", "pc": pc.0, "mf": mf.0, "cf": cf.0, "temp": temp.0)
+            }
             EngineEvent::Split {
                 from,
                 head,
                 tail,
                 temp,
-            } => (
-                TraceKind::Other,
-                format!(
-                    "split frag {} -> head {} tail {} (temp {})",
-                    from.0, head.0, tail.0, temp.0
-                ),
+            } => fields!(o,
+                "type": "split", "from": from.0, "head": head.0, "tail": tail.0, "temp": temp.0
             ),
-            EngineEvent::MatCancelled { mf, cf } => (
-                TraceKind::Other,
-                format!("cancel mf {} (cf {} takes the queue)", mf.0, cf.0),
-            ),
-            EngineEvent::MemoryGranted { ht, bytes } => (
-                TraceKind::Other,
-                format!("memory grant ht {} ({bytes} bytes)", ht.0),
-            ),
-            EngineEvent::MemoryDenied { frag, needed, free } => (
-                TraceKind::Other,
-                format!("memory deny frag {} ({needed} needed, {free} free)", frag.0),
-            ),
-            EngineEvent::TempWrite { temp, tuples } => (
-                TraceKind::Io,
-                format!("temp {} write {tuples} tuples", temp.0),
-            ),
-            EngineEvent::TempRead { temp, tuples } => (
-                TraceKind::Io,
-                format!("temp {} read {tuples} tuples", temp.0),
-            ),
-            EngineEvent::CacheHit { rel, tuples, bytes } => (
-                TraceKind::Other,
-                format!("cache hit rel {} ({tuples} tuples, {bytes} bytes)", rel.0),
-            ),
-            EngineEvent::CacheMiss { rel } => {
-                (TraceKind::Other, format!("cache miss rel {}", rel.0))
+            EngineEvent::MatCancelled { mf, cf } => {
+                fields!(o, "type": "mat_cancel", "mf": mf.0, "cf": cf.0)
             }
-            EngineEvent::ReplicaPinned { rel, endpoint } => (
-                TraceKind::Other,
-                format!("replica pin rel {} -> {endpoint}", rel.0),
-            ),
+            EngineEvent::MemoryGranted { ht, bytes } => {
+                fields!(o, "type": "mem_grant", "ht": ht.0, "bytes": bytes)
+            }
+            EngineEvent::MemoryDenied { frag, needed, free } => {
+                fields!(o, "type": "mem_deny", "frag": frag.0, "needed": needed, "free": free)
+            }
+            EngineEvent::TempWrite { temp, tuples } => {
+                fields!(o, "type": "temp_write", "temp": temp.0, "tuples": tuples)
+            }
+            EngineEvent::TempRead { temp, tuples } => {
+                fields!(o, "type": "temp_read", "temp": temp.0, "tuples": tuples)
+            }
+            EngineEvent::CacheHit { rel, tuples, bytes } => {
+                fields!(o, "type": "cache_hit", "rel": rel.0, "tuples": tuples, "bytes": bytes)
+            }
+            EngineEvent::CacheMiss { rel } => fields!(o, "type": "cache_miss", "rel": rel.0),
+            EngineEvent::ReplicaPinned { rel, endpoint } => {
+                fields!(o, "type": "replica_pin", "rel": rel.0, "endpoint": endpoint)
+            }
             EngineEvent::Failover {
                 rel,
                 from,
                 to,
                 resume_from,
-            } => (
-                TraceKind::Other,
-                format!(
-                    "failover rel {} {from} -> {to} (resume at {resume_from})",
-                    rel.0
-                ),
+            } => fields!(o,
+                "type": "failover", "rel": rel.0, "from": from, "to": to,
+                "resume_from": resume_from
             ),
             EngineEvent::ReplicaDegraded {
                 rel,
                 endpoint,
                 error,
-            } => (
-                TraceKind::Other,
-                format!("replica degraded rel {} {endpoint}: {error}", rel.0),
+            } => fields!(o,
+                "type": "replica_degraded", "rel": rel.0, "endpoint": endpoint,
+                "error": error.kind()
             ),
             EngineEvent::MorselDispatched {
                 frag,
                 index,
                 tuples,
-            } => (
-                TraceKind::Batch,
-                format!("morsel {index} of frag {} ({tuples} tuples)", frag.0),
-            ),
+            } => fields!(o, "type": "morsel", "frag": frag.0, "index": index, "tuples": tuples),
             EngineEvent::MorselStolen {
                 frag,
                 index,
                 worker,
-            } => (
-                TraceKind::Batch,
-                format!(
-                    "morsel {index} of frag {} stolen by worker {worker}",
-                    frag.0
-                ),
+            } => fields!(o,
+                "type": "morsel_stolen", "frag": frag.0, "index": index, "worker": worker
             ),
             EngineEvent::RateSample {
                 rel,
                 rate_tps,
                 burstiness,
-            } => (
-                TraceKind::Other,
-                format!(
-                    "rate sample rel {} ({rate_tps:.0} t/s, cv {burstiness:.2})",
-                    rel.0
-                ),
+            } => fields!(o,
+                "type": "rate_sample", "rel": rel.0, "tps": fixed(rate_tps, 3),
+                "cv": fixed(burstiness, 4)
             ),
-            EngineEvent::RatePermuted { order } => (
-                TraceKind::Plan,
-                format!(
-                    "permute drain order {:?}",
-                    order.iter().map(|r| r.0).collect::<Vec<_>>()
-                ),
+            EngineEvent::RatePermuted { order } => {
+                fields!(o, "type": "rate_permuted", "order": arr(order.iter().map(|r| r.0)))
+            }
+            EngineEvent::Stalled => fields!(o, "type": "stall"),
+            EngineEvent::Aborted { reason } => fields!(o,
+                "type": "abort", "kind": reason.kind(), "reason": &reason.to_string()
             ),
-            EngineEvent::Stalled => (TraceKind::Other, "stall".into()),
-            EngineEvent::Aborted { reason } => (TraceKind::Other, format!("abort: {reason}")),
-        };
-        self.trace.emit(at, kind, || detail);
+        }
+    })
+}
+
+/// `"start"`-style names for the bare interrupts, one-key objects for the
+/// ones that carry data.
+impl ToJson for Interrupt {
+    fn write_json(self, out: &mut String) {
+        match self {
+            Interrupt::Start => "start".write_json(out),
+            Interrupt::RateChange => "rate_change".write_json(out),
+            Interrupt::Timeout => "timeout".write_json(out),
+            Interrupt::EndOfQf(f) => obj(|o| fields!(o, "end_of_qf": f.0)).write_json(out),
+            Interrupt::MemoryOverflow { frag, needed } => {
+                let detail = obj(|o| fields!(o, "frag": frag.0, "needed": needed));
+                obj(|o| fields!(o, "memory_overflow": detail)).write_json(out)
+            }
+        }
     }
 }
 
-/// Streams events as JSON lines (one object per event) to any writer.
-///
-/// Every line has `"at_us"` (virtual time in microseconds) and `"type"`;
-/// the remaining fields are flat and numeric. Written lines are valid JSON
-/// parseable independently, so traces can be processed with standard
-/// line-oriented tooling.
+/// Streams [`render`]ed events, one line each, to any writer (the CLI's
+/// `--trace-json`). Each line parses on its own, so traces work with
+/// standard line-oriented tooling.
 #[derive(Debug)]
 pub struct JsonLinesSink<W: Write> {
     out: W,
@@ -492,193 +437,27 @@ impl<W: Write> JsonLinesSink<W> {
         self.out.flush()?;
         Ok(self.out)
     }
-
-    fn write_line(&mut self, at: SimTime, body: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        let us = at.saturating_since(SimTime::ZERO).as_micros_f64();
-        if let Err(e) = writeln!(self.out, "{{\"at_us\":{us},{body}}}") {
-            self.error = Some(e);
-        }
-    }
-}
-
-fn interrupt_json(why: Interrupt) -> String {
-    match why {
-        Interrupt::Start => "\"start\"".into(),
-        Interrupt::EndOfQf(f) => format!("{{\"end_of_qf\":{}}}", f.0),
-        Interrupt::RateChange => "\"rate_change\"".into(),
-        Interrupt::Timeout => "\"timeout\"".into(),
-        Interrupt::MemoryOverflow { frag, needed } => {
-            format!(
-                "{{\"memory_overflow\":{{\"frag\":{},\"needed\":{needed}}}}}",
-                frag.0
-            )
-        }
-    }
 }
 
 impl<W: Write> EngineObserver for JsonLinesSink<W> {
     fn on_event(&mut self, at: SimTime, ev: &EngineEvent<'_>) {
-        let body = match *ev {
-            EngineEvent::Arrival { rel, finished } => {
-                format!(
-                    "\"type\":\"arrival\",\"rel\":{},\"finished\":{finished}",
-                    rel.0
-                )
-            }
-            EngineEvent::BatchStart { frag, tuples } => {
-                format!(
-                    "\"type\":\"batch_start\",\"frag\":{},\"tuples\":{tuples}",
-                    frag.0
-                )
-            }
-            EngineEvent::BatchDone { frag, output } => {
-                format!(
-                    "\"type\":\"batch_done\",\"frag\":{},\"output\":{output}",
-                    frag.0
-                )
-            }
-            EngineEvent::PlanComputed { why, sp } => {
-                let ids: Vec<String> = sp.iter().map(|f| f.0.to_string()).collect();
-                format!(
-                    "\"type\":\"plan\",\"why\":{},\"sp\":[{}]",
-                    interrupt_json(why),
-                    ids.join(",")
-                )
-            }
-            EngineEvent::InterruptRaised(why) => {
-                format!("\"type\":\"interrupt\",\"why\":{}", interrupt_json(why))
-            }
-            EngineEvent::Degraded { pc, mf, cf, temp } => format!(
-                "\"type\":\"degrade\",\"pc\":{},\"mf\":{},\"cf\":{},\"temp\":{}",
-                pc.0, mf.0, cf.0, temp.0
-            ),
-            EngineEvent::Split {
-                from,
-                head,
-                tail,
-                temp,
-            } => format!(
-                "\"type\":\"split\",\"from\":{},\"head\":{},\"tail\":{},\"temp\":{}",
-                from.0, head.0, tail.0, temp.0
-            ),
-            EngineEvent::MatCancelled { mf, cf } => {
-                format!("\"type\":\"mat_cancel\",\"mf\":{},\"cf\":{}", mf.0, cf.0)
-            }
-            EngineEvent::MemoryGranted { ht, bytes } => {
-                format!("\"type\":\"mem_grant\",\"ht\":{},\"bytes\":{bytes}", ht.0)
-            }
-            EngineEvent::MemoryDenied { frag, needed, free } => format!(
-                "\"type\":\"mem_deny\",\"frag\":{},\"needed\":{needed},\"free\":{free}",
-                frag.0
-            ),
-            EngineEvent::TempWrite { temp, tuples } => {
-                format!(
-                    "\"type\":\"temp_write\",\"temp\":{},\"tuples\":{tuples}",
-                    temp.0
-                )
-            }
-            EngineEvent::TempRead { temp, tuples } => {
-                format!(
-                    "\"type\":\"temp_read\",\"temp\":{},\"tuples\":{tuples}",
-                    temp.0
-                )
-            }
-            EngineEvent::CacheHit { rel, tuples, bytes } => format!(
-                "\"type\":\"cache_hit\",\"rel\":{},\"tuples\":{tuples},\"bytes\":{bytes}",
-                rel.0
-            ),
-            EngineEvent::CacheMiss { rel } => {
-                format!("\"type\":\"cache_miss\",\"rel\":{}", rel.0)
-            }
-            EngineEvent::ReplicaPinned { rel, endpoint } => format!(
-                "\"type\":\"replica_pin\",\"rel\":{},\"endpoint\":{}",
-                rel.0,
-                escape(endpoint)
-            ),
-            EngineEvent::Failover {
-                rel,
-                from,
-                to,
-                resume_from,
-            } => format!(
-                "\"type\":\"failover\",\"rel\":{},\"from\":{},\"to\":{},\"resume_from\":{resume_from}",
-                rel.0,
-                escape(from),
-                escape(to)
-            ),
-            EngineEvent::ReplicaDegraded {
-                rel,
-                endpoint,
-                error,
-            } => format!(
-                "\"type\":\"replica_degraded\",\"rel\":{},\"endpoint\":{},\"error\":\"{}\"",
-                rel.0,
-                escape(endpoint),
-                error.kind()
-            ),
-            EngineEvent::MorselDispatched {
-                frag,
-                index,
-                tuples,
-            } => format!(
-                "\"type\":\"morsel\",\"frag\":{},\"index\":{index},\"tuples\":{tuples}",
-                frag.0
-            ),
-            EngineEvent::MorselStolen { frag, index, worker } => format!(
-                "\"type\":\"morsel_stolen\",\"frag\":{},\"index\":{index},\"worker\":{worker}",
-                frag.0
-            ),
-            EngineEvent::RateSample {
-                rel,
-                rate_tps,
-                burstiness,
-            } => format!(
-                "\"type\":\"rate_sample\",\"rel\":{},\"tps\":{rate_tps:.3},\"cv\":{burstiness:.4}",
-                rel.0
-            ),
-            EngineEvent::RatePermuted { order } => {
-                let ids: Vec<String> = order.iter().map(|r| r.0.to_string()).collect();
-                format!("\"type\":\"rate_permuted\",\"order\":[{}]", ids.join(","))
-            }
-            EngineEvent::Stalled => "\"type\":\"stall\"".to_string(),
-            EngineEvent::Aborted { reason } => format!(
-                "\"type\":\"abort\",\"kind\":\"{}\",\"reason\":{}",
-                reason.kind(),
-                escape(&reason.to_string())
-            ),
-        };
-        self.write_line(at, &body);
+        if self.error.is_none() {
+            self.error = writeln!(self.out, "{}", render(at, ev)).err();
+        }
     }
 }
 
-/// The engine's observer stack: metrics (always), the text trace (when
-/// configured), and the caller's observer.
+/// The engine's observer stack: metrics (always) and the caller's
+/// observer.
 #[derive(Debug)]
 pub(crate) struct Observers<O: EngineObserver> {
     pub(crate) metrics: MetricsObserver,
-    pub(crate) text: Option<TextTrace>,
     pub(crate) user: O,
-}
-
-impl<O: EngineObserver> Observers<O> {
-    pub(crate) fn new(trace: bool, user: O) -> Observers<O> {
-        Observers {
-            metrics: MetricsObserver::default(),
-            text: trace.then(TextTrace::new),
-            user,
-        }
-    }
 }
 
 impl<O: EngineObserver> EngineObserver for Observers<O> {
     fn on_event(&mut self, at: SimTime, ev: &EngineEvent<'_>) {
         self.metrics.on_event(at, ev);
-        if let Some(t) = &mut self.text {
-            t.on_event(at, ev);
-        }
         self.user.on_event(at, ev);
     }
 }
@@ -747,55 +526,91 @@ mod tests {
         assert_eq!(rm.plans, 1);
     }
 
-    #[test]
-    fn text_trace_renders_classic_lines() {
-        let mut t = TextTrace::new();
-        t.on_event(
-            SimTime::ZERO,
-            &EngineEvent::Arrival {
-                rel: RelId(3),
-                finished: false,
-            },
-        );
-        t.on_event(
-            SimTime::ZERO,
-            &EngineEvent::InterruptRaised(Interrupt::EndOfQf(FragId(7))),
-        );
-        let trace = t.into_trace();
-        assert_eq!(trace.events()[0].detail, "rel 3 tuple (finished=false)");
-        assert_eq!(trace.events()[1].detail, "EndOfQF frag 7");
-    }
-
+    /// Every variant (and every interrupt shape) against the bytes the
+    /// previous renderer produced for the same events.
     #[test]
     fn json_lines_are_parseable_objects() {
+        let timeout = dqs_source::SourceError::Timeout { millis: 250 };
+        let abort = RunError::Wrapper {
+            rel: RelId(2),
+            error: dqs_source::SourceError::Disconnected {
+                detail: "reset \"by\" peer\n\u{1}".into(),
+            },
+        };
+        let overflow = Interrupt::MemoryOverflow {
+            frag: FragId(1),
+            needed: 64,
+        };
+        #[rustfmt::skip]
+        let events = [
+            EngineEvent::Arrival { rel: RelId(3), finished: true },
+            EngineEvent::BatchStart { frag: FragId(2), tuples: 128 },
+            EngineEvent::BatchDone { frag: FragId(2), output: 17 },
+            EngineEvent::PlanComputed { why: Interrupt::Start, sp: &[FragId(2), FragId(1)] },
+            EngineEvent::PlanComputed { why: overflow, sp: &[] },
+            EngineEvent::InterruptRaised(Interrupt::EndOfQf(FragId(4))),
+            EngineEvent::InterruptRaised(Interrupt::RateChange),
+            EngineEvent::InterruptRaised(Interrupt::Timeout),
+            EngineEvent::Degraded { pc: PcId(1), mf: FragId(5), cf: FragId(6), temp: TempId(0) },
+            EngineEvent::Split { from: FragId(1), head: FragId(7), tail: FragId(8), temp: TempId(1) },
+            EngineEvent::MatCancelled { mf: FragId(5), cf: FragId(6) },
+            EngineEvent::MemoryGranted { ht: HtId(2), bytes: 4096 },
+            EngineEvent::MemoryDenied { frag: FragId(1), needed: 8192, free: 100 },
+            EngineEvent::TempWrite { temp: TempId(0), tuples: 204 },
+            EngineEvent::TempRead { temp: TempId(0), tuples: 204 },
+            EngineEvent::CacheHit { rel: RelId(0), tuples: 300, bytes: 2400 },
+            EngineEvent::CacheMiss { rel: RelId(1) },
+            EngineEvent::ReplicaPinned { rel: RelId(0), endpoint: "127.0.0.1:7405" },
+            EngineEvent::Failover { rel: RelId(0), from: "127.0.0.1:7405", to: "host\\b:7406", resume_from: 1234 },
+            EngineEvent::ReplicaDegraded { rel: RelId(0), endpoint: "127.0.0.1:7405", error: &timeout },
+            EngineEvent::MorselDispatched { frag: FragId(2), index: 3, tuples: 64 },
+            EngineEvent::MorselStolen { frag: FragId(2), index: 3, worker: 1 },
+            EngineEvent::RateSample { rel: RelId(1), rate_tps: 12345.678901, burstiness: 0.25 },
+            EngineEvent::RatePermuted { order: &[RelId(1), RelId(0)] },
+            EngineEvent::Stalled,
+            EngineEvent::Aborted { reason: &abort },
+        ];
+        let golden = [
+            r#"{"at_us":0,"type":"arrival","rel":3,"finished":true}"#,
+            r#"{"at_us":1.5,"type":"batch_start","frag":2,"tuples":128}"#,
+            r#"{"at_us":3,"type":"batch_done","frag":2,"output":17}"#,
+            r#"{"at_us":4.5,"type":"plan","why":"start","sp":[2,1]}"#,
+            r#"{"at_us":6,"type":"plan","why":{"memory_overflow":{"frag":1,"needed":64}},"sp":[]}"#,
+            r#"{"at_us":7.5,"type":"interrupt","why":{"end_of_qf":4}}"#,
+            r#"{"at_us":9,"type":"interrupt","why":"rate_change"}"#,
+            r#"{"at_us":10.5,"type":"interrupt","why":"timeout"}"#,
+            r#"{"at_us":12,"type":"degrade","pc":1,"mf":5,"cf":6,"temp":0}"#,
+            r#"{"at_us":13.5,"type":"split","from":1,"head":7,"tail":8,"temp":1}"#,
+            r#"{"at_us":15,"type":"mat_cancel","mf":5,"cf":6}"#,
+            r#"{"at_us":16.5,"type":"mem_grant","ht":2,"bytes":4096}"#,
+            r#"{"at_us":18,"type":"mem_deny","frag":1,"needed":8192,"free":100}"#,
+            r#"{"at_us":19.5,"type":"temp_write","temp":0,"tuples":204}"#,
+            r#"{"at_us":21,"type":"temp_read","temp":0,"tuples":204}"#,
+            r#"{"at_us":22.5,"type":"cache_hit","rel":0,"tuples":300,"bytes":2400}"#,
+            r#"{"at_us":24,"type":"cache_miss","rel":1}"#,
+            r#"{"at_us":25.5,"type":"replica_pin","rel":0,"endpoint":"127.0.0.1:7405"}"#,
+            r#"{"at_us":27,"type":"failover","rel":0,"from":"127.0.0.1:7405","to":"host\\b:7406","resume_from":1234}"#,
+            r#"{"at_us":28.5,"type":"replica_degraded","rel":0,"endpoint":"127.0.0.1:7405","error":"timeout"}"#,
+            r#"{"at_us":30,"type":"morsel","frag":2,"index":3,"tuples":64}"#,
+            r#"{"at_us":31.5,"type":"morsel_stolen","frag":2,"index":3,"worker":1}"#,
+            r#"{"at_us":33,"type":"rate_sample","rel":1,"tps":12345.679,"cv":0.2500}"#,
+            r#"{"at_us":34.5,"type":"rate_permuted","order":[1,0]}"#,
+            r#"{"at_us":36,"type":"stall"}"#,
+            r#"{"at_us":37.5,"type":"abort","kind":"wrapper","reason":"wrapper for relation 2 failed: peer disconnected: reset \"by\" peer\n\u0001"}"#,
+        ];
         let mut sink = JsonLinesSink::new(Vec::new());
-        sink.on_event(
-            SimTime::ZERO,
-            &EngineEvent::PlanComputed {
-                why: Interrupt::MemoryOverflow {
-                    frag: FragId(1),
-                    needed: 64,
-                },
-                sp: &[FragId(2), FragId(1)],
-            },
-        );
-        sink.on_event(
-            SimTime::ZERO,
-            &EngineEvent::BatchStart {
-                frag: FragId(2),
-                tuples: 128,
-            },
-        );
-        let bytes = sink.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
+        for (i, ev) in events.iter().enumerate() {
+            sink.on_event(SimTime::from_nanos(i as u64 * 1_500), ev);
+        }
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"at_us\":0"));
-        assert!(lines[0].contains("\"sp\":[2,1]"));
-        assert!(lines[0].contains("\"memory_overflow\""));
-        assert!(lines[1].contains("\"type\":\"batch_start\""));
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
+        assert_eq!(lines, golden);
+        for line in lines {
+            let v = json::parse(line).expect(line);
+            assert!(
+                v.get("at_us").is_some() && v.get("type").is_some(),
+                "{line}"
+            );
         }
     }
 }

@@ -34,7 +34,7 @@ use crate::driver::{Driver, RealTimeDriver, Signal, SimDriver};
 use crate::error::RunError;
 use crate::frag::{FragId, FragTable};
 use crate::metrics::RunMetrics;
-use crate::observe::{EngineEvent, EngineObserver, NullObserver, Observers, TextTrace};
+use crate::observe::{EngineEvent, EngineObserver, MetricsObserver, NullObserver, Observers};
 use crate::policy::{Interrupt, Policy};
 use crate::pool::WorkerPool;
 use crate::workload::{EngineConfig, Workload};
@@ -105,7 +105,7 @@ impl<P: Policy> Engine<P> {
 
 impl<P: Policy, O: EngineObserver> Engine<P, O> {
     /// Build an engine that reports every [`EngineEvent`] to `observer`
-    /// (in addition to the built-in metrics and optional text trace).
+    /// (in addition to the built-in metrics).
     pub fn with_observer(workload: &Workload, policy: P, observer: O) -> Self {
         Engine::with_driver(workload, policy, observer, SimDriver::new())
     }
@@ -130,7 +130,10 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
             plan,
             frags,
             policy,
-            obs: Observers::new(workload.config.trace, observer),
+            obs: Observers {
+                metrics: MetricsObserver::default(),
+                user: observer,
+            },
             cfg: workload.config.clone(),
             driver,
             sp: Vec::new(),
@@ -151,15 +154,6 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
         }
     }
 
-    /// Attach a specific worker pool for morsel-parallel batches (the
-    /// mediator attaches one shared pool across all sessions). Without this,
-    /// an engine whose config asks for `workers > 1` uses the driver's pool
-    /// or, failing that, [`WorkerPool::global`].
-    pub fn with_exec_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Report `ev` to the observer stack.
     #[inline]
     pub(crate) fn emit(&mut self, at: SimTime, ev: EngineEvent<'_>) {
@@ -177,13 +171,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
     }
 
     /// Execute to completion and report metrics, or the abort reason.
-    pub fn try_run(self) -> Result<RunMetrics, RunError> {
-        self.try_run_traced().map(|(m, _)| m)
-    }
-
-    /// Like [`Engine::try_run`], also returning the execution trace (empty
-    /// unless the workload's config enabled tracing).
-    pub fn try_run_traced(mut self) -> Result<(RunMetrics, dqs_sim::Trace), RunError> {
+    pub fn try_run(mut self) -> Result<RunMetrics, RunError> {
         let start = self.driver.now();
         let (arrivals, start_instr) = self.world.cm.start(start);
         if start_instr > 0 {
@@ -326,18 +314,12 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
         self.try_dispatch();
     }
 
-    fn finish_metrics(mut self) -> Result<(RunMetrics, dqs_sim::Trace), RunError> {
+    fn finish_metrics(mut self) -> Result<RunMetrics, RunError> {
         if let Some(reason) = self.aborted.take() {
             let at = self.driver.now();
             self.emit(at, EngineEvent::Aborted { reason: &reason });
             return Err(reason);
         }
-        let trace = self
-            .obs
-            .text
-            .take()
-            .map(TextTrace::into_trace)
-            .unwrap_or_default();
         let end = self.output_done_at.unwrap_or(self.driver.now());
         self.obs.metrics.acc.stall_end(end);
         let mut m = self.obs.metrics.acc.m;
@@ -360,7 +342,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
             v.sort();
             v
         };
-        Ok((m, trace))
+        Ok(m)
     }
 }
 

@@ -27,8 +27,6 @@ pub struct EngineConfig {
     pub rate_change_threshold: Option<f64>,
     /// Master seed for all randomness.
     pub seed: u64,
-    /// Record an execution trace.
-    pub trace: bool,
     /// Intra-query parallelism degree: number of worker lanes an admitted
     /// batch may be morselized across. `1` (the default, and what every
     /// golden-fingerprint workload uses) keeps the serial batch path.
@@ -48,7 +46,6 @@ impl Default for EngineConfig {
             timeout: SimDuration::from_secs(2),
             rate_change_threshold: None,
             seed: 42,
-            trace: false,
             workers: 1,
             morsel_tuples: 64,
         }

@@ -1,7 +1,7 @@
 //! The execution world: every simulated component of one run.
 
 use dqs_plan::{AnnotatedPlan, ChainSet};
-use dqs_relop::{HashTableArena, RelId, Tuple};
+use dqs_relop::{HashTableArena, Tuple};
 use dqs_sim::{FifoResource, SeedSplitter, SimParams};
 use dqs_source::{BoxSource, CommManager, Wrapper};
 use dqs_storage::{Disk, MemoryManager, StreamId, TempRelation};
@@ -139,17 +139,6 @@ impl World {
     /// Temp lookup.
     pub fn temp(&self, id: TempId) -> &TempRelation<Tuple> {
         &self.temps[id.0 as usize]
-    }
-
-    /// Mutable temp lookup.
-    pub fn temp_mut(&mut self, id: TempId) -> &mut TempRelation<Tuple> {
-        &mut self.temps[id.0 as usize]
-    }
-
-    /// True when the wrapper for `rel` delivered everything and its queue
-    /// is empty.
-    pub fn rel_drained(&self, rel: RelId) -> bool {
-        self.cm.drained(rel)
     }
 }
 

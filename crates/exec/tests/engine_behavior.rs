@@ -3,10 +3,12 @@
 //! synchronous vs write-behind materialization, and the MF-cancellation
 //! hand-off.
 
-use dqs_exec::{run_workload, Engine, MaPolicy, SeqPolicy, Workload};
+use dqs_exec::{
+    run_workload, Engine, EngineEvent, EngineObserver, Interrupt, MaPolicy, SeqPolicy, Workload,
+};
 use dqs_plan::{Catalog, QepBuilder};
 use dqs_relop::RelId;
-use dqs_sim::{SimDuration, TraceKind};
+use dqs_sim::{SimDuration, SimTime};
 use dqs_source::DelayModel;
 
 fn two_way(card_a: u64, card_b: u64) -> Workload {
@@ -20,42 +22,48 @@ fn two_way(card_a: u64, card_b: u64) -> Workload {
     Workload::new(cat, qb.finish(j).unwrap())
 }
 
+/// Counts the typed events a run reports.
+#[derive(Default)]
+struct Counts {
+    arrivals: u64,
+    plans: u64,
+    end_of_qf: u64,
+}
+
+impl EngineObserver for Counts {
+    fn on_event(&mut self, _at: SimTime, ev: &EngineEvent<'_>) {
+        match ev {
+            EngineEvent::Arrival { .. } => self.arrivals += 1,
+            EngineEvent::PlanComputed { .. } => self.plans += 1,
+            EngineEvent::InterruptRaised(Interrupt::EndOfQf(_)) => self.end_of_qf += 1,
+            _ => {}
+        }
+    }
+}
+
 #[test]
 fn trace_records_all_event_kinds() {
-    let mut w = two_way(2_000, 2_000);
-    w.config.trace = true;
-    let (m, trace) = Engine::new(&w, SeqPolicy).try_run_traced().unwrap();
-    assert!(trace.is_enabled());
-    assert!(!trace.events().is_empty());
-    let arrivals = trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == TraceKind::Arrival)
-        .count() as u64;
-    assert_eq!(arrivals, 4_000, "one trace record per tuple arrival");
-    let plans = trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == TraceKind::Plan)
-        .count() as u64;
-    assert_eq!(plans, m.plans, "trace and metrics agree on planning phases");
-    // EndOfQF interrupts appear for both chains.
-    let interrupts = trace.render(Some(TraceKind::Interrupt));
-    assert!(interrupts.contains("EndOfQF"));
+    let w = two_way(2_000, 2_000);
+    let mut seen = Counts::default();
+    let m = Engine::with_observer(&w, SeqPolicy, &mut seen)
+        .try_run()
+        .unwrap();
+    assert_eq!(seen.arrivals, 4_000, "one event per tuple arrival");
+    assert_eq!(seen.plans, m.plans, "events and metrics agree on planning");
+    assert_eq!(seen.end_of_qf, 2, "one EndOfQF per chain");
+    assert_eq!(seen.end_of_qf, m.end_of_qf);
 }
 
 #[test]
 fn tracing_off_by_default_and_costless() {
     let w = two_way(1_000, 1_000);
-    let (with_trace, _) = {
-        let mut wt = w.clone();
-        wt.config.trace = true;
-        Engine::new(&wt, SeqPolicy).try_run_traced().unwrap()
-    };
-    let (without, trace) = Engine::new(&w, SeqPolicy).try_run_traced().unwrap();
-    assert!(trace.events().is_empty());
-    // Virtual-time results are identical either way.
-    assert_eq!(with_trace.response_time, without.response_time);
+    let observed = Engine::with_observer(&w, SeqPolicy, Counts::default())
+        .try_run()
+        .unwrap();
+    let unobserved = Engine::new(&w, SeqPolicy).try_run().unwrap();
+    // Virtual-time results are identical whether or not anyone listens.
+    assert_eq!(observed.response_time, unobserved.response_time);
+    assert_eq!(observed.events, unobserved.events);
 }
 
 #[test]

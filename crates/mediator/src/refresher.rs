@@ -27,6 +27,7 @@ use std::thread;
 use std::time::Duration;
 
 use dqs_cache::{CacheKey, SharedCache};
+use dqs_exec::json::{self, fields};
 use dqs_refresh::{rescan_cost_us, Candidate, RefreshAction, RefreshPlanner, ScanProvenance};
 use dqs_relop::RelId;
 use dqs_replica::ReplicaSet;
@@ -161,12 +162,8 @@ fn execute_cycle(ctx: &RefresherCtx, stop: &AtomicBool) {
         return;
     }
     println!(
-        "{{\"type\":\"refresh_plan\",\"candidates\":{},\"decisions\":{},\"budget_bytes\":{}}}",
-        candidates.len(),
-        plan.len(),
-        ctx.planner
-            .budget_bytes
-            .map_or("null".to_string(), |b| b.to_string()),
+        "{}",
+        plan_line(candidates.len(), plan.len(), ctx.planner.budget_bytes)
     );
     for decision in &plan {
         if stop.load(Ordering::SeqCst) {
@@ -176,46 +173,61 @@ fn execute_cycle(ctx: &RefresherCtx, stop: &AtomicBool) {
         let prov = provs[decision.index];
         let key = &cand.snapshot.key;
         let set = &ctx.sets[prov.group];
-        match decision.action {
-            RefreshAction::Confirm => {
-                let ok = ctx.cache.confirm_version(key, cand.stat.version);
-                apply_line("confirm", prov.rel, cand.stat.version, 0, ok);
-            }
+        let version = cand.stat.version;
+        let (action, bytes, applied) = match decision.action {
+            RefreshAction::Confirm => ("confirm", 0, ctx.cache.confirm_version(key, version)),
             RefreshAction::Delta { from, to } => {
                 let Some(tail) = fetch_range(set, prov, from, to, ctx.read_timeout) else {
                     continue;
                 };
-                let ok = ctx.cache.refresh_extend(key, &tail, cand.stat.version);
+                let ok = ctx.cache.refresh_extend(key, &tail, version);
                 println!(
-                    "{{\"type\":\"refresh_delta\",\"rel\":{},\"from\":{from},\"to\":{to},\
-                     \"bytes\":{},\"version\":{}}}",
-                    prov.rel.0,
-                    tail.len() * 8,
-                    cand.stat.version,
+                    "{}",
+                    delta_line(prov.rel, from, to, tail.len() * 8, version)
                 );
-                apply_line("delta", prov.rel, cand.stat.version, decision.bytes, ok);
+                ("delta", decision.bytes, ok)
             }
             RefreshAction::Full { total } => {
                 let Some(keys) = fetch_range(set, prov, 0, total, ctx.read_timeout) else {
                     continue;
                 };
-                let ok = ctx.cache.refresh_replace(key, keys, cand.stat.version);
-                apply_line("full", prov.rel, cand.stat.version, decision.bytes, ok);
+                let ok = ctx.cache.refresh_replace(key, keys, version);
+                ("full", decision.bytes, ok)
             }
-            RefreshAction::Defer => {
-                let ok = ctx.cache.mark_stale(key);
-                apply_line("defer", prov.rel, cand.stat.version, 0, ok);
-            }
-        }
+            RefreshAction::Defer => ("defer", 0, ctx.cache.mark_stale(key)),
+        };
+        println!("{}", apply_line(action, prov.rel, version, bytes, applied));
     }
 }
 
-fn apply_line(action: &str, rel: RelId, version: u64, bytes: u64, applied: bool) {
-    println!(
-        "{{\"type\":\"refresh_apply\",\"action\":\"{action}\",\"rel\":{},\
-         \"version\":{version},\"bytes\":{bytes},\"applied\":{applied}}}",
-        rel.0,
-    );
+// The refresher's three log lines (stdout of `dqs serve`, one JSON object
+// each).
+
+fn plan_line(candidates: usize, decisions: usize, budget_bytes: Option<u64>) -> String {
+    json::object(|o| {
+        fields!(o,
+            "type": "refresh_plan", "candidates": candidates, "decisions": decisions,
+            "budget_bytes": budget_bytes
+        )
+    })
+}
+
+fn delta_line(rel: RelId, from: u64, to: u64, bytes: usize, version: u64) -> String {
+    json::object(|o| {
+        fields!(o,
+            "type": "refresh_delta", "rel": rel.0, "from": from, "to": to, "bytes": bytes,
+            "version": version
+        )
+    })
+}
+
+fn apply_line(action: &str, rel: RelId, version: u64, bytes: u64, applied: bool) -> String {
+    json::object(|o| {
+        fields!(o,
+            "type": "refresh_apply", "action": action, "rel": rel.0, "version": version,
+            "bytes": bytes, "applied": applied
+        )
+    })
 }
 
 /// Fetch tuple indices `[from, to)` of the scan described by `prov` from
@@ -240,4 +252,31 @@ fn fetch_range(
     };
     let stream = scan::dial(set.best()?, read_timeout).ok()?;
     Scan::open(stream, &open, read_timeout).ok()?.drain().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The three log lines, byte for byte as the pre-writer `println!`s
+    /// produced them (CI greps `"type":"refresh_delta"`).
+    #[test]
+    fn log_lines_match_the_golden_rendering() {
+        assert_eq!(
+            plan_line(4, 3, Some(65536)),
+            r#"{"type":"refresh_plan","candidates":4,"decisions":3,"budget_bytes":65536}"#
+        );
+        assert_eq!(
+            plan_line(4, 3, None),
+            r#"{"type":"refresh_plan","candidates":4,"decisions":3,"budget_bytes":null}"#
+        );
+        assert_eq!(
+            delta_line(RelId(1), 600, 664, 512, 2),
+            r#"{"type":"refresh_delta","rel":1,"from":600,"to":664,"bytes":512,"version":2}"#
+        );
+        assert_eq!(
+            apply_line("delta", RelId(1), 2, 512, true),
+            r#"{"type":"refresh_apply","action":"delta","rel":1,"version":2,"bytes":512,"applied":true}"#
+        );
+    }
 }

@@ -54,7 +54,7 @@
 //! health tables fresh between sessions.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -64,10 +64,10 @@ use std::time::{Duration, Instant};
 use dqs_cache::{payload_bytes, CacheConfig, CacheKey, CacheStats, SharedCache};
 use dqs_core::session::{AdmissionPolicy, Decision, SessionConfig, SessionStats, SessionTable};
 use dqs_core::{run_named, unknown_strategy, LatencyHistogram, STRATEGY_NAMES};
-use dqs_exec::json::escape;
+use dqs_exec::json::{self, arr, fields, fixed, obj, ToJson};
 use dqs_exec::spec::WorkloadSpec;
 use dqs_exec::{
-    EngineEvent, EngineObserver, JsonLinesSink, RealTimeDriver, RunMetrics, WorkerPool, Workload,
+    observe, EngineEvent, EngineObserver, RealTimeDriver, RunMetrics, WorkerPool, Workload,
 };
 use dqs_reactor::{Events, Interest, Poller, TimerId, TimerWheel, Token, Waker};
 use dqs_refresh::{RefreshPlanner, ScanProvenance};
@@ -173,6 +173,7 @@ pub struct ServerMetrics {
     backlog_enqueued: AtomicU64,
     backlog_dequeued: AtomicU64,
     trace_frames_dropped: AtomicU64,
+    trace_lines_rendered: AtomicU64,
     connections_accepted: AtomicU64,
     /// Queue wait of the most recently dispatched session, µs (gauge).
     queue_wait_last_us: AtomicU64,
@@ -204,6 +205,12 @@ impl ServerMetrics {
     /// `Trace` frames dropped at the write-buffer high-water mark.
     pub fn trace_frames_dropped(&self) -> u64 {
         self.trace_frames_dropped.load(Ordering::Relaxed)
+    }
+
+    /// Engine events rendered into `Trace` lines since bind — zero for as
+    /// long as no client asks for a trace.
+    pub fn trace_lines_rendered(&self) -> u64 {
+        self.trace_lines_rendered.load(Ordering::Relaxed)
     }
 
     /// Client connections accepted since bind.
@@ -1203,12 +1210,11 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
         }
     }
 
-    let mut sink = JsonLinesSink::new(TraceFrames {
+    let mut trace = TraceObserver {
         shared,
         job: &job,
         enabled: job.trace,
-        line: Vec::new(),
-    });
+    };
     // Cache outcomes are decided before the engine runs (at source build
     // time), so they lead the trace at t=0. The engine's own metrics
     // observer never sees these events; the counters are patched into the
@@ -1222,9 +1228,9 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
             },
             None => EngineEvent::CacheMiss { rel: o.rel },
         };
-        sink.on_event(SimTime::ZERO, &ev);
+        trace.on_event(SimTime::ZERO, &ev);
     }
-    let result = run_named(&job.strategy, &job.workload, sink, driver)
+    let result = run_named(&job.strategy, &job.workload, trace, driver)
         .expect("strategy name validated at submit");
     let terminal = match result {
         Ok(mut m) => {
@@ -1425,39 +1431,30 @@ fn build_driver(
     Ok((driver, outcomes, pins))
 }
 
-/// A `Write` sink that forwards each completed JSON line to the client's
-/// I/O worker as a `Trace` frame (or discards it when tracing is off).
-/// Routing failures are swallowed: losing the trace must not abort the
-/// query.
-struct TraceFrames<'a> {
+/// Streams the engine's events to the client as `Trace` frames — if the
+/// client asked for a trace. When it did not (or has gone away),
+/// `on_event` returns before anything is rendered. Routing failures are
+/// swallowed: losing the trace must not abort the query.
+struct TraceObserver<'a> {
     shared: &'a Shared,
     job: &'a Job,
     enabled: bool,
-    line: Vec<u8>,
 }
 
-impl Write for TraceFrames<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+impl EngineObserver for TraceObserver<'_> {
+    fn on_event(&mut self, at: SimTime, ev: &EngineEvent<'_>) {
         if !self.enabled {
-            return Ok(buf.len());
+            return;
         }
-        for &b in buf {
-            if b == b'\n' {
-                let line = String::from_utf8_lossy(&self.line).into_owned();
-                self.line.clear();
-                let trace = Msg::Frame(self.job.conn_id, Frame::Trace { line });
-                if !self.shared.send(self.job, trace) {
-                    self.enabled = false; // client gone; stop trying
-                }
-            } else {
-                self.line.push(b);
-            }
+        let line = observe::render(at, ev);
+        self.shared
+            .metrics
+            .trace_lines_rendered
+            .fetch_add(1, Ordering::Relaxed);
+        let trace = Msg::Frame(self.job.conn_id, Frame::Trace { line });
+        if !self.shared.send(self.job, trace) {
+            self.enabled = false; // client gone; stop trying
         }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -1474,101 +1471,64 @@ pub fn done_payload(
     cache: Option<&CacheStats>,
     health: &[(String, Vec<EndpointSnapshot>)],
 ) -> String {
-    let replicas = if health.is_empty() {
-        String::new()
-    } else {
-        let groups: Vec<String> = health
-            .iter()
-            .map(|(id, endpoints)| {
-                let eps: Vec<String> = endpoints.iter().map(endpoint_json).collect();
-                format!(
-                    "{{\"group\":{},\"endpoints\":[{}]}}",
-                    escape(id),
-                    eps.join(",")
-                )
-            })
-            .collect();
-        format!("\"replica_health\":[{}],", groups.join(","))
-    };
-    let cache = cache.map_or(String::new(), |s| {
-        format!(
-            "\"cache_resident_bytes\":{},\"cache_evictions\":{},\"cache_expired\":{},\
-             \"refreshes\":{},\"refresh_delta_bytes\":{},\"refresh_full_bytes\":{},\
-             \"stale_served\":{},",
-            s.resident_bytes,
-            s.evictions,
-            s.expirations,
-            s.refreshes,
-            s.refresh_delta_bytes,
-            s.refresh_full_bytes,
-            s.stale_served,
-        )
-    });
-    format!(
-        "{{{replicas}{cache}\"queue_wait_secs\":{queue_wait_secs:.6},{}",
-        &metrics_json(m)[1..]
-    )
+    json::object(|o| {
+        if !health.is_empty() {
+            let groups = health.iter().map(|(id, endpoints)| {
+                obj(move |o| {
+                    fields!(o, "group": id, "endpoints": arr(endpoints.iter().map(endpoint_json)))
+                })
+            });
+            fields!(o, "replica_health": arr(groups));
+        }
+        if let Some(s) = cache {
+            fields!(o,
+                "cache_resident_bytes": s.resident_bytes, "cache_evictions": s.evictions,
+                "cache_expired": s.expirations, "refreshes": s.refreshes,
+                "refresh_delta_bytes": s.refresh_delta_bytes,
+                "refresh_full_bytes": s.refresh_full_bytes, "stale_served": s.stale_served
+            );
+        }
+        fields!(o, "queue_wait_secs": fixed(queue_wait_secs, 6));
+        metrics_fields(o, m);
+    })
 }
 
-fn endpoint_json(e: &EndpointSnapshot) -> String {
-    let state = match e.state {
-        EndpointState::Live => "\"live\"".to_string(),
-        EndpointState::Degraded { until_nanos } => {
-            format!("{{\"degraded_until_nanos\":{until_nanos}}}")
+fn endpoint_json(e: &EndpointSnapshot) -> impl ToJson + '_ {
+    obj(move |o| {
+        fields!(o, "addr": &e.addr);
+        match e.state {
+            EndpointState::Live => fields!(o, "state": "live"),
+            EndpointState::Degraded { until_nanos } => {
+                fields!(o, "state": obj(|o| fields!(o, "degraded_until_nanos": until_nanos)))
+            }
         }
-    };
-    let rate = e.rate.map_or("null".to_string(), |r| format!("{r:.3}"));
-    format!(
-        "{{\"addr\":{},\"state\":{state},\"rate_tps\":{rate},\"opens\":{},\"failures\":{}}}",
-        escape(&e.addr),
-        e.opens,
-        e.failures_total
-    )
+        fields!(o,
+            "rate_tps": e.rate.map(|r| fixed(r, 3)), "opens": e.opens,
+            "failures": e.failures_total
+        );
+    })
 }
 
 /// Flat JSON rendering of a finished run's metrics (the `Done` payload).
 pub fn metrics_json(m: &RunMetrics) -> String {
-    let queries: Vec<String> = m
-        .query_responses
-        .iter()
-        .map(|(q, t)| format!("[{q},{}]", t.as_secs_f64()))
-        .collect();
-    format!(
-        "{{\"strategy\":\"{}\",\"seed\":{},\"response_secs\":{},\
-         \"output_tuples\":{},\"cpu_busy_secs\":{},\"stall_secs\":{},\
-         \"batches\":{},\"plans\":{},\"end_of_qf\":{},\"rate_changes\":{},\
-         \"timeouts\":{},\"memory_overflows\":{},\"degradations\":{},\
-         \"memory_high_water\":{},\"events\":{},\"cache_hits\":{},\
-         \"cache_misses\":{},\"cache_bytes_served\":{},\"failovers\":{},\
-         \"replica_retries\":{},\"morsels\":{},\"steals\":{},\
-         \"rate_samples\":{},\"permutations\":{},\
-         \"query_responses\":[{}]}}",
-        m.strategy,
-        m.seed,
-        m.response_secs(),
-        m.output_tuples,
-        m.cpu_busy.as_secs_f64(),
-        m.stall_time.as_secs_f64(),
-        m.batches,
-        m.plans,
-        m.end_of_qf,
-        m.rate_changes,
-        m.timeouts,
-        m.memory_overflows,
-        m.degradations,
-        m.memory_high_water,
-        m.events,
-        m.cache_hits,
-        m.cache_misses,
-        m.cache_bytes_served,
-        m.failovers,
-        m.replica_retries,
-        m.morsels,
-        m.steals,
-        m.rate_samples,
-        m.permutations,
-        queries.join(",")
-    )
+    json::object(|o| metrics_fields(o, m))
+}
+
+fn metrics_fields(o: &mut json::Object<'_>, m: &RunMetrics) {
+    let queries = m.query_responses.iter();
+    fields!(o,
+        "strategy": m.strategy, "seed": m.seed, "response_secs": m.response_secs(),
+        "output_tuples": m.output_tuples, "cpu_busy_secs": m.cpu_busy.as_secs_f64(),
+        "stall_secs": m.stall_time.as_secs_f64(), "batches": m.batches, "plans": m.plans,
+        "end_of_qf": m.end_of_qf, "rate_changes": m.rate_changes, "timeouts": m.timeouts,
+        "memory_overflows": m.memory_overflows, "degradations": m.degradations,
+        "memory_high_water": m.memory_high_water, "events": m.events,
+        "cache_hits": m.cache_hits, "cache_misses": m.cache_misses,
+        "cache_bytes_served": m.cache_bytes_served, "failovers": m.failovers,
+        "replica_retries": m.replica_retries, "morsels": m.morsels, "steals": m.steals,
+        "rate_samples": m.rate_samples, "permutations": m.permutations,
+        "query_responses": arr(queries.map(|&(q, t)| (q, t.as_secs_f64())))
+    );
 }
 
 #[cfg(test)]
@@ -1695,6 +1655,145 @@ mod tests {
         ] {
             assert_eq!(get(key).and_then(|v| v.as_u64()), Some(want), "{key}");
         }
+    }
+
+    /// `metrics_json` and the `Done` payload — bare, with the cache
+    /// section, with cache and replica sections — byte for byte as the
+    /// pre-writer `format!`s produced them.
+    #[test]
+    fn done_payload_matches_the_golden_rendering() {
+        use dqs_sim::SimDuration;
+        let m = RunMetrics {
+            strategy: "dse",
+            seed: u64::MAX,
+            response_time: SimDuration::from_nanos(7_631_000_123),
+            output_tuples: 90_000,
+            cpu_busy: SimDuration::from_nanos(2_579_000_000),
+            stall_time: SimDuration::from_micros(1_981),
+            batches: 11,
+            plans: 12,
+            end_of_qf: 13,
+            rate_changes: 14,
+            timeouts: 15,
+            memory_overflows: 16,
+            degradations: 17,
+            memory_high_water: 1 << 20,
+            events: 123_456,
+            cache_hits: 2,
+            cache_misses: 1,
+            cache_bytes_served: 4800,
+            failovers: 1,
+            replica_retries: 2,
+            morsels: 40,
+            steals: 3,
+            rate_samples: 5,
+            permutations: 1,
+            query_responses: vec![
+                (0, SimDuration::from_millis(1500)),
+                (1, SimDuration::from_nanos(7_631_000_123)),
+            ],
+            ..RunMetrics::default()
+        };
+        let stats = CacheStats {
+            resident_bytes: 4096,
+            evictions: 2,
+            expirations: 1,
+            refreshes: 3,
+            refresh_delta_bytes: 64,
+            refresh_full_bytes: 512,
+            stale_served: 5,
+            ..CacheStats::default()
+        };
+        let endpoint = |addr: &str, state, rate, opens, failures_total| EndpointSnapshot {
+            addr: addr.into(),
+            state,
+            rate,
+            opens,
+            failures_total,
+        };
+        let degraded = EndpointState::Degraded { until_nanos: 99 };
+        let health = vec![
+            (
+                "g\"0".to_string(),
+                vec![
+                    endpoint("127.0.0.1:7001", EndpointState::Live, Some(1234.5), 3, 0),
+                    endpoint("127.0.0.1:7002", degraded, None, 1, 2),
+                ],
+            ),
+            ("w1".to_string(), vec![]),
+        ];
+
+        let metrics = r#"{"strategy":"dse","seed":18446744073709551615,"response_secs":7.631000123,"output_tuples":90000,"cpu_busy_secs":2.579,"stall_secs":0.001981,"batches":11,"plans":12,"end_of_qf":13,"rate_changes":14,"timeouts":15,"memory_overflows":16,"degradations":17,"memory_high_water":1048576,"events":123456,"cache_hits":2,"cache_misses":1,"cache_bytes_served":4800,"failovers":1,"replica_retries":2,"morsels":40,"steals":3,"rate_samples":5,"permutations":1,"query_responses":[[0,1.5],[1,7.631000123]]}"#;
+        assert_eq!(metrics_json(&m), metrics);
+        assert_eq!(
+            metrics_json(&RunMetrics::default()),
+            r#"{"strategy":"","seed":0,"response_secs":0,"output_tuples":0,"cpu_busy_secs":0,"stall_secs":0,"batches":0,"plans":0,"end_of_qf":0,"rate_changes":0,"timeouts":0,"memory_overflows":0,"degradations":0,"memory_high_water":0,"events":0,"cache_hits":0,"cache_misses":0,"cache_bytes_served":0,"failovers":0,"replica_retries":0,"morsels":0,"steals":0,"rate_samples":0,"permutations":0,"query_responses":[]}"#
+        );
+        let led_by = |lead: &str| format!("{lead}{}", &metrics[1..]);
+        assert_eq!(
+            done_payload(&m, 0.125, None, &[]),
+            led_by(r#"{"queue_wait_secs":0.125000,"#)
+        );
+        assert_eq!(
+            done_payload(&m, 0.0, Some(&stats), &[]),
+            led_by(
+                r#"{"cache_resident_bytes":4096,"cache_evictions":2,"cache_expired":1,"refreshes":3,"refresh_delta_bytes":64,"refresh_full_bytes":512,"stale_served":5,"queue_wait_secs":0.000000,"#
+            )
+        );
+        assert_eq!(
+            done_payload(&m, 1.0 / 3.0, Some(&stats), &health),
+            led_by(
+                r#"{"replica_health":[{"group":"g\"0","endpoints":[{"addr":"127.0.0.1:7001","state":"live","rate_tps":1234.500,"opens":3,"failures":0},{"addr":"127.0.0.1:7002","state":{"degraded_until_nanos":99},"rate_tps":null,"opens":1,"failures":2}]},{"group":"w1","endpoints":[]}],"cache_resident_bytes":4096,"cache_evictions":2,"cache_expired":1,"refreshes":3,"refresh_delta_bytes":64,"refresh_full_bytes":512,"stale_served":5,"queue_wait_secs":0.333333,"#
+            )
+        );
+    }
+
+    /// A session that did not ask for a trace costs no render at all; one
+    /// that did gets one `Trace` frame per engine event, each a JSON
+    /// object.
+    #[test]
+    fn engine_events_are_rendered_only_for_clients_that_asked() {
+        use crate::{submit, Progress, SubmitOpts};
+
+        let server = MediatorServer::bind("127.0.0.1:0", ServeOpts::default()).unwrap();
+        let metrics = server.metrics();
+        let run = |trace: bool| {
+            let opts = SubmitOpts {
+                trace,
+                ..SubmitOpts::default()
+            };
+            let mut lines = Vec::new();
+            let done = submit(server.local_addr(), dqs_workload::TINY_SPEC, &opts, |p| {
+                if let Progress::TraceLine(line) = p {
+                    lines.push(line);
+                }
+            })
+            .expect("session runs");
+            (json::parse(&done.raw).expect("Done payload"), lines)
+        };
+
+        let (_, lines) = run(false);
+        assert!(lines.is_empty());
+        assert_eq!(metrics.trace_lines_rendered(), 0, "nobody asked");
+
+        let (done, lines) = run(true);
+        assert_eq!(metrics.trace_frames_dropped(), 0);
+        assert_eq!(lines.len() as u64, metrics.trace_lines_rendered());
+        let of_type = |ty: &str| {
+            let is = |l: &&String| {
+                let line = json::parse(l).expect("a trace line is one JSON object");
+                assert!(line.get("at_us").and_then(|v| v.as_f64()).is_some(), "{l}");
+                line.get("type").and_then(|v| v.as_str()) == Some(ty)
+            };
+            lines.iter().filter(is).count() as u64
+        };
+        let metric = |key: &str| done.get(key).and_then(|v| v.as_u64());
+        // TINY_SPEC: two relations of 64 tuples.
+        assert_eq!(of_type("arrival"), 128, "one frame per arrival");
+        assert_eq!(Some(of_type("batch_start")), metric("batches"));
+        assert_eq!(Some(of_type("batch_done")), metric("batches"));
+        assert_eq!(Some(of_type("plan")), metric("plans"));
+        server.shutdown();
     }
 
     /// A session whose client disconnects gives its slot back exactly

@@ -40,16 +40,6 @@ impl Interest {
         writable: true,
     };
 
-    /// Does this interest include readability?
-    pub fn is_readable(&self) -> bool {
-        self.readable
-    }
-
-    /// Does this interest include writability?
-    pub fn is_writable(&self) -> bool {
-        self.writable
-    }
-
     fn epoll_mask(&self) -> u32 {
         let mut m = sys::EPOLLRDHUP;
         if self.readable {

@@ -7,10 +7,9 @@
 //! mapped onto [`SimTime`] nanoseconds) and keeps its deadlines in a
 //! [`TimerHeap`], turning them into actual waits.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
 use std::time::Instant;
 
+use crate::event::DeadlineHeap;
 use crate::time::{SimDuration, SimTime};
 
 /// A monotonic source of "now" expressed as [`SimTime`].
@@ -53,25 +52,6 @@ impl Clock for WallClock {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
 
-#[derive(Debug, PartialEq, Eq)]
-struct Deadline<E> {
-    at: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E: Eq> Ord for Deadline<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl<E: Eq> PartialOrd for Deadline<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A deadline queue for real-time drivers: like [`crate::EventQueue`] it
 /// orders by `(time, insertion sequence)` and supports tombstone
 /// cancellation, but it does **not** own "now" — deadlines may lie in the
@@ -79,51 +59,36 @@ impl<E: Eq> PartialOrd for Deadline<E> {
 /// moving while the scheduler works.
 #[derive(Debug)]
 pub struct TimerHeap<E> {
-    heap: BinaryHeap<Reverse<Deadline<E>>>,
-    cancelled: HashSet<u64>,
-    next_seq: u64,
+    heap: DeadlineHeap<E>,
 }
 
-impl<E: Eq> TimerHeap<E> {
+impl<E> TimerHeap<E> {
     /// An empty heap.
     pub fn new() -> TimerHeap<E> {
         TimerHeap {
-            heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
+            heap: DeadlineHeap::new(),
         }
     }
 
     /// Arm a timer for `at` (which may already have passed).
     pub fn arm(&mut self, at: SimTime, payload: E) -> TimerId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Deadline { at, seq, payload }));
-        TimerId(seq)
+        TimerId(self.heap.push(at, payload))
     }
 
     /// Disarm a pending timer. Returns `false` if it already fired or was
     /// already cancelled.
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
+        self.heap.cancel(id.0)
     }
 
     /// The earliest live deadline, if any.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
-        self.drop_cancelled();
-        self.heap.peek().map(|Reverse(d)| d.at)
+        self.heap.peek_time()
     }
 
     /// Pop the earliest live timer regardless of the current time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.drop_cancelled();
-        self.heap.pop().map(|Reverse(d)| {
-            self.cancelled.remove(&d.seq);
-            (d.at, d.payload)
-        })
+        self.heap.pop()
     }
 
     /// Pop the earliest live timer only if its deadline is at or before
@@ -136,22 +101,12 @@ impl<E: Eq> TimerHeap<E> {
     }
 
     /// True when no live timers remain.
-    pub fn is_empty(&mut self) -> bool {
-        self.next_deadline().is_none()
-    }
-
-    fn drop_cancelled(&mut self) {
-        while let Some(Reverse(d)) = self.heap.peek() {
-            if self.cancelled.remove(&d.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
+    pub fn is_empty(&self) -> bool {
+        self.heap.pending() == 0
     }
 }
 
-impl<E: Eq> Default for TimerHeap<E> {
+impl<E> Default for TimerHeap<E> {
     fn default() -> Self {
         TimerHeap::new()
     }
@@ -197,6 +152,32 @@ mod tests {
         assert!(!h.cancel(a), "double cancel reports failure");
         assert_eq!(h.next_deadline(), Some(SimTime::from_nanos(20)));
         assert_eq!(h.pop().unwrap().1, "b");
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn cancelling_a_fired_timer_reports_false_and_parks_nothing() {
+        let mut h = TimerHeap::new();
+        let a = h.arm(SimTime::from_nanos(10), "a");
+        assert_eq!(h.pop().unwrap().1, "a");
+        assert!(!h.cancel(a), "it already fired");
+        assert_eq!(h.heap.tombstones(), 0);
+    }
+
+    #[test]
+    fn draining_drops_every_tombstone() {
+        let mut h = TimerHeap::new();
+        let ids: Vec<_> = (0..10).map(|i| h.arm(SimTime::from_nanos(i), i)).collect();
+        for id in ids.iter().step_by(2) {
+            assert!(h.cancel(*id));
+        }
+        let fired: Vec<_> = std::iter::from_fn(|| h.pop()).map(|(_, p)| p).collect();
+        assert_eq!(fired, vec![1, 3, 5, 7, 9]);
+        assert!(
+            ids.iter().all(|id| !h.cancel(*id)),
+            "all fired or cancelled"
+        );
+        assert_eq!(h.heap.tombstones(), 0);
         assert!(h.is_empty());
     }
 

@@ -36,6 +36,86 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// The `(time, seq)` binary heap with tombstone cancellation that both
+/// [`EventQueue`] and [`crate::TimerHeap`] wrap. It has no notion of
+/// "now": whether a deadline may lie in the past is the wrapper's rule.
+#[derive(Debug)]
+pub(crate) struct DeadlineHeap<E> {
+    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// Seqs pushed and neither popped nor cancelled yet.
+    live: HashSet<u64>,
+    /// Seqs cancelled but still physically present in the heap.
+    cancelled: HashSet<u64>,
+    next_seq: u64,
+}
+
+impl<E> DeadlineHeap<E> {
+    pub(crate) fn new() -> Self {
+        DeadlineHeap {
+            heap: BinaryHeap::new(),
+            live: HashSet::new(),
+            cancelled: HashSet::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Entries pushed and neither popped nor cancelled.
+    pub(crate) fn pending(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Add an entry; the returned seq cancels it.
+    pub(crate) fn push(&mut self, at: SimTime, payload: E) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.live.insert(seq);
+        self.heap.push(Reverse(Scheduled { at, seq, payload }));
+        seq
+    }
+
+    /// True if `seq` was still pending (it will silently not surface);
+    /// false if it was already popped or cancelled.
+    pub(crate) fn cancel(&mut self, seq: u64) -> bool {
+        if !self.live.remove(&seq) {
+            return false;
+        }
+        // We cannot remove from the heap directly; tombstone instead. The
+        // tombstone is dropped when the entry surfaces.
+        self.cancelled.insert(seq);
+        true
+    }
+
+    /// Time of the earliest pending entry.
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+        self.skip_cancelled();
+        self.heap.peek().map(|Reverse(s)| s.at)
+    }
+
+    /// Remove the earliest pending entry.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.skip_cancelled();
+        let Reverse(s) = self.heap.pop()?;
+        self.live.remove(&s.seq);
+        Some((s.at, s.payload))
+    }
+
+    fn skip_cancelled(&mut self) {
+        while let Some(Reverse(s)) = self.heap.peek() {
+            if self.cancelled.remove(&s.seq) {
+                self.heap.pop();
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// Tombstones not yet dropped (zero once the heap is drained).
+    #[cfg(test)]
+    pub(crate) fn tombstones(&self) -> usize {
+        self.cancelled.len()
+    }
+}
+
 /// A deterministic discrete-event queue.
 ///
 /// `E` is the event payload type chosen by the embedding engine. The queue
@@ -43,12 +123,7 @@ impl<E> Ord for Scheduled<E> {
 /// event's timestamp, and scheduling in the past is a logic error.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// Seqs scheduled and neither fired nor cancelled yet.
-    live: HashSet<u64>,
-    /// Seqs cancelled but still physically present in the heap.
-    cancelled: HashSet<u64>,
-    next_seq: u64,
+    heap: DeadlineHeap<E>,
     now: SimTime,
     fired: u64,
 }
@@ -63,10 +138,7 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
+            heap: DeadlineHeap::new(),
             now: SimTime::ZERO,
             fired: 0,
         }
@@ -84,7 +156,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.pending()
     }
 
     /// True when no events remain.
@@ -103,51 +175,28 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: at={at} now={}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live.insert(seq);
-        self.heap.push(Reverse(Scheduled { at, seq, payload }));
-        EventId(seq)
+        EventId(self.heap.push(at, payload))
     }
 
     /// Cancel a previously scheduled event. Returns true if the event was
     /// still pending (it will silently not fire); false if it already fired
     /// or was already cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.live.remove(&id.0) {
-            return false;
-        }
-        // We cannot remove from the heap directly; tombstone instead. The
-        // tombstone is dropped when the event surfaces in `pop`.
-        self.cancelled.insert(id.0);
-        true
+        self.heap.cancel(id.0)
     }
 
     /// Timestamp of the next event to fire, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
-        self.heap.peek().map(|Reverse(s)| s.at)
+        self.heap.peek_time()
     }
 
     /// Fire the next event: advances the clock and returns the payload.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_cancelled();
-        let Reverse(s) = self.heap.pop()?;
-        debug_assert!(s.at >= self.now);
-        self.live.remove(&s.seq);
-        self.now = s.at;
+        let (at, payload) = self.heap.pop()?;
+        debug_assert!(at >= self.now);
+        self.now = at;
         self.fired += 1;
-        Some((s.at, s.payload))
-    }
-
-    fn skip_cancelled(&mut self) {
-        while let Some(Reverse(s)) = self.heap.peek() {
-            if self.cancelled.remove(&s.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
+        Some((at, payload))
     }
 }
 
@@ -224,8 +273,27 @@ mod tests {
         // The id was consumed by firing; cancel must report false and must
         // not leave a tombstone behind.
         assert!(!q.cancel(a));
+        assert_eq!(q.heap.tombstones(), 0);
         q.schedule(t(20), "b");
         assert_eq!(q.pop().map(|(_, p)| p), Some("b"));
+    }
+
+    #[test]
+    fn draining_drops_every_tombstone() {
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = (0..10).map(|i| q.schedule(t(i), i)).collect();
+        for id in ids.iter().step_by(2) {
+            assert!(q.cancel(*id));
+        }
+        assert_eq!(q.heap.tombstones(), 5);
+        let fired: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(fired, vec![1, 3, 5, 7, 9]);
+        assert_eq!(q.heap.tombstones(), 0);
+        assert!(
+            ids.iter().all(|id| !q.cancel(*id)),
+            "all fired or cancelled"
+        );
+        assert_eq!(q.heap.tombstones(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Foundation of the DQS reproduction: virtual time, a deterministic event
 //! queue, FIFO resources (CPU/disk), reproducible per-component random
-//! streams, EWMA rate estimation, and optional tracing.
+//! streams, and EWMA rate estimation.
 //!
 //! The paper (§5.1) evaluates its scheduler on a *simulated* platform whose
 //! parameters are given in Table 1; [`params::SimParams`] encodes that table
@@ -37,7 +37,6 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use clock::{Clock, TimerHeap, TimerId, WallClock};
 pub use event::{EventId, EventQueue};
@@ -46,4 +45,3 @@ pub use resource::{FifoResource, Grant};
 pub use rng::SeedSplitter;
 pub use stats::Ewma;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceKind};

@@ -31,7 +31,6 @@ pub struct ReplaySource {
     rel: RelId,
     keys: Arc<Vec<u64>>,
     produced: u64,
-    suspended: bool,
 }
 
 impl ReplaySource {
@@ -41,7 +40,6 @@ impl ReplaySource {
             rel,
             keys,
             produced: 0,
-            suspended: false,
         }
     }
 }
@@ -57,18 +55,6 @@ impl TupleSource for ReplaySource {
 
     fn produced(&self) -> u64 {
         self.produced
-    }
-
-    fn is_suspended(&self) -> bool {
-        self.suspended
-    }
-
-    fn suspend(&mut self) {
-        self.suspended = true;
-    }
-
-    fn resume(&mut self) {
-        self.suspended = false;
     }
 
     /// Pull-paced with no delay: every remaining tuple is already in
@@ -142,18 +128,6 @@ impl TupleSource for RecordingSource {
 
     fn produced(&self) -> u64 {
         self.inner.produced()
-    }
-
-    fn is_suspended(&self) -> bool {
-        self.inner.is_suspended()
-    }
-
-    fn suspend(&mut self) {
-        self.inner.suspend();
-    }
-
-    fn resume(&mut self) {
-        self.inner.resume();
     }
 
     fn start(&mut self) {
@@ -262,16 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_respects_the_suspension_contract() {
-        let mut replay = ReplaySource::new(RelId(0), Arc::new(vec![1, 2, 3]));
-        assert!(!replay.is_suspended());
-        replay.suspend();
-        assert!(replay.is_suspended());
-        replay.resume();
-        assert!(!replay.is_suspended());
-    }
-
-    #[test]
     fn recording_delegates_the_window_protocol() {
         let cache = shared(1 << 20);
         let mut rec = RecordingSource::new(live(RelId(4), 3), cache, scan_key(RelId(4), 3));
@@ -282,10 +246,6 @@ mod tests {
             rec.next_gap().is_some(),
             "pull-paced inner stays pull-paced"
         );
-        rec.suspend();
-        assert!(rec.is_suspended());
-        rec.resume();
-        assert!(!rec.is_suspended());
     }
 
     #[test]

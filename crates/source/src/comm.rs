@@ -64,6 +64,10 @@ struct Port {
     /// The next arrival after a resume must not feed the rate estimator
     /// (the gap measures our consumption, not the wrapper's speed).
     skip_next_observation: bool,
+    /// The window protocol paused delivery: the queue filled, and no
+    /// further arrival is scheduled until [`CommManager::after_consume`]
+    /// finds room again.
+    suspended: bool,
 }
 
 /// The communication manager: wrappers, queues, and rate estimation.
@@ -104,6 +108,7 @@ impl CommManager {
                 mark: None,
                 rate_signaled: false,
                 skip_next_observation: false,
+                suspended: false,
             })
             .collect();
         CommManager {
@@ -206,7 +211,7 @@ impl CommManager {
             None
         } else if port.queue.is_full() {
             // Window protocol: suspend the wrapper.
-            port.wrapper.suspend();
+            port.suspended = true;
             None
         } else {
             port.wrapper.next_gap().map(|g| now + g)
@@ -241,8 +246,8 @@ impl CommManager {
     /// Returns the resumed wrapper's next arrival time to schedule.
     pub fn after_consume(&mut self, rel: RelId, now: SimTime) -> Option<SimTime> {
         let port = self.port_mut(rel);
-        if port.wrapper.is_suspended() && !port.queue.is_full() && !port.wrapper.exhausted() {
-            port.wrapper.resume();
+        if port.suspended && !port.queue.is_full() && !port.wrapper.exhausted() {
+            port.suspended = false;
             port.skip_next_observation = true;
             port.wrapper.next_gap().map(|g| now + g)
         } else {
@@ -258,7 +263,7 @@ impl CommManager {
     /// True while the window protocol has `rel`'s wrapper suspended (its
     /// queue is full and delivery is paused).
     pub fn is_suspended(&self, rel: RelId) -> bool {
-        self.port(rel).wrapper.is_suspended()
+        self.port(rel).suspended
     }
 
     /// True when the wrapper delivered everything *and* the queue is empty.

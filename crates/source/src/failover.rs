@@ -59,7 +59,6 @@ pub struct FailoverSource {
     rel: RelId,
     total: u64,
     produced: u64,
-    suspended: bool,
     /// What the reader thread has delivered and the engine not yet taken.
     data: Receiver<Tuple>,
     pinned: String,
@@ -119,7 +118,6 @@ impl FailoverSource {
                 rel: open.rel,
                 total: open.total,
                 produced: open.resume_from,
-                suspended: false,
                 data,
                 pinned: addr.clone(),
                 grants: Arc::clone(&grants),
@@ -157,18 +155,6 @@ impl TupleSource for FailoverSource {
 
     fn produced(&self) -> u64 {
         self.produced
-    }
-
-    fn is_suspended(&self) -> bool {
-        self.suspended
-    }
-
-    fn suspend(&mut self) {
-        self.suspended = true;
-    }
-
-    fn resume(&mut self) {
-        self.suspended = false;
     }
 
     fn start(&mut self) {
@@ -406,10 +392,6 @@ mod tests {
             RemoteWrapper::connect(addr, mk_open(40), ntx, Duration::from_secs(10)).unwrap();
         assert_eq!(w.next_gap(), None, "push-paced: no gap to pre-schedule");
         assert_eq!((w.total(), w.produced()), (40, 0));
-        w.suspend();
-        assert!(w.is_suspended());
-        w.resume();
-        assert!(!w.is_suspended());
         // Five windows' worth: the reader blocks on the full channel until
         // the consumer drains it, and everything still arrives in order.
         let (got, notices) = drain(w, nrx);

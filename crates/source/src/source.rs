@@ -155,15 +155,6 @@ pub trait TupleSource: std::fmt::Debug {
         self.produced() >= self.total()
     }
 
-    /// Whether the window protocol has suspended this source.
-    fn is_suspended(&self) -> bool;
-
-    /// Suspend delivery (destination queue full).
-    fn suspend(&mut self);
-
-    /// Resume after the consumer drained the queue.
-    fn resume(&mut self);
-
     /// Begin producing (sends the sub-query to the wrapper). Pull-paced
     /// sources need no setup; push-paced sources spawn their producer
     /// here, so construction stays side-effect free.

@@ -4,14 +4,15 @@
 //! source and stream result tuples to the mediator. The simulation reduces a
 //! wrapper to (i) a result cardinality, (ii) a [`DelayModel`] pacing tuple
 //! production — which folds together source processing time, source load and
-//! network time — and (iii) the window-protocol suspension state driven by
-//! the communication manager.
+//! network time. (The window protocol's suspension state lives with the
+//! communication manager, the only party that reads or writes it.)
 
 use dqs_relop::{synth_key, RelId, Tuple};
 use dqs_sim::SimDuration;
 use rand_chacha::ChaCha8Rng;
 
 use crate::delay::DelayModel;
+use crate::source::TupleSource;
 
 /// One simulated remote wrapper.
 #[derive(Debug)]
@@ -21,7 +22,6 @@ pub struct Wrapper {
     produced: u64,
     delay: DelayModel,
     rng: ChaCha8Rng,
-    suspended: bool,
 }
 
 impl Wrapper {
@@ -33,48 +33,25 @@ impl Wrapper {
             produced: 0,
             delay,
             rng,
-            suspended: false,
         }
     }
+}
 
-    /// The relation this wrapper serves.
-    pub fn rel(&self) -> RelId {
+impl TupleSource for Wrapper {
+    fn rel(&self) -> RelId {
         self.rel
     }
 
-    /// Tuples delivered so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
-
-    /// Total tuples this wrapper will deliver.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.total
     }
 
-    /// True when every tuple has been delivered.
-    pub fn exhausted(&self) -> bool {
-        self.produced >= self.total
+    fn produced(&self) -> u64 {
+        self.produced
     }
 
-    /// Whether the window protocol has suspended this wrapper.
-    pub fn is_suspended(&self) -> bool {
-        self.suspended
-    }
-
-    /// Suspend (queue full).
-    pub fn suspend(&mut self) {
-        self.suspended = true;
-    }
-
-    /// Resume after the consumer drained the queue.
-    pub fn resume(&mut self) {
-        self.suspended = false;
-    }
-
-    /// The gap before the *next* tuple, consuming randomness; `None` when
-    /// exhausted.
-    pub fn next_gap(&mut self) -> Option<SimDuration> {
+    /// Consumes randomness.
+    fn next_gap(&mut self) -> Option<SimDuration> {
         if self.exhausted() {
             None
         } else {
@@ -82,54 +59,12 @@ impl Wrapper {
         }
     }
 
-    /// Emit the next tuple (deterministic key).
-    ///
-    /// # Panics
-    /// Panics when exhausted.
-    pub fn emit(&mut self) -> Tuple {
+    /// The next tuple, with a deterministic key.
+    fn emit(&mut self) -> Tuple {
         assert!(!self.exhausted(), "emit from exhausted wrapper");
         let t = Tuple::new(synth_key(self.rel, self.produced), self.rel);
         self.produced += 1;
         t
-    }
-
-    /// The configured delay model (for analytics such as LWB).
-    pub fn delay_model(&self) -> &DelayModel {
-        &self.delay
-    }
-}
-
-impl crate::source::TupleSource for Wrapper {
-    fn rel(&self) -> RelId {
-        Wrapper::rel(self)
-    }
-
-    fn total(&self) -> u64 {
-        Wrapper::total(self)
-    }
-
-    fn produced(&self) -> u64 {
-        Wrapper::produced(self)
-    }
-
-    fn is_suspended(&self) -> bool {
-        Wrapper::is_suspended(self)
-    }
-
-    fn suspend(&mut self) {
-        Wrapper::suspend(self)
-    }
-
-    fn resume(&mut self) {
-        Wrapper::resume(self)
-    }
-
-    fn next_gap(&mut self) -> Option<SimDuration> {
-        Wrapper::next_gap(self)
-    }
-
-    fn emit(&mut self) -> Tuple {
-        Wrapper::emit(self)
     }
 }
 
@@ -171,16 +106,6 @@ mod tests {
         assert_eq!(ka, kb);
         assert_eq!(ka.len(), 3);
         assert_ne!(ka[0], ka[1]);
-    }
-
-    #[test]
-    fn suspension_state_toggles() {
-        let mut w = mk(1);
-        assert!(!w.is_suspended());
-        w.suspend();
-        assert!(w.is_suspended());
-        w.resume();
-        assert!(!w.is_suspended());
     }
 
     #[test]

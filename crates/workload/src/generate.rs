@@ -34,6 +34,7 @@
 
 use std::ops::RangeInclusive;
 
+use dqs_exec::json::{self, arr, fields, fixed, obj, ToJson};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -70,24 +71,26 @@ pub enum DelayClass {
     },
 }
 
-impl DelayClass {
-    /// The spec-JSON `delay` object for this class.
-    pub fn to_json(&self) -> String {
-        match self {
-            DelayClass::Constant { us } => format!("{{\"constant_us\":{us}}}"),
-            DelayClass::Uniform { mean_us } => format!("{{\"uniform_us\":{mean_us}}}"),
-            DelayClass::Initial { delay_ms, mean_us } => {
-                format!("{{\"initial\":{{\"delay_ms\":{delay_ms},\"mean_us\":{mean_us}}}}}")
-            }
+/// The spec-JSON `delay` object for this class.
+impl ToJson for &DelayClass {
+    fn write_json(self, out: &mut String) {
+        obj(|o| match *self {
+            DelayClass::Constant { us } => fields!(o, "constant_us": us),
+            DelayClass::Uniform { mean_us } => fields!(o, "uniform_us": mean_us),
+            DelayClass::Initial { delay_ms, mean_us } => fields!(o,
+                "initial": obj(|o| fields!(o, "delay_ms": delay_ms, "mean_us": mean_us))
+            ),
             DelayClass::Bursty {
                 burst,
                 within_us,
                 pause_ms,
-            } => format!(
-                "{{\"bursty\":{{\"burst\":{burst},\"within_us\":{within_us},\
-                 \"pause_ms\":{pause_ms}}}}}"
+            } => fields!(o,
+                "bursty": obj(|o| {
+                    fields!(o, "burst": burst, "within_us": within_us, "pause_ms": pause_ms)
+                })
             ),
-        }
+        })
+        .write_json(out)
     }
 }
 
@@ -301,36 +304,37 @@ fn gen_spec<R: Rng + RngCore>(rng: &mut R, g: &Grammar, idx: usize) -> String {
         "specs need at least two relations to have a join"
     );
     let nrel = rng.gen_range(g.relations.clone());
-    let rels: Vec<String> = (0..nrel)
-        .map(|r| {
+    // Every random draw happens here, in this order; rendering below
+    // draws nothing.
+    let rels: Vec<(u64, &DelayClass)> = (0..nrel)
+        .map(|_| {
             let size = weighted(rng, &g.size_classes).clone();
-            let card = rng.gen_range(size);
-            let delay = weighted(rng, &g.delay_classes);
-            format!(
-                "{{\"name\":\"q{idx}r{r}\",\"cardinality\":{card},\"delay\":{}}}",
-                delay.to_json()
-            )
+            (rng.gen_range(size), weighted(rng, &g.delay_classes))
         })
         .collect();
-    let joins: Vec<String> = (1..nrel)
-        .map(|r| {
-            let sel = rng.gen_range(g.selectivity.clone());
-            format!(
-                "{{\"left\":\"q{idx}r{}\",\"right\":\"q{idx}r{r}\",\"selectivity\":{sel:.5}}}",
-                r - 1
-            )
-        })
+    let sels: Vec<f64> = (1..nrel)
+        .map(|_| rng.gen_range(g.selectivity.clone()))
         .collect();
     let mem = *weighted(rng, &g.memory_classes);
     // Per-spec seed (32-bit so the spec parser's integer range is safe):
     // distinct seeds give distinct specs distinct cache identities.
     let seed = rng.next_u64() & u64::from(u32::MAX);
-    format!(
-        "{{\"relations\":[{}],\"joins\":[{}],\
-         \"config\":{{\"memory_mb\":{mem},\"seed\":{seed}}}}}",
-        rels.join(","),
-        joins.join(",")
-    )
+
+    let name = |r: usize| format!("q{idx}r{r}");
+    let relations = rels.iter().enumerate().map(|(r, &(card, delay))| {
+        obj(move |o| fields!(o, "name": &name(r), "cardinality": card, "delay": delay))
+    });
+    let joins = sels.iter().enumerate().map(|(r, &sel)| {
+        obj(move |o| {
+            fields!(o, "left": &name(r), "right": &name(r + 1), "selectivity": fixed(sel, 5))
+        })
+    });
+    json::object(|o| {
+        fields!(o,
+            "relations": arr(relations), "joins": arr(joins),
+            "config": obj(|o| fields!(o, "memory_mb": mem, "seed": seed))
+        )
+    })
 }
 
 /// Zipf CDF over `n` ranks with exponent `s` (rank 0 most popular).
@@ -380,6 +384,36 @@ pub fn generate(opts: &GenOpts) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A seeded trace (full-width `u64` seed) and every delay class, byte
+    /// for byte as the pre-writer `format!`s produced them.
+    #[test]
+    fn generated_documents_match_the_golden_rendering() {
+        let t = generate(&GenOpts {
+            seed: 0xFFFF_FFFF_FFFF_FFF1,
+            specs: 3,
+            events: 4,
+            ..GenOpts::default()
+        });
+        assert_eq!(
+            t.to_json(),
+            r#"{"version":1,"seed":18446744073709551601,"specs":["{\"relations\":[{\"name\":\"q0r0\",\"cardinality\":63,\"delay\":{\"initial\":{\"delay_ms\":2,\"mean_us\":300}}},{\"name\":\"q0r1\",\"cardinality\":128,\"delay\":{\"constant_us\":200}}],\"joins\":[{\"left\":\"q0r0\",\"right\":\"q0r1\",\"selectivity\":0.01756}],\"config\":{\"memory_mb\":4,\"seed\":3162073943}}","{\"relations\":[{\"name\":\"q1r0\",\"cardinality\":22,\"delay\":{\"uniform_us\":400}},{\"name\":\"q1r1\",\"cardinality\":39,\"delay\":{\"uniform_us\":400}},{\"name\":\"q1r2\",\"cardinality\":59,\"delay\":{\"uniform_us\":400}},{\"name\":\"q1r3\",\"cardinality\":18,\"delay\":{\"constant_us\":200}}],\"joins\":[{\"left\":\"q1r0\",\"right\":\"q1r1\",\"selectivity\":0.01720},{\"left\":\"q1r1\",\"right\":\"q1r2\",\"selectivity\":0.00750},{\"left\":\"q1r2\",\"right\":\"q1r3\",\"selectivity\":0.00674}],\"config\":{\"memory_mb\":8,\"seed\":1604863638}}","{\"relations\":[{\"name\":\"q2r0\",\"cardinality\":24,\"delay\":{\"constant_us\":200}},{\"name\":\"q2r1\",\"cardinality\":28,\"delay\":{\"constant_us\":200}},{\"name\":\"q2r2\",\"cardinality\":138,\"delay\":{\"uniform_us\":400}}],\"joins\":[{\"left\":\"q2r0\",\"right\":\"q2r1\",\"selectivity\":0.01829},{\"left\":\"q2r1\",\"right\":\"q2r2\",\"selectivity\":0.01867}],\"config\":{\"memory_mb\":4,\"seed\":2988645085}}"],"events":[{"at_ms":14,"spec":0,"strategy":"dse"},{"at_ms":19,"spec":0,"strategy":"scr"},{"at_ms":23,"spec":1,"strategy":"dse"},{"at_ms":25,"spec":0,"strategy":"dse"}]}"#
+        );
+        let delays: Vec<String> = Grammar::default()
+            .delay_classes
+            .iter()
+            .map(|(class, _)| json::object(|o| fields!(o, "delay": class)))
+            .collect();
+        assert_eq!(
+            delays,
+            [
+                r#"{"delay":{"constant_us":200}}"#,
+                r#"{"delay":{"uniform_us":400}}"#,
+                r#"{"delay":{"initial":{"delay_ms":2,"mean_us":300}}}"#,
+                r#"{"delay":{"bursty":{"burst":16,"within_us":50,"pause_ms":2}}}"#,
+            ]
+        );
+    }
 
     #[test]
     fn equal_seeds_produce_byte_identical_traces() {

@@ -28,7 +28,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use dqs_core::hist::percentile;
-use dqs_exec::json;
+use dqs_exec::json::{self, fields, fixed, obj, ToJson};
 use dqs_reactor::{Events, Interest, Poller, Token};
 use dqs_source::net::{FlushStatus, Frame, FrameDecoder, WriteBuffer};
 
@@ -80,12 +80,18 @@ impl LatencySummary {
             max_ms: samples.last().copied().unwrap_or(0.0),
         }
     }
+}
 
-    fn to_json(self) -> String {
-        format!(
-            "{{\"p50_ms\":{:.2},\"p99_ms\":{:.2},\"p999_ms\":{:.2},\"max_ms\":{:.2}}}",
-            self.p50_ms, self.p99_ms, self.p999_ms, self.max_ms
-        )
+impl ToJson for LatencySummary {
+    fn write_json(self, out: &mut String) {
+        let ms = |v| fixed(v, 2);
+        obj(|o| {
+            fields!(o,
+                "p50_ms": ms(self.p50_ms), "p99_ms": ms(self.p99_ms),
+                "p999_ms": ms(self.p999_ms), "max_ms": ms(self.max_ms)
+            )
+        })
+        .write_json(out)
     }
 }
 
@@ -136,26 +142,19 @@ impl ReplayReport {
     /// Flat JSON rendering: the line `dqs workload replay` and
     /// `dqs bench c10k` print.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"sessions\":{},\"completed\":{},\"errored\":{},\"rejected\":{},\
-             \"queued_sessions\":{},\"peak_concurrent\":{},\"duration_secs\":{:.3},\
-             \"throughput_per_sec\":{:.1},\"total\":{},\"queue_wait\":{},\"exec\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.3}}}",
-            self.sessions,
-            self.completed,
-            self.errored,
-            self.rejected,
-            self.queued_sessions,
-            self.peak_concurrent,
-            self.duration_secs,
-            self.throughput_per_sec,
-            self.total.to_json(),
-            self.queue_wait.to_json(),
-            self.exec.to_json(),
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate()
-        )
+        json::object(|o| {
+            fields!(o,
+                "sessions": self.sessions, "completed": self.completed,
+                "errored": self.errored, "rejected": self.rejected,
+                "queued_sessions": self.queued_sessions,
+                "peak_concurrent": self.peak_concurrent,
+                "duration_secs": fixed(self.duration_secs, 3),
+                "throughput_per_sec": fixed(self.throughput_per_sec, 1),
+                "total": self.total, "queue_wait": self.queue_wait, "exec": self.exec,
+                "cache_hits": self.cache_hits, "cache_misses": self.cache_misses,
+                "cache_hit_rate": fixed(self.cache_hit_rate(), 3)
+            )
+        })
     }
 }
 
@@ -402,6 +401,41 @@ pub fn replay(trace: &Trace, opts: &ReplayOpts) -> io::Result<ReplayReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The report line, byte for byte as the pre-writer `format!`
+    /// produced it.
+    #[test]
+    fn report_json_matches_the_golden_rendering() {
+        let s = |x: f64| LatencySummary {
+            p50_ms: x,
+            p99_ms: x * 2.0,
+            p999_ms: x * 3.0,
+            max_ms: x * 4.0 + 0.005,
+        };
+        let r = ReplayReport {
+            sessions: 200,
+            completed: 197,
+            rejected: 2,
+            errored: 1,
+            queued_sessions: 150,
+            peak_concurrent: 88,
+            duration_secs: 6.54321,
+            throughput_per_sec: 30.149,
+            total: s(12.3456),
+            queue_wait: s(10.0),
+            exec: s(2.3456),
+            cache_hits: 190,
+            cache_misses: 10,
+        };
+        assert_eq!(
+            r.to_json(),
+            r#"{"sessions":200,"completed":197,"errored":1,"rejected":2,"queued_sessions":150,"peak_concurrent":88,"duration_secs":6.543,"throughput_per_sec":30.1,"total":{"p50_ms":12.35,"p99_ms":24.69,"p999_ms":37.04,"max_ms":49.39},"queue_wait":{"p50_ms":10.00,"p99_ms":20.00,"p999_ms":30.00,"max_ms":40.01},"exec":{"p50_ms":2.35,"p99_ms":4.69,"p999_ms":7.04,"max_ms":9.39},"cache_hits":190,"cache_misses":10,"cache_hit_rate":0.950}"#
+        );
+        assert_eq!(
+            ReplayReport::default().to_json(),
+            r#"{"sessions":0,"completed":0,"errored":0,"rejected":0,"queued_sessions":0,"peak_concurrent":0,"duration_secs":0.000,"throughput_per_sec":0.0,"total":{"p50_ms":0.00,"p99_ms":0.00,"p999_ms":0.00,"max_ms":0.00},"queue_wait":{"p50_ms":0.00,"p99_ms":0.00,"p999_ms":0.00,"max_ms":0.00},"exec":{"p50_ms":0.00,"p99_ms":0.00,"p999_ms":0.00,"max_ms":0.00},"cache_hits":0,"cache_misses":0,"cache_hit_rate":0.000}"#
+        );
+    }
 
     #[test]
     fn report_json_is_parseable_and_nested() {

@@ -28,7 +28,7 @@
 //! the file round-trips through the same serde-free parser the rest of
 //! the system uses.
 
-use dqs_exec::json::{self, Json};
+use dqs_exec::json::{self, arr, fields, obj, Json, ToJson};
 
 /// One scheduled submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +39,13 @@ pub struct TraceEvent {
     pub spec: usize,
     /// Scheduling strategy to submit with (`seq|ma|scr|dse`).
     pub strategy: String,
+}
+
+impl ToJson for &TraceEvent {
+    fn write_json(self, out: &mut String) {
+        obj(|o| fields!(o, "at_ms": self.at_ms, "spec": self.spec, "strategy": &self.strategy))
+            .write_json(out)
+    }
 }
 
 /// A generated workload: the spec pool plus the arrival schedule.
@@ -98,25 +105,12 @@ impl Trace {
     /// Serialize to the version-1 trace file format (no trailing
     /// newline). Deterministic: equal traces render byte-identically.
     pub fn to_json(&self) -> String {
-        let specs: Vec<String> = self.specs.iter().map(|s| json::escape(s)).collect();
-        let events: Vec<String> = self
-            .events
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"at_ms\":{},\"spec\":{},\"strategy\":{}}}",
-                    e.at_ms,
-                    e.spec,
-                    json::escape(&e.strategy)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"version\":1,\"seed\":{},\"specs\":[{}],\"events\":[{}]}}",
-            self.seed,
-            specs.join(","),
-            events.join(",")
-        )
+        json::object(|o| {
+            fields!(o,
+                "version": 1u64, "seed": self.seed, "specs": arr(&self.specs),
+                "events": arr(&self.events)
+            )
+        })
     }
 
     /// Parse a version-1 trace file. Events are re-sorted by `at_ms`
