@@ -13,15 +13,13 @@
 
 use std::io::Write;
 
-use dqs_core::{lwb, DsePolicy};
-use dqs_exec::{
-    combine, run_workload_observed, JsonLinesSink, MaPolicy, RunMetrics, ScramblingPolicy,
-    SeqPolicy, SingleQuery, SpmPolicy, Workload,
-};
+use dqs_core::lwb;
+use dqs_exec::{combine, JsonLinesSink, RunMetrics, SingleQuery, Workload};
 use dqs_plan::{Catalog, QepBuilder};
 use dqs_sim::SimDuration;
 use dqs_source::DelayModel;
 
+use crate::runner::run_observed;
 use crate::StrategyKind;
 
 /// A [`Write`] sink that folds every byte into an FNV-1a 64 hash —
@@ -104,13 +102,7 @@ pub fn metrics_signature(m: &RunMetrics) -> String {
 /// attached; returns the canonical metrics line and the event-stream hash.
 pub fn fingerprint_run(workload: &Workload, strategy: StrategyKind) -> (String, u64) {
     let mut sink = JsonLinesSink::new(FnvWriter::new());
-    let m = match strategy {
-        StrategyKind::Seq => run_workload_observed(workload, SeqPolicy, &mut sink),
-        StrategyKind::Ma => run_workload_observed(workload, MaPolicy::default(), &mut sink),
-        StrategyKind::Scr => run_workload_observed(workload, ScramblingPolicy::new(), &mut sink),
-        StrategyKind::Dse => run_workload_observed(workload, DsePolicy::new(), &mut sink),
-        StrategyKind::Spm => run_workload_observed(workload, SpmPolicy::new(), &mut sink),
-    };
+    let m = run_observed(workload, strategy, &mut sink);
     let hash = sink.finish().expect("hashing sink cannot fail").hash();
     (metrics_signature(&m), hash)
 }

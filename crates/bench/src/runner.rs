@@ -1,7 +1,9 @@
 //! Strategy dispatch and repeated-run averaging.
 
 use dqs_core::run_named;
-use dqs_exec::{NullObserver, RunMetrics, SimDriver, TaskCtx, WorkerPool, Workload};
+use dqs_exec::{
+    EngineObserver, NullObserver, RunMetrics, SimDriver, TaskCtx, WorkerPool, Workload,
+};
 use dqs_sim::stats;
 
 /// The paper repeats each measurement 3 times and averages (§5.1.3); these
@@ -61,8 +63,17 @@ impl StrategyKind {
 
 /// Execute `workload` once under `strategy`.
 pub fn run_once(workload: &Workload, strategy: StrategyKind) -> RunMetrics {
+    run_observed(workload, strategy, NullObserver)
+}
+
+/// Like [`run_once`], reporting engine events to `observer`.
+pub fn run_observed<O: EngineObserver>(
+    workload: &Workload,
+    strategy: StrategyKind,
+    observer: O,
+) -> RunMetrics {
     let name = strategy.name().to_ascii_lowercase();
-    run_named(&name, workload, NullObserver, SimDriver::new())
+    run_named(&name, workload, observer, SimDriver::new())
         .expect("every StrategyKind is a named strategy")
         .unwrap_or_else(|e| panic!("query execution aborted: {e}"))
 }

@@ -22,8 +22,8 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
-use dqs_cli::spec::WorkloadSpec;
 use dqs_core::{lwb, run_named, unknown_strategy};
+use dqs_exec::spec::WorkloadSpec;
 use dqs_exec::{
     EngineObserver, JsonLinesSink, NullObserver, RealTimeDriver, RunMetrics, SimDriver, Workload,
 };

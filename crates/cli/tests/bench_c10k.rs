@@ -4,7 +4,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use dqs_cli::json;
+use dqs_exec::json;
 use dqs_mediator::{MediatorServer, ServeOpts};
 
 /// A fresh, empty working directory for the child process.

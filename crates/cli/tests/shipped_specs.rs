@@ -1,8 +1,8 @@
 //! The spec files shipped under `examples/specs/` must stay loadable and
 //! runnable — they are the CLI's documentation.
 
-use dqs_cli::spec::WorkloadSpec;
 use dqs_core::DsePolicy;
+use dqs_exec::spec::WorkloadSpec;
 use dqs_exec::{run_workload, SeqPolicy, SpmPolicy};
 
 fn load(name: &str) -> WorkloadSpec {

@@ -21,7 +21,9 @@
 //!   next regardless of cost, so a stream of cheap queries can delay an
 //!   expensive one by a bounded number of promotions, never starve it —
 //!   and a client cannot age its own long job forward by spamming cheap
-//!   ones.
+//!   ones. That same-client exemption cannot engage in `dqs serve` today:
+//!   the server passes the *connection* id as `client` and a connection
+//!   carries one `Submit`, so every waiter is its own client there.
 //!
 //! The table also records each session's *queue wait* — the time between
 //! submission and promotion (zero for direct admits) — so admission-policy
@@ -180,9 +182,6 @@ pub struct SessionTable {
     /// Queue wait of each *running* session (zero for direct admits);
     /// cleared when the session finishes.
     waits: HashMap<u64, Duration>,
-    /// Replica endpoints each running session's scans opened on, by
-    /// `(relation, endpoint)`; cleared when the session finishes.
-    pins: HashMap<u64, Vec<(u16, String)>>,
     stats: SessionStats,
 }
 
@@ -199,7 +198,6 @@ impl SessionTable {
             running: Vec::new(),
             queue: VecDeque::new(),
             waits: HashMap::new(),
-            pins: HashMap::new(),
             stats: SessionStats::default(),
         }
     }
@@ -296,12 +294,6 @@ impl SessionTable {
         }
     }
 
-    /// True while `session` holds an execution slot (queued sessions wait
-    /// on this turning true).
-    pub fn is_running(&self, session: u64) -> bool {
-        self.running.contains(&session)
-    }
-
     /// A queued session's current backlog position in arrival order
     /// (0 = oldest), or `None` once it runs or was never queued.
     pub fn queue_position(&self, session: u64) -> Option<usize> {
@@ -315,27 +307,10 @@ impl SessionTable {
         self.waits.get(&session).copied()
     }
 
-    /// Record that `session`'s scan of relation `rel` opened on replica
-    /// `endpoint`, so operators can ask the table where a running
-    /// session's wrapper load actually landed.
-    pub fn record_pin(&mut self, session: u64, rel: u16, endpoint: &str) {
-        self.pins
-            .entry(session)
-            .or_default()
-            .push((rel, endpoint.to_string()));
-    }
-
-    /// The replica pins recorded for `session` (empty once it finishes or
-    /// if it never pinned).
-    pub fn pins(&self, session: u64) -> &[(u16, String)] {
-        self.pins.get(&session).map_or(&[], Vec::as_slice)
-    }
-
     /// Release `session`'s slot and memory; promotes (and returns) the
     /// queued session the policy picks, which is running when this
     /// returns. Unknown or queued ids release nothing.
     pub fn finish(&mut self, session: u64) -> Option<u64> {
-        self.pins.remove(&session);
         self.waits.remove(&session);
         let Some(i) = self.running.iter().position(|&s| s == session) else {
             // A queued client that gave up: just drop it from the backlog.
@@ -370,11 +345,6 @@ impl SessionTable {
     /// Current counters.
     pub fn stats(&self) -> SessionStats {
         self.stats
-    }
-
-    /// The configuration the table was built with (after clamping).
-    pub fn config(&self) -> &SessionConfig {
-        &self.cfg
     }
 }
 
@@ -439,7 +409,7 @@ mod tests {
         assert_eq!(t.partition_bytes(), 16 << 20);
         let t = SessionTable::new(cfg(0, 0, 100)); // clamped to 1
         assert_eq!(t.partition_bytes(), 100);
-        assert_eq!(t.config().max_concurrent, 1);
+        assert_eq!(t.cfg.max_concurrent, 1);
     }
 
     #[test]
@@ -484,9 +454,9 @@ mod tests {
         };
         assert_eq!(t.queue_position(b), Some(0));
         assert_eq!(t.queue_position(c), Some(1));
-        assert!(!t.is_running(b));
+        assert!(!t.running.contains(&b));
         assert_eq!(t.finish(a), Some(b), "FIFO: b before c");
-        assert!(t.is_running(b));
+        assert!(t.running.contains(&b));
         assert_eq!(t.queue_position(c), Some(0), "c moved up");
         assert_eq!(t.finish(b), Some(c));
         assert_eq!(t.finish(c), None, "backlog empty");
@@ -640,28 +610,6 @@ mod tests {
         let mut t = SessionTable::new(cfg(1, 1, 10));
         assert_eq!(t.finish(999), None);
         assert_eq!(t.stats().running, 0);
-    }
-
-    #[test]
-    fn replica_pins_live_with_the_session() {
-        let mut t = SessionTable::new(cfg(2, 0, 10));
-        let a = match t.submit() {
-            Decision::Admit { session, .. } => session,
-            d => panic!("{d:?}"),
-        };
-        assert!(t.pins(a).is_empty(), "nothing recorded yet");
-        t.record_pin(a, 0, "127.0.0.1:7400");
-        t.record_pin(a, 1, "127.0.0.1:7401");
-        assert_eq!(
-            t.pins(a),
-            &[
-                (0, "127.0.0.1:7400".to_string()),
-                (1, "127.0.0.1:7401".to_string())
-            ]
-        );
-        assert!(t.pins(999).is_empty(), "unknown session has no pins");
-        t.finish(a);
-        assert!(t.pins(a).is_empty(), "pins cleared at finish");
     }
 
     #[test]

@@ -24,13 +24,13 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use dqs_relop::RelId;
 use dqs_sim::clock::until;
 use dqs_sim::{Clock, EventId, EventQueue, SimTime, TimerHeap, TimerId, WallClock};
-use dqs_source::{BoxSource, Notice, SourceError};
+use dqs_source::{BoxSource, Notice};
 
 use crate::workload::{EngineConfig, Workload};
 use crate::world::sim_sources;
 
 /// Events the driver delivers to the engine's loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Signal {
     /// A tuple from this wrapper reaches the communication manager.
     Arrival(RelId),
@@ -40,12 +40,20 @@ pub enum Signal {
     TempReady,
     /// The stall timer expired (generation guards staleness).
     Timeout(u64),
-    /// A source failed terminally (remote wrapper died, timed out, or
-    /// broke protocol); the details wait in [`Driver::take_fault`].
-    SourceFault(RelId),
-    /// A replica-backed source pinned, failed over, or degraded an
-    /// endpoint; the full notice waits in [`Driver::take_replica_event`].
-    ReplicaEvent(RelId),
+    /// Anything else a remote source reports — a terminal fault, a replica
+    /// pin, a failover, a degraded endpoint — as the source wrote it. Boxed
+    /// because these are a handful per session while every queued arrival
+    /// and timer pays for the size of a `Signal`.
+    Source(Box<Notice>),
+}
+
+impl From<Notice> for Signal {
+    fn from(notice: Notice) -> Signal {
+        match notice {
+            Notice::Arrival(rel) => Signal::Arrival(rel),
+            other => Signal::Source(Box::new(other)),
+        }
+    }
 }
 
 /// The substrate a scheduler run executes on: time, timers, and sources.
@@ -78,18 +86,6 @@ pub trait Driver {
 
     /// Signals delivered so far (the runaway-loop guard).
     fn fired(&self) -> u64;
-
-    /// The failure behind the most recent [`Signal::SourceFault`], if any.
-    /// Simulated drivers never fault.
-    fn take_fault(&mut self) -> Option<(RelId, SourceError)> {
-        None
-    }
-
-    /// The notice behind the most recent [`Signal::ReplicaEvent`], if any.
-    /// Simulated drivers have no replicas.
-    fn take_replica_event(&mut self) -> Option<Notice> {
-        None
-    }
 
     /// The worker pool morsel-parallel batches should execute on, when the
     /// driver brings its own (a mediator-owned [`RealTimeDriver`] shares one
@@ -163,10 +159,6 @@ pub struct RealTimeDriver {
     /// connected eagerly); [`Driver::sources`] returns these when present
     /// instead of the workload's in-process wrappers.
     prebuilt: Option<Vec<BoxSource>>,
-    /// The failure behind the last [`Signal::SourceFault`] delivered.
-    fault: Option<(RelId, SourceError)>,
-    /// The notice behind the last [`Signal::ReplicaEvent`] delivered.
-    replica_note: Option<Notice>,
     /// Pool handed to the engine for morsel-parallel batches (shared across
     /// sessions when the mediator owns it).
     pool: Option<std::sync::Arc<crate::pool::WorkerPool>>,
@@ -183,8 +175,6 @@ impl RealTimeDriver {
             notify_rx,
             notify_tx: Some(notify_tx),
             prebuilt: None,
-            fault: None,
-            replica_note: None,
             pool: None,
             fired: 0,
         }
@@ -209,25 +199,6 @@ impl RealTimeDriver {
         let notify = driver.notify_tx.as_ref().expect("fresh driver has sender");
         driver.prebuilt = Some(connect(notify)?);
         Ok(driver)
-    }
-
-    /// Turn a notice into the signal the engine loop sees, stashing fault
-    /// details for [`Driver::take_fault`].
-    fn signal_for(&mut self, notice: Notice) -> Signal {
-        match notice {
-            Notice::Arrival(rel) => Signal::Arrival(rel),
-            Notice::Fault { rel, error } => {
-                self.fault = Some((rel, error));
-                Signal::SourceFault(rel)
-            }
-            replica @ (Notice::ReplicaPinned { .. }
-            | Notice::Failover { .. }
-            | Notice::ReplicaDegraded { .. }) => {
-                let rel = replica.rel();
-                self.replica_note = Some(replica);
-                Signal::ReplicaEvent(rel)
-            }
-        }
     }
 }
 
@@ -283,7 +254,7 @@ impl Driver for RealTimeDriver {
                     match self.notify_rx.recv_timeout(until(now, deadline)) {
                         Ok(notice) => {
                             self.fired += 1;
-                            return Some((self.clock.now(), self.signal_for(notice)));
+                            return Some((self.clock.now(), notice.into()));
                         }
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => {
@@ -298,7 +269,7 @@ impl Driver for RealTimeDriver {
                     match self.notify_rx.recv() {
                         Ok(notice) => {
                             self.fired += 1;
-                            return Some((self.clock.now(), self.signal_for(notice)));
+                            return Some((self.clock.now(), notice.into()));
                         }
                         // Readers done and nothing scheduled: nothing can
                         // ever happen again.
@@ -311,14 +282,6 @@ impl Driver for RealTimeDriver {
 
     fn fired(&self) -> u64 {
         self.fired
-    }
-
-    fn take_fault(&mut self) -> Option<(RelId, SourceError)> {
-        self.fault.take()
-    }
-
-    fn take_replica_event(&mut self) -> Option<Notice> {
-        self.replica_note.take()
     }
 
     fn exec_pool(&mut self) -> Option<std::sync::Arc<crate::pool::WorkerPool>> {
@@ -400,45 +363,54 @@ mod tests {
         );
     }
 
+    /// A fault rides its signal whole, so one sent right behind another
+    /// notice still reaches the engine with its error — nothing is parked
+    /// in a one-slot stash for the second to overwrite.
     #[test]
     fn fault_notice_becomes_source_fault_signal() {
+        use dqs_source::SourceError;
         let mut d = RealTimeDriver::new();
         let tx = d.notify_tx.clone().unwrap();
-        tx.send(Notice::Fault {
+        let failover = Notice::Failover {
+            rel: RelId(2),
+            from: "a:1".into(),
+            to: "b:2".into(),
+            resume_from: 512,
+        };
+        let fault = Notice::Fault {
             rel: RelId(4),
             error: SourceError::Timeout { millis: 50 },
-        })
-        .unwrap();
-        let (_, s) = d.next().expect("fault delivered");
-        assert_eq!(s, Signal::SourceFault(RelId(4)));
-        let (rel, err) = d.take_fault().expect("details stashed");
-        assert_eq!(rel, RelId(4));
-        assert_eq!(err.kind(), "timeout");
-        assert!(d.take_fault().is_none(), "take_fault drains");
+        };
+        tx.send(failover.clone()).unwrap();
+        tx.send(fault.clone()).unwrap();
+        let mut next = || d.next().expect("notice delivered").1;
+        assert_eq!(next(), Signal::Source(Box::new(failover)));
+        assert_eq!(next(), Signal::Source(Box::new(fault)));
+        assert_eq!(d.fired(), 2);
     }
 
     #[test]
     fn replica_notices_become_replica_event_signals() {
         let mut d = RealTimeDriver::new();
         let tx = d.notify_tx.clone().unwrap();
-        tx.send(Notice::Failover {
+        let pinned = Notice::ReplicaPinned {
             rel: RelId(2),
-            from: "a:1".into(),
-            to: "b:2".into(),
-            resume_from: 512,
-        })
-        .unwrap();
-        let (_, s) = d.next().expect("event delivered");
-        assert_eq!(s, Signal::ReplicaEvent(RelId(2)));
-        match d.take_replica_event().expect("notice stashed") {
-            Notice::Failover {
-                rel, resume_from, ..
-            } => {
-                assert_eq!(rel, RelId(2));
-                assert_eq!(resume_from, 512);
-            }
-            other => panic!("wrong notice: {other:?}"),
+            endpoint: "a:1".into(),
+        };
+        let degraded = Notice::ReplicaDegraded {
+            rel: RelId(2),
+            endpoint: "a:1".into(),
+            error: dqs_source::SourceError::Disconnected {
+                detail: "reset".into(),
+            },
+        };
+        for notice in [&pinned, &degraded, &Notice::Arrival(RelId(2))] {
+            tx.send(notice.clone()).unwrap();
         }
-        assert!(d.take_replica_event().is_none(), "take drains");
+        let mut next = || d.next().expect("notice delivered").1;
+        assert_eq!(next(), Signal::Source(Box::new(pinned)));
+        assert_eq!(next(), Signal::Source(Box::new(degraded)));
+        // Only an arrival is unwrapped: it is what every queued timer is.
+        assert_eq!(next(), Signal::Arrival(RelId(2)));
     }
 }

@@ -8,9 +8,10 @@
 //! The way out is [`ToJson`]: trace lines, `Done` payloads, reports and
 //! generated specs all list their fields through it.
 //!
-//! Numbers are held as `f64`; integer accessors reject values that cannot
-//! be represented exactly (magnitude above 2^53 or fractional), which is
-//! far beyond anything a workload spec needs.
+//! An integer token that fits a `u64` is kept exact, so what the writer
+//! emits — a full 64-bit seed, say — reads back unchanged; every other
+//! number is held as `f64`, and the integer accessor rejects one that is
+//! fractional or beyond 2^53, where `f64` stops being exact.
 
 use std::fmt::{self, Write as _};
 
@@ -23,7 +24,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (see module docs on integers).
+    /// A non-negative integer written without fraction or exponent that
+    /// fits a `u64`, exact.
+    Integer(u64),
+    /// Any other number.
     Number(f64),
     /// A string, unescaped.
     String(String),
@@ -40,7 +44,7 @@ impl Json {
         match self {
             Json::Null => "null",
             Json::Bool(_) => "boolean",
-            Json::Number(_) => "number",
+            Json::Integer(_) | Json::Number(_) => "number",
             Json::String(_) => "string",
             Json::Array(_) => "array",
             Json::Object(_) => "object",
@@ -82,6 +86,7 @@ impl Json {
     /// The value if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Integer(n) => Some(*n as f64),
             Json::Number(v) => Some(*v),
             _ => None,
         }
@@ -91,6 +96,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
         match self {
+            Json::Integer(n) => Some(*n),
             Json::Number(v) if v.fract() == 0.0 && *v >= 0.0 && *v <= MAX_EXACT => Some(*v as u64),
             _ => None,
         }
@@ -335,6 +341,7 @@ impl Parser<'_> {
             Some(b'1'..=b'9') => self.digits(),
             _ => return Err(self.err("expected digit")),
         }
+        let plain = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.pos += 1;
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
@@ -353,6 +360,9 @@ impl Parser<'_> {
             self.digits();
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if let (true, Ok(n)) = (plain, text.parse::<u64>()) {
+            return Ok(Json::Integer(n));
+        }
         let v: f64 = text.parse().map_err(|_| self.err("number out of range"))?;
         if !v.is_finite() {
             return Err(self.err("number out of range"));
@@ -377,8 +387,8 @@ impl Parser<'_> {
 /// [`fields!`](crate::fields), so quoting, commas and escaping cannot be
 /// got wrong at a call site.
 ///
-/// Integers are written exactly (a full `u64` seed survives, which
-/// [`Json::Number`] could not hold); `f64` uses Rust's shortest
+/// Integers are written exactly (a full `u64` seed survives, and
+/// [`Json::Integer`] reads it back); `f64` uses Rust's shortest
 /// round-trip rendering, [`fixed`] a set number of decimals.
 pub trait ToJson {
     /// Append this value's JSON text to `out`.
@@ -597,6 +607,13 @@ mod tests {
         assert_eq!(parse("10000").unwrap().as_u64(), Some(10_000));
         assert_eq!(parse("0.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
+        // The whole u64 range reads back exactly; one past it does not fit
+        // and is not rounded into it.
+        let max = parse("18446744073709551615").unwrap();
+        assert_eq!(max.as_u64(), Some(u64::MAX));
+        assert_eq!(max.as_f64(), Some(u64::MAX as f64));
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
     }
 
     #[test]

@@ -69,11 +69,8 @@ pub use multi::{combine, SingleQuery};
 pub use observe::{EngineEvent, EngineObserver, JsonLinesSink, MetricsObserver, NullObserver};
 pub use policy::{Interrupt, PlanCtx, Policy};
 pub use pool::{PoolStats, TaskCtx, WorkerPool};
-pub use runtime::{
-    run_workload, run_workload_observed, run_workload_realtime, run_workload_realtime_observed,
-    Engine,
-};
+pub use runtime::{run_workload, run_workload_realtime, Engine};
 pub use spec::{ConfigSpec, DelaySpec, JoinSpec, RelationSpec, SpecError, WorkloadSpec};
 pub use strategies::{MaPolicy, ScramblingPolicy, SeqPolicy, SpmPolicy};
 pub use workload::{EngineConfig, Workload};
-pub use world::World;
+pub use world::{sim_source, World};

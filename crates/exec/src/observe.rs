@@ -271,11 +271,6 @@ impl EngineObserver for MetricsObserver {
             // fragment with a (materializing, consuming) pair.
             EngineEvent::Degraded { .. } | EngineEvent::Split { .. } => m.degradations += 1,
             EngineEvent::MemoryDenied { .. } => m.memory_overflows += 1,
-            EngineEvent::CacheHit { bytes, .. } => {
-                m.cache_hits += 1;
-                m.cache_bytes_served += bytes;
-            }
-            EngineEvent::CacheMiss { .. } => m.cache_misses += 1,
             EngineEvent::Failover { .. } => m.failovers += 1,
             EngineEvent::ReplicaDegraded { .. } => m.replica_retries += 1,
             EngineEvent::MorselDispatched { .. } => m.morsels += 1,
@@ -283,7 +278,11 @@ impl EngineObserver for MetricsObserver {
             EngineEvent::RateSample { .. } => m.rate_samples += 1,
             EngineEvent::RatePermuted { .. } => m.permutations += 1,
             EngineEvent::Stalled => self.acc.stall_begin(at),
-            EngineEvent::ReplicaPinned { .. }
+            // Cache outcomes are decided where sources are built, before
+            // an engine exists; the mediator counts them itself.
+            EngineEvent::CacheHit { .. }
+            | EngineEvent::CacheMiss { .. }
+            | EngineEvent::ReplicaPinned { .. }
             | EngineEvent::Arrival { .. }
             | EngineEvent::MatCancelled { .. }
             | EngineEvent::MemoryGranted { .. }

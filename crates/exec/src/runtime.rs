@@ -28,6 +28,7 @@ use std::sync::Arc;
 use dqs_plan::AnnotatedPlan;
 use dqs_relop::{HtId, RelId, Tuple};
 use dqs_sim::SimTime;
+use dqs_source::Notice;
 use dqs_storage::ReservationId;
 
 use crate::driver::{Driver, RealTimeDriver, Signal, SimDriver};
@@ -200,58 +201,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
                     }
                 }
                 Signal::Timeout(gen) => self.on_timeout(gen),
-                Signal::SourceFault(rel) => {
-                    let error = self.driver.take_fault().map(|(_, e)| e).unwrap_or_else(|| {
-                        dqs_source::SourceError::Io {
-                            detail: "source fault with no detail".into(),
-                        }
-                    });
-                    self.aborted = Some(RunError::Wrapper { rel, error });
-                }
-                Signal::ReplicaEvent(_) => match self.driver.take_replica_event() {
-                    Some(dqs_source::Notice::ReplicaPinned { rel, endpoint }) => {
-                        self.emit(
-                            t,
-                            EngineEvent::ReplicaPinned {
-                                rel,
-                                endpoint: &endpoint,
-                            },
-                        );
-                    }
-                    Some(dqs_source::Notice::Failover {
-                        rel,
-                        from,
-                        to,
-                        resume_from,
-                    }) => {
-                        self.emit(
-                            t,
-                            EngineEvent::Failover {
-                                rel,
-                                from: &from,
-                                to: &to,
-                                resume_from,
-                            },
-                        );
-                    }
-                    Some(dqs_source::Notice::ReplicaDegraded {
-                        rel,
-                        endpoint,
-                        error,
-                    }) => {
-                        self.emit(
-                            t,
-                            EngineEvent::ReplicaDegraded {
-                                rel,
-                                endpoint: &endpoint,
-                                error: &error,
-                            },
-                        );
-                    }
-                    // Arrival/Fault never ride this signal; a drained
-                    // stash is a stale duplicate — ignore.
-                    _ => {}
-                },
+                Signal::Source(notice) => self.on_notice(*notice, t),
             }
             if self.driver.fired() > MAX_EVENTS {
                 self.aborted = Some(RunError::EventLimit { limit: MAX_EVENTS });
@@ -286,6 +236,45 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
         );
         if self.inflight.is_none() {
             self.try_dispatch();
+        }
+    }
+
+    /// What a remote source reported besides an arrival: a fault ends the
+    /// run, everything else is told to the observers.
+    fn on_notice(&mut self, notice: Notice, now: SimTime) {
+        match notice {
+            Notice::Arrival(rel) => self.on_arrival(rel, now),
+            Notice::Fault { rel, error } => self.aborted = Some(RunError::Wrapper { rel, error }),
+            Notice::ReplicaPinned { rel, endpoint } => {
+                let endpoint = &endpoint;
+                self.emit(now, EngineEvent::ReplicaPinned { rel, endpoint });
+            }
+            Notice::Failover {
+                rel,
+                from,
+                to,
+                resume_from,
+            } => {
+                let ev = EngineEvent::Failover {
+                    rel,
+                    from: &from,
+                    to: &to,
+                    resume_from,
+                };
+                self.emit(now, ev);
+            }
+            Notice::ReplicaDegraded {
+                rel,
+                endpoint,
+                error,
+            } => {
+                let ev = EngineEvent::ReplicaDegraded {
+                    rel,
+                    endpoint: &endpoint,
+                    error: &error,
+                };
+                self.emit(now, ev);
+            }
         }
     }
 
@@ -351,16 +340,6 @@ pub fn run_workload<P: Policy>(workload: &Workload, policy: P) -> RunMetrics {
     Engine::new(workload, policy).run()
 }
 
-/// Like [`run_workload`], reporting engine events to `observer` as the run
-/// progresses.
-pub fn run_workload_observed<P: Policy, O: EngineObserver>(
-    workload: &Workload,
-    policy: P,
-    observer: O,
-) -> RunMetrics {
-    Engine::with_observer(workload, policy, observer).run()
-}
-
 /// Run `workload` on the wall clock: wrapper gaps, batch completions and
 /// timeouts are real deadlines.
 ///
@@ -371,14 +350,5 @@ pub fn run_workload_realtime<P: Policy>(
     workload: &Workload,
     policy: P,
 ) -> Result<RunMetrics, RunError> {
-    run_workload_realtime_observed(workload, policy, NullObserver)
-}
-
-/// Like [`run_workload_realtime`], reporting engine events to `observer`.
-pub fn run_workload_realtime_observed<P: Policy, O: EngineObserver>(
-    workload: &Workload,
-    policy: P,
-    observer: O,
-) -> Result<RunMetrics, RunError> {
-    Engine::with_driver(workload, policy, observer, RealTimeDriver::new()).try_run()
+    Engine::with_driver(workload, policy, NullObserver, RealTimeDriver::new()).try_run()
 }

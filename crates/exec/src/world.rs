@@ -1,7 +1,7 @@
 //! The execution world: every simulated component of one run.
 
 use dqs_plan::{AnnotatedPlan, ChainSet};
-use dqs_relop::{HashTableArena, Tuple};
+use dqs_relop::{HashTableArena, RelId, Tuple};
 use dqs_sim::{FifoResource, SeedSplitter, SimParams};
 use dqs_source::{BoxSource, CommManager, Wrapper};
 use dqs_storage::{Disk, MemoryManager, StreamId, TempRelation};
@@ -14,19 +14,24 @@ use crate::workload::Workload;
 /// Shared by [`World::build`] and `SimDriver` so both construct
 /// bit-identical sources.
 pub(crate) fn sim_sources(workload: &Workload) -> Vec<BoxSource> {
-    let seeds = SeedSplitter::new(workload.config.seed);
     workload
         .catalog
         .iter()
-        .map(|(rel, spec)| {
-            Box::new(Wrapper::new(
-                rel,
-                workload.actual_cardinality(rel),
-                workload.delays[rel.0 as usize].clone(),
-                seeds.stream(&format!("wrapper:{}", spec.name)),
-            )) as BoxSource
-        })
+        .map(|(rel, _)| sim_source(workload, rel))
         .collect()
+}
+
+/// The in-process wrapper for `rel` — the one place it is constructed,
+/// for simulation, the wall-clock driver and a mediator serving without
+/// remote wrappers alike.
+pub fn sim_source(workload: &Workload, rel: RelId) -> BoxSource {
+    Box::new(Wrapper::new(
+        rel,
+        workload.actual_cardinality(rel),
+        workload.delays[rel.0 as usize].clone(),
+        SeedSplitter::new(workload.config.seed)
+            .stream(&format!("wrapper:{}", workload.catalog.name(rel))),
+    ))
 }
 
 /// Derive a child seed from a master seed and a context label: FNV-1a over

@@ -36,3 +36,25 @@ pub mod wrapper_server;
 pub use client::{invalidate, submit, ClientError, Progress, RemoteMetrics, SubmitOpts};
 pub use server::{MediatorServer, ServeOpts, ServerMetrics};
 pub use wrapper_server::{ChurnOpts, WrapperServer};
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
+
+/// Longest uninterrupted sleep of any service thread, so a stopping server
+/// never waits out a probe interval, a refresh cycle or a modelled gap.
+const SLEEP_SLICE: Duration = Duration::from_millis(50);
+
+/// Sleep `d` in [`SLEEP_SLICE`]s, looking at `stop` before each one.
+/// `false` when `stop` was raised before `d` had passed.
+fn sleep_unless(stop: &AtomicBool, d: Duration) -> bool {
+    let mut left = d;
+    while !left.is_zero() {
+        if stop.load(Ordering::SeqCst) {
+            return false;
+        }
+        let slice = left.min(SLEEP_SLICE);
+        std::thread::sleep(slice);
+        left -= slice;
+    }
+    true
+}

@@ -23,7 +23,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::Duration;
 
 use dqs_cache::{CacheKey, SharedCache};
@@ -32,16 +31,16 @@ use dqs_refresh::{rescan_cost_us, Candidate, RefreshAction, RefreshPlanner, Scan
 use dqs_relop::RelId;
 use dqs_replica::ReplicaSet;
 use dqs_source::net::RelStat;
-use dqs_source::scan::{self, RemoteOpen, Scan};
+use dqs_source::scan::{self, Scan};
+use dqs_source::RemoteOpen;
 
-/// Sleep slice so shutdown never waits out a full refresh interval.
-const SLEEP_SLICE: Duration = Duration::from_millis(50);
+use crate::sleep_unless;
 
 /// Mediator-side state the refresher shares with session builds.
 #[derive(Debug, Default)]
 pub(crate) struct RefreshState {
-    /// How to re-open every cold-recorded scan: the exact `Open`
-    /// parameters, keyed by cache key. Pruned against cache residency
+    /// How to re-open every cold-recorded scan: the `Open` the session
+    /// sent, keyed by cache key. Pruned against cache residency
     /// each cycle so it never outgrows the cache itself.
     pub(crate) provenance: Mutex<HashMap<CacheKey, ScanProvenance>>,
     /// Latest change-tracking stats observed per (group id, relation).
@@ -99,14 +98,8 @@ pub(crate) fn run_refresher(ctx: &RefresherCtx, stop: &AtomicBool) {
                 !materialized.remove(k)
             }
         });
-        let mut slept = Duration::ZERO;
-        while slept < ctx.interval {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let slice = SLEEP_SLICE.min(ctx.interval - slept);
-            thread::sleep(slice);
-            slept += slice;
+        if !sleep_unless(stop, ctx.interval) {
+            return;
         }
     }
 }
@@ -147,13 +140,13 @@ fn execute_cycle(ctx: &RefresherCtx, stop: &AtomicBool) {
         let Some(set) = ctx.sets.get(prov.group) else {
             continue;
         };
-        let Some(stat) = stats.get(&(set.id().to_string(), prov.rel)) else {
+        let Some(stat) = stats.get(&(set.id().to_string(), prov.open.rel)) else {
             continue;
         };
         candidates.push(Candidate {
             snapshot: snap.clone(),
             stat: *stat,
-            rescan_cost_us: rescan_cost_us(&prov.delay, stat.total),
+            rescan_cost_us: rescan_cost_us(&prov.open.delay, stat.total),
         });
         provs.push(prov);
     }
@@ -183,7 +176,7 @@ fn execute_cycle(ctx: &RefresherCtx, stop: &AtomicBool) {
                 let ok = ctx.cache.refresh_extend(key, &tail, version);
                 println!(
                     "{}",
-                    delta_line(prov.rel, from, to, tail.len() * 8, version)
+                    delta_line(prov.open.rel, from, to, tail.len() * 8, version)
                 );
                 ("delta", decision.bytes, ok)
             }
@@ -196,7 +189,10 @@ fn execute_cycle(ctx: &RefresherCtx, stop: &AtomicBool) {
             }
             RefreshAction::Defer => ("defer", 0, ctx.cache.mark_stale(key)),
         };
-        println!("{}", apply_line(action, prov.rel, version, bytes, applied));
+        println!(
+            "{}",
+            apply_line(action, prov.open.rel, version, bytes, applied)
+        );
     }
 }
 
@@ -242,13 +238,9 @@ fn fetch_range(
     read_timeout: Duration,
 ) -> Option<Vec<u64>> {
     let open = RemoteOpen {
-        rel: prov.rel,
         total: to,
-        window: prov.window,
-        seed: prov.seed,
-        stream: prov.stream.clone(),
-        delay: prov.delay.clone(),
         resume_from: from,
+        ..prov.open.clone()
     };
     let stream = scan::dial(set.best()?, read_timeout).ok()?;
     Scan::open(stream, &open, read_timeout).ok()?.drain().ok()

@@ -13,8 +13,8 @@
 //!
 //! Connections are *not* threads. A small set of I/O workers (one
 //! [`dqs_reactor::Poller`] each, `io_threads` of them) owns every client
-//! socket: sockets are non-blocking, reads go through an incremental
-//! [`FrameDecoder`] and writes through a resumable [`WriteBuffer`], so a
+//! socket: each is a non-blocking [`FramedConn`] — reads go through its
+//! incremental decoder and writes through its resumable buffer — so a
 //! partial frame in either direction costs buffered bytes, never a
 //! blocked thread. Connections are assigned to workers by
 //! `conn_id % io_threads`; cross-thread hand-off (engine → socket) goes
@@ -54,8 +54,8 @@
 //! health tables fresh between sessions.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -67,20 +67,20 @@ use dqs_core::{run_named, unknown_strategy, LatencyHistogram, STRATEGY_NAMES};
 use dqs_exec::json::{self, arr, fields, fixed, obj, ToJson};
 use dqs_exec::spec::WorkloadSpec;
 use dqs_exec::{
-    observe, EngineEvent, EngineObserver, RealTimeDriver, RunMetrics, WorkerPool, Workload,
+    observe, sim_source, EngineEvent, EngineObserver, RealTimeDriver, RunMetrics, WorkerPool,
+    Workload,
 };
 use dqs_reactor::{Events, Interest, Poller, TimerId, TimerWheel, Token, Waker};
 use dqs_refresh::{RefreshPlanner, ScanProvenance};
-use dqs_relop::RelId;
 use dqs_replica::{parse_groups, EndpointSnapshot, EndpointState, HealthConfig, ReplicaSet};
-use dqs_sim::{SeedSplitter, SimTime};
-use dqs_source::net::{FlushStatus, Frame, FrameDecoder, WriteBuffer};
+use dqs_sim::SimTime;
+use dqs_source::net::{FlushStatus, Frame, FramedConn};
 use dqs_source::{
     scan, BoxSource, FailoverSource, RecordingSource, RemoteOpen, ReplaySource, SourceError,
-    Wrapper,
 };
 
 use crate::refresher::{self, RefreshState, RefresherCtx};
+use crate::sleep_unless;
 
 /// How often the background prober re-checks replica endpoint liveness.
 const PROBE_INTERVAL: Duration = Duration::from_millis(500);
@@ -310,7 +310,7 @@ impl Admission {
 /// waker ding).
 enum Msg {
     /// A freshly accepted connection this worker now owns.
-    Adopt(u64, TcpStream),
+    Adopt(u64, FramedConn),
     /// Queue a progress frame for a connection.
     Frame(u64, Frame),
     /// Queue the terminal frame: flush it, then close the connection.
@@ -648,22 +648,17 @@ enum ConnState {
     AwaitSubmit,
     /// Submitted and owned by a session (queued or running).
     InSession { session: u64 },
-    /// Conversation over; nothing left but flushing and closing.
+    /// Conversation over: the terminal frame is staged; close once the
+    /// write buffer drains (or the drain deadline fires).
     Closing,
 }
 
 /// Per-connection state machine, owned by exactly one I/O worker.
 struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    wb: WriteBuffer,
+    io: FramedConn,
     state: ConnState,
     /// Currently registered interest (to avoid redundant `modify` calls).
     interest: Interest,
-    /// Peer's write half is closed; stop asking for readability.
-    eof: bool,
-    /// Close once the write buffer drains.
-    closing: bool,
     /// Shared with the session's [`Job`]; cleared at [`IoWorker::close`].
     alive: Arc<AtomicBool>,
     /// Pending submit/drain deadline in the worker's timer wheel.
@@ -711,7 +706,7 @@ impl IoWorker {
             };
             for msg in msgs {
                 match msg {
-                    Msg::Adopt(id, stream) => self.adopt(id, stream),
+                    Msg::Adopt(id, conn) => self.adopt(id, conn),
                     Msg::Frame(id, frame) => self.queue_frame(id, frame),
                     Msg::Terminal(id, frame) => self.queue_terminal(id, frame),
                 }
@@ -761,10 +756,9 @@ impl IoWorker {
                     if self.shared.stop.load(Ordering::SeqCst) {
                         return;
                     }
-                    stream.set_nodelay(true).ok();
-                    if stream.set_nonblocking(true).is_err() {
+                    let Ok(conn) = FramedConn::new(stream) else {
                         continue;
-                    }
+                    };
                     let id = self.next_conn_id;
                     self.next_conn_id += 1;
                     self.shared
@@ -773,9 +767,9 @@ impl IoWorker {
                         .fetch_add(1, Ordering::Relaxed);
                     let target = id as usize % n_workers;
                     if target == self.idx {
-                        self.adopt(id, stream);
+                        self.adopt(id, conn);
                     } else {
-                        self.shared.workers[target].send(Msg::Adopt(id, stream));
+                        self.shared.workers[target].send(Msg::Adopt(id, conn));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -785,8 +779,8 @@ impl IoWorker {
         }
     }
 
-    fn adopt(&mut self, id: u64, stream: TcpStream) {
-        let fd = stream_fd(&stream);
+    fn adopt(&mut self, id: u64, io: FramedConn) {
+        let fd = io.fd();
         if self
             .poller
             .register(fd, Token(id), Interest::READABLE)
@@ -800,13 +794,9 @@ impl IoWorker {
         self.conns.insert(
             id,
             Conn {
-                stream,
-                decoder: FrameDecoder::new(),
-                wb: WriteBuffer::new(),
+                io,
                 state: ConnState::AwaitSubmit,
                 interest: Interest::READABLE,
-                eof: false,
-                closing: false,
                 alive: Arc::new(AtomicBool::new(true)),
                 timer: Some(timer),
             },
@@ -816,32 +806,19 @@ impl IoWorker {
     /// Socket readable: drain it through the incremental decoder and act
     /// on every complete frame.
     fn readable(&mut self, id: u64) {
-        let mut buf = [0u8; 16 * 1024];
-        let mut saw_eof = false;
-        loop {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    saw_eof = true;
-                    break;
-                }
-                Ok(n) => conn.decoder.feed(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close(id);
-                    return;
-                }
-            }
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if conn.io.fill().is_err() {
+            self.close(id);
+            return;
         }
         loop {
             let frame = {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     return;
                 };
-                match conn.decoder.next_frame() {
+                match conn.io.next_frame() {
                     Ok(Some(frame)) => frame,
                     Ok(None) => break,
                     Err(_) => {
@@ -854,7 +831,7 @@ impl IoWorker {
             };
             self.on_frame(id, frame);
         }
-        if saw_eof {
+        if self.conns.get(&id).is_some_and(|c| c.io.eof()) {
             self.on_eof(id);
         }
     }
@@ -986,11 +963,10 @@ impl IoWorker {
     /// reading our frames — keep flushing under the drain deadline; any
     /// other state means the client is gone.
     fn on_eof(&mut self, id: u64) {
-        let Some(conn) = self.conns.get_mut(&id) else {
+        let Some(conn) = self.conns.get(&id) else {
             return;
         };
-        conn.eof = true;
-        if conn.closing && !conn.wb.is_empty() {
+        if matches!(conn.state, ConnState::Closing) && conn.io.pending() > 0 {
             self.update_interest(id);
         } else {
             self.close(id);
@@ -1002,17 +978,17 @@ impl IoWorker {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.closing {
+        if matches!(conn.state, ConnState::Closing) {
             return;
         }
-        if matches!(frame, Frame::Trace { .. }) && conn.wb.pending() > WRITE_HWM {
+        if matches!(frame, Frame::Trace { .. }) && conn.io.pending() > WRITE_HWM {
             self.shared
                 .metrics
                 .trace_frames_dropped
                 .fetch_add(1, Ordering::Relaxed);
             return;
         }
-        conn.wb.push(&frame);
+        conn.io.push(&frame);
         self.flush(id);
     }
 
@@ -1022,11 +998,10 @@ impl IoWorker {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.closing {
+        if matches!(conn.state, ConnState::Closing) {
             return;
         }
-        conn.wb.push(&frame);
-        conn.closing = true;
+        conn.io.push(&frame);
         conn.state = ConnState::Closing;
         if let Some(t) = conn.timer.take() {
             self.timers.cancel(t);
@@ -1044,14 +1019,9 @@ impl IoWorker {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        match conn.wb.flush(&mut conn.stream) {
-            Ok(FlushStatus::Flushed) => {
-                if conn.closing {
-                    self.close(id);
-                } else {
-                    self.update_interest(id);
-                }
-            }
+        match conn.io.flush() {
+            Ok(FlushStatus::Flushed) if matches!(conn.state, ConnState::Closing) => self.close(id),
+            Ok(FlushStatus::Flushed) => self.update_interest(id),
             Ok(FlushStatus::Blocked) => self.update_interest(id),
             Err(_) => self.close(id),
         }
@@ -1062,16 +1032,11 @@ impl IoWorker {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let want = match (!conn.eof, !conn.wb.is_empty()) {
-            (true, true) => Interest::BOTH,
-            (true, false) => Interest::READABLE,
-            (false, true) => Interest::WRITABLE,
-            // Nothing to wait for; the drain deadline or close handles it.
-            (false, false) => Interest::READABLE,
-        };
+        let (read, write) = conn.io.wants();
+        let want = Interest::wanting(read, write);
         if want != conn.interest {
             conn.interest = want;
-            let fd = stream_fd(&conn.stream);
+            let fd = conn.io.fd();
             self.poller.modify(fd, Token(id), want).ok();
         }
     }
@@ -1085,7 +1050,7 @@ impl IoWorker {
         if let Some(t) = conn.timer.take() {
             self.timers.cancel(t);
         }
-        self.poller.deregister(stream_fd(&conn.stream)).ok();
+        self.poller.deregister(conn.io.fd()).ok();
         conn.alive.store(false, Ordering::SeqCst);
         if let ConnState::InSession { session } = conn.state {
             // A queued session whose client left must not wait for (or
@@ -1100,13 +1065,8 @@ impl IoWorker {
                 self.shared.metrics.queue_pop();
             }
         }
-        conn.stream.shutdown(Shutdown::Both).ok();
+        conn.io.stream().shutdown(Shutdown::Both).ok();
     }
-}
-
-fn stream_fd(stream: &TcpStream) -> std::os::fd::RawFd {
-    use std::os::fd::AsRawFd;
-    stream.as_raw_fd()
 }
 
 fn listener_fd(listener: &TcpListener) -> std::os::fd::RawFd {
@@ -1174,20 +1134,14 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
     } else {
         shared.cache.as_ref()
     };
-    let (driver, outcomes, pins) = match build_driver(
+    let (driver, outcomes) = match build_driver(
         &job.workload,
         &shared.opts,
         &shared.replica_sets,
         cache,
         shared.refresh.as_deref(),
     ) {
-        Ok((driver, outcomes, pins)) => {
-            let driver = match &shared.pool {
-                Some(p) => driver.with_pool(Arc::clone(p)),
-                None => driver,
-            };
-            (driver, outcomes, pins)
-        }
+        Ok(built) => built,
         Err(e) => {
             // Slot released *before* the terminal frame goes out, so a
             // client that saw the outcome never observes its session
@@ -1201,48 +1155,34 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
             return;
         }
     };
-    // Remember which endpoint each scan opened on, so operators can ask
-    // the admission table where a session's load actually landed.
-    if !pins.is_empty() {
-        let mut admission = shared.admission.lock().unwrap();
-        for (rel, endpoint) in &pins {
-            admission.table.record_pin(job.session, rel.0, endpoint);
-        }
-    }
-
+    let driver = match &shared.pool {
+        Some(p) => driver.with_pool(Arc::clone(p)),
+        None => driver,
+    };
     let mut trace = TraceObserver {
         shared,
         job: &job,
         enabled: job.trace,
     };
     // Cache outcomes are decided before the engine runs (at source build
-    // time), so they lead the trace at t=0. The engine's own metrics
-    // observer never sees these events; the counters are patched into the
-    // final metrics below.
-    for o in &outcomes {
-        let ev = match o.served {
-            Some((tuples, bytes)) => EngineEvent::CacheHit {
-                rel: o.rel,
-                tuples,
-                bytes,
-            },
-            None => EngineEvent::CacheMiss { rel: o.rel },
-        };
-        trace.on_event(SimTime::ZERO, &ev);
+    // time), so they lead the trace at t=0 and the engine never sees them;
+    // their counts go into the final metrics below.
+    let (mut hits, mut misses, mut bytes_served) = (0, 0, 0);
+    for ev in &outcomes {
+        match ev {
+            EngineEvent::CacheHit { bytes, .. } => {
+                hits += 1;
+                bytes_served += bytes;
+            }
+            _ => misses += 1,
+        }
+        trace.on_event(SimTime::ZERO, ev);
     }
     let result = run_named(&job.strategy, &job.workload, trace, driver)
         .expect("strategy name validated at submit");
     let terminal = match result {
         Ok(mut m) => {
-            for o in &outcomes {
-                match o.served {
-                    Some((_, bytes)) => {
-                        m.cache_hits += 1;
-                        m.cache_bytes_served += bytes;
-                    }
-                    None => m.cache_misses += 1,
-                }
-            }
+            (m.cache_hits, m.cache_misses, m.cache_bytes_served) = (hits, misses, bytes_served);
             let cache = shared.cache.as_ref().map(|c| c.stats());
             Frame::Done {
                 metrics_json: done_payload(
@@ -1280,24 +1220,10 @@ fn probe_replicas(shared: &Shared) {
                 }
             }
         }
-        // Sleep in slices so shutdown never waits out a full interval.
-        let mut slept = Duration::ZERO;
-        while slept < PROBE_INTERVAL {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let slice = Duration::from_millis(50).min(PROBE_INTERVAL - slept);
-            thread::sleep(slice);
-            slept += slice;
+        if !sleep_unless(&shared.stop, PROBE_INTERVAL) {
+            return;
         }
     }
-}
-
-/// How one relation's scan was sourced: served from cache (`tuples`,
-/// payload `bytes`) or fetched live.
-struct CacheOutcome {
-    rel: RelId,
-    served: Option<(u64, u64)>,
 }
 
 /// Build the session's driver: one source per catalog relation. With a
@@ -1314,8 +1240,9 @@ struct CacheOutcome {
 /// endpoint deaths by resuming on a peer — or, in a group of one, surfaces
 /// the death at once. Cache keys use the *group id*, not the endpoint, so
 /// a scan recorded off one replica replays for its peers. Returns the
-/// driver, the per-relation cache outcomes, and the replica pins (which
-/// endpoint each live scan opened on).
+/// driver and the per-relation cache outcomes; which endpoint each live
+/// scan opened on is the source's own `ReplicaPinned` notice. An outcome is
+/// the `CacheHit` / `CacheMiss` event the session's trace leads with.
 ///
 /// With the refresher live (`refresh` is `Some`), remote scans consult
 /// its stat table: a live open asks for the wrapper's *current* total
@@ -1325,95 +1252,68 @@ struct CacheOutcome {
 /// must answer bit-identically. The cache key keeps using the *spec*
 /// total: it names the logical scan, whose entry then drifts forward in
 /// place as the refresher appends deltas.
-#[allow(clippy::type_complexity)]
 fn build_driver(
     workload: &Workload,
     opts: &ServeOpts,
     sets: &[Arc<ReplicaSet>],
     cache: Option<&Arc<SharedCache>>,
     refresh: Option<&RefreshState>,
-) -> Result<(RealTimeDriver, Vec<CacheOutcome>, Vec<(RelId, String)>), SourceError> {
-    let catalog: Vec<_> = workload
-        .catalog
-        .iter()
-        .map(|(rel, spec)| (rel, spec.name.clone()))
-        .collect();
-    let seeds = SeedSplitter::new(workload.config.seed);
+) -> Result<(RealTimeDriver, Vec<EngineEvent<'static>>), SourceError> {
     let mut outcomes = Vec::new();
-    let mut pins: Vec<(RelId, String)> = Vec::new();
     let driver = RealTimeDriver::try_with_sources(|notify| {
-        let mut sources: Vec<BoxSource> = Vec::with_capacity(catalog.len());
-        for (rel, name) in &catalog {
-            let total = workload.actual_cardinality(*rel);
-            let stream = format!("wrapper:{name}");
-            let group = (!sets.is_empty()).then(|| &sets[rel.0 as usize % sets.len()]);
-            let wrapper_id = group.map_or("local", |g| g.id());
-            let stat = match (refresh, group) {
-                (Some(state), Some(g)) => state.stat_for(g.id(), *rel),
+        let mut sources: Vec<BoxSource> = Vec::with_capacity(workload.catalog.len());
+        for (rel, spec) in workload.catalog.iter() {
+            let total = workload.actual_cardinality(rel);
+            let stream = format!("wrapper:{}", spec.name);
+            let group = (!sets.is_empty()).then(|| rel.0 as usize % sets.len());
+            let set = group.map(|g| &sets[g]);
+            let stat = match (refresh, set) {
+                (Some(state), Some(set)) => state.stat_for(set.id(), rel),
                 _ => None,
             };
-            let effective_total = stat.map_or(total, |s| s.total.max(total));
             let version = stat.map_or(0, |s| s.version);
             let key = cache.map(|_| {
-                CacheKey::for_scan(wrapper_id, *rel, total, workload.config.seed, &stream)
+                let wrapper_id = set.map_or("local", |s| s.id());
+                CacheKey::for_scan(wrapper_id, rel, total, workload.config.seed, &stream)
             });
-            if let (Some(state), Some(key)) = (refresh, &key) {
-                if group.is_some() {
-                    state.record(
-                        key.clone(),
-                        ScanProvenance {
-                            group: rel.0 as usize % sets.len(),
-                            rel: *rel,
-                            window: workload.config.queue_capacity as u32,
-                            seed: workload.config.seed,
-                            stream: stream.clone(),
-                            delay: workload.delays[rel.0 as usize].clone(),
-                        },
-                    );
-                }
+            // The one description of this relation's scan: what a live
+            // source opens, and what the refresher re-issues later.
+            let open = RemoteOpen {
+                rel,
+                total: stat.map_or(total, |s| s.total.max(total)),
+                window: workload.config.queue_capacity as u32,
+                seed: workload.config.seed,
+                stream,
+                delay: workload.delays[rel.0 as usize].clone(),
+                resume_from: 0,
+            };
+            if let (Some(state), Some(key), Some(group)) = (refresh, &key, group) {
+                let open = open.clone();
+                state.record(key.clone(), ScanProvenance { group, open });
             }
             if let (Some(cache), Some(key)) = (cache, &key) {
-                if let Some(keys) = cache.lookup(key) {
-                    let tuples = keys.len() as u64;
-                    let bytes = payload_bytes(keys.len());
-                    outcomes.push(CacheOutcome {
-                        rel: *rel,
-                        served: Some((tuples, bytes)),
-                    });
-                    sources.push(Box::new(ReplaySource::new(*rel, keys)) as BoxSource);
+                let hit = cache.lookup(key);
+                outcomes.push(match &hit {
+                    Some(keys) => EngineEvent::CacheHit {
+                        rel,
+                        tuples: keys.len() as u64,
+                        bytes: payload_bytes(keys.len()),
+                    },
+                    None => EngineEvent::CacheMiss { rel },
+                });
+                if let Some(keys) = hit {
+                    sources.push(Box::new(ReplaySource::new(rel, keys)) as BoxSource);
                     continue;
                 }
-                outcomes.push(CacheOutcome {
-                    rel: *rel,
-                    served: None,
-                });
             }
-            let live: BoxSource = match group {
-                None => Box::new(Wrapper::new(
-                    *rel,
-                    total,
-                    workload.delays[rel.0 as usize].clone(),
-                    seeds.stream(&stream),
-                )),
-                Some(set) => {
-                    let open = RemoteOpen {
-                        rel: *rel,
-                        total: effective_total,
-                        window: workload.config.queue_capacity as u32,
-                        seed: workload.config.seed,
-                        stream: stream.clone(),
-                        delay: workload.delays[rel.0 as usize].clone(),
-                        resume_from: 0,
-                    };
-                    let source = FailoverSource::connect(
-                        Arc::clone(set),
-                        open,
-                        notify.clone(),
-                        opts.read_timeout,
-                    )?;
-                    pins.push((*rel, source.pinned().to_string()));
-                    Box::new(source)
-                }
+            let live: BoxSource = match set {
+                None => sim_source(workload, rel),
+                Some(set) => Box::new(FailoverSource::connect(
+                    Arc::clone(set),
+                    open,
+                    notify.clone(),
+                    opts.read_timeout,
+                )?),
             };
             let source = match (cache, key) {
                 (Some(cache), Some(key)) => Box::new(RecordingSource::versioned(
@@ -1428,7 +1328,7 @@ fn build_driver(
         }
         Ok(sources)
     })?;
-    Ok((driver, outcomes, pins))
+    Ok((driver, outcomes))
 }
 
 /// Streams the engine's events to the client as `Trace` frames — if the
@@ -1725,6 +1625,11 @@ mod tests {
 
         let metrics = r#"{"strategy":"dse","seed":18446744073709551615,"response_secs":7.631000123,"output_tuples":90000,"cpu_busy_secs":2.579,"stall_secs":0.001981,"batches":11,"plans":12,"end_of_qf":13,"rate_changes":14,"timeouts":15,"memory_overflows":16,"degradations":17,"memory_high_water":1048576,"events":123456,"cache_hits":2,"cache_misses":1,"cache_bytes_served":4800,"failovers":1,"replica_retries":2,"morsels":40,"steals":3,"rate_samples":5,"permutations":1,"query_responses":[[0,1.5],[1,7.631000123]]}"#;
         assert_eq!(metrics_json(&m), metrics);
+        let seed = json::parse(metrics)
+            .unwrap()
+            .get("seed")
+            .and_then(|s| s.as_u64());
+        assert_eq!(seed, Some(u64::MAX), "a full 64-bit seed reads back");
         assert_eq!(
             metrics_json(&RunMetrics::default()),
             r#"{"strategy":"","seed":0,"response_secs":0,"output_tuples":0,"cpu_busy_secs":0,"stall_secs":0,"batches":0,"plans":0,"end_of_qf":0,"rate_changes":0,"timeouts":0,"memory_overflows":0,"degradations":0,"memory_high_water":0,"events":0,"cache_hits":0,"cache_misses":0,"cache_bytes_served":0,"failovers":0,"replica_retries":0,"morsels":0,"steals":0,"rate_samples":0,"permutations":0,"query_responses":[]}"#
@@ -1796,6 +1701,62 @@ mod tests {
         server.shutdown();
     }
 
+    /// A remote session takes the admission lock to be submitted, to be
+    /// handed to an executor and to finish — never in between. The
+    /// group's first endpoint never answers, so building the session's
+    /// sources takes one bounded connect (500 ms): long enough for the
+    /// client to see `Accepted` and take the lock first. With the lock
+    /// held, both scans still open (each pin arrives the one way it
+    /// travels, as a `replica_pin` trace line) and the engine gets as far
+    /// as a finished batch; only the finish waits for the release.
+    #[test]
+    fn a_running_remote_session_never_waits_for_the_admission_lock() {
+        use crate::{submit, Progress, SubmitOpts, WrapperServer};
+        use std::net::TcpStream;
+
+        // Fill a listener's accept queue; the kernel drops further SYNs.
+        let black_hole = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dead = black_hole.local_addr().unwrap();
+        let mut held_open = Vec::new();
+        while let Ok(s) = TcpStream::connect_timeout(&dead, Duration::from_millis(100)) {
+            held_open.push(s);
+            assert!(held_open.len() < 10_000, "accept queue never filled");
+        }
+        let wrapper = WrapperServer::bind("127.0.0.1:0").unwrap();
+        let opts = ServeOpts {
+            wrappers: vec![format!("w0={dead},{}", wrapper.local_addr())],
+            ..ServeOpts::default()
+        };
+        let server = MediatorServer::bind("127.0.0.1:0", opts).unwrap();
+        let shared = Arc::clone(&server.shared);
+        let (mut held, mut pins, mut ran_under_lock) = (None, 0, false);
+        let opts = SubmitOpts {
+            trace: true,
+            ..SubmitOpts::default()
+        };
+        let done = submit(server.local_addr(), dqs_workload::TINY_SPEC, &opts, |p| {
+            let of_type = |ty: &str| {
+                matches!(&p, Progress::TraceLine(l) if l.contains(&format!("\"type\":\"{ty}\"")))
+            };
+            if matches!(p, Progress::Accepted { .. }) {
+                held = Some(shared.admission.lock().unwrap());
+            } else if of_type("replica_pin") {
+                pins += 1;
+            } else if (of_type("batch_done") || of_type("abort")) && held.take().is_some() {
+                ran_under_lock = pins == 2 && of_type("batch_done");
+            }
+        })
+        .expect("session runs");
+        assert!(
+            ran_under_lock,
+            "{pins} pins before the first finished batch"
+        );
+        // TINY_SPEC: 64 x 64 tuples at selectivity 0.002.
+        assert_eq!(done.output_tuples, 8);
+        server.shutdown();
+        wrapper.shutdown();
+    }
+
     /// A session whose client disconnects gives its slot back exactly
     /// once, wherever it was waiting: parked in the backlog (its I/O
     /// worker reaps it at close) or already granted a slot but not yet
@@ -1803,6 +1764,7 @@ mod tests {
     #[test]
     fn a_waiting_session_whose_client_left_releases_its_slot_once() {
         use dqs_source::net::{read_frame, write_frame};
+        use std::net::TcpStream;
 
         let server = MediatorServer::bind(
             "127.0.0.1:0",

@@ -53,9 +53,7 @@ use dqs_sim::SeedSplitter;
 use dqs_source::net::{read_frame, write_frame, Frame, RelStat};
 use dqs_source::RemoteOpen;
 
-/// Sleep in slices no longer than this, so a stopping server never waits
-/// out a long modelled gap.
-const SLEEP_SLICE: Duration = Duration::from_millis(50);
+use crate::{sleep_unless, SLEEP_SLICE};
 
 /// Per-relation change-tracking state. The wrapper is otherwise
 /// stateless about sizes (the mediator's `Open` names the total), so the
@@ -234,10 +232,7 @@ impl WrapperServer {
     /// Current change-tracking state, one row per registered relation in
     /// ascending relation order (what a `StatRequest { rel: None }` gets).
     pub fn rel_stats(&self) -> Vec<RelStat> {
-        let reg = self.registry.lock().unwrap();
-        let mut stats: Vec<RelStat> = reg.iter().map(|(r, s)| s.stat(*r)).collect();
-        stats.sort_by_key(|s| s.rel.0);
-        stats
+        stats_of(&self.registry, None)
     }
 
     /// The address actually bound (resolves `--port 0`).
@@ -283,6 +278,19 @@ impl WrapperServer {
     }
 }
 
+/// Change-tracking state of `rel` (or, with `None`, of every registered
+/// relation) in ascending relation order — what a `StatRequest` gets.
+fn stats_of(registry: &ChangeRegistry, rel: Option<RelId>) -> Vec<RelStat> {
+    let reg = registry.lock().unwrap();
+    let mut stats: Vec<RelStat> = reg
+        .iter()
+        .filter(|(r, _)| rel.map_or(true, |want| **r == want))
+        .map(|(r, s)| s.stat(*r))
+        .collect();
+    stats.sort_by_key(|s| s.rel.0);
+    stats
+}
+
 /// The `--churn` write stream: every `interval`, append `tuples` to each
 /// registered relation. A round before any relation is registered is
 /// skipped without consuming the round budget, so a one-shot churn
@@ -291,14 +299,8 @@ impl WrapperServer {
 fn churn_loop(opts: ChurnOpts, stop: Arc<AtomicBool>, registry: ChangeRegistry) {
     let mut done: u64 = 0;
     loop {
-        let mut left = opts.interval;
-        while !left.is_zero() {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let slice = left.min(SLEEP_SLICE);
-            thread::sleep(slice);
-            left -= slice;
+        if !sleep_unless(&stop, opts.interval) {
+            return;
         }
         let mut mutated = false;
         {
@@ -332,15 +334,7 @@ fn serve_connection(
     let mut scanned = false;
     while let Ok(Some(frame)) = read_frame(&mut conn) {
         let served = match frame {
-            Frame::Open {
-                rel,
-                total,
-                window,
-                seed,
-                stream,
-                delay,
-                resume_from,
-            } if !scanned => {
+            Frame::Open(open) if !scanned => {
                 scanned = true;
                 {
                     // Register the relation and learn its base size. The
@@ -349,34 +343,16 @@ fn serve_connection(
                     // never shrinking, since concurrent scans may open at
                     // older (smaller) totals.
                     let mut reg = registry.lock().unwrap();
-                    let s = reg.entry(rel).or_default();
-                    s.base = s.base.max(total.saturating_sub(s.extra));
+                    let s = reg.entry(open.rel).or_default();
+                    s.base = s.base.max(open.total.saturating_sub(s.extra));
                 }
-                let open = RemoteOpen {
-                    rel,
-                    total,
-                    window,
-                    seed,
-                    stream,
-                    delay,
-                    resume_from,
-                };
                 produce(&mut conn, &open, per_tuple, stop)
             }
-            Frame::Open { .. } => refuse(&mut conn, "a connection carries one Open"),
+            Frame::Open(_) => refuse(&mut conn, "a connection carries one Open"),
             // Credits for the finished scan's last tuples.
             Frame::WindowGrant { .. } if scanned => true,
             Frame::StatRequest { rel } => {
-                let stats = {
-                    let reg = registry.lock().unwrap();
-                    let mut stats: Vec<RelStat> = reg
-                        .iter()
-                        .filter(|(r, _)| rel.map_or(true, |want| **r == want))
-                        .map(|(r, s)| s.stat(*r))
-                        .collect();
-                    stats.sort_by_key(|s| s.rel.0);
-                    stats
-                };
+                let stats = stats_of(registry, rel);
                 write_frame(&mut conn, &Frame::StatReply { stats }).is_ok()
             }
             // Anything else is a protocol error from the peer; drop it.
@@ -502,19 +478,6 @@ mod tests {
         }
     }
 
-    /// The `Open` frame a scan client would send for `o`.
-    fn open_frame(o: RemoteOpen) -> Frame {
-        Frame::Open {
-            rel: o.rel,
-            total: o.total,
-            window: o.window,
-            seed: o.seed,
-            stream: o.stream,
-            delay: o.delay,
-            resume_from: o.resume_from,
-        }
-    }
-
     /// Drain one remote source to completion, returning its keys.
     fn drain(mut w: FailoverSource, nrx: std::sync::mpsc::Receiver<Notice>) -> Vec<u64> {
         let mut keys = Vec::new();
@@ -581,8 +544,8 @@ mod tests {
             .unwrap();
         // The window covers the whole scan, so the wrapper never has to
         // read mid-scan and meets the second Open only after its Eof.
-        write_frame(&mut conn, &open_frame(open(4, 10, 16))).unwrap();
-        write_frame(&mut conn, &open_frame(open(5, 10, 16))).unwrap();
+        write_frame(&mut conn, &Frame::Open(open(4, 10, 16))).unwrap();
+        write_frame(&mut conn, &Frame::Open(open(5, 10, 16))).unwrap();
         for i in 0..10 {
             assert_eq!(
                 read_frame(&mut conn).unwrap().unwrap(),
@@ -628,7 +591,7 @@ mod tests {
             w: SimDuration::from_secs(60),
         };
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        write_frame(&mut conn, &open_frame(spec)).unwrap();
+        write_frame(&mut conn, &Frame::Open(spec)).unwrap();
         // The Open registers the relation just before the first gap starts.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while server.rel_stats().is_empty() {

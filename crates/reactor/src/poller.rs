@@ -40,6 +40,17 @@ impl Interest {
         writable: true,
     };
 
+    /// The registration for a connection that wants to `read`, `write` or
+    /// both. Wanting neither keeps [`Interest::READABLE`]: there is nothing
+    /// to wait for, and whoever owns the connection's deadline closes it.
+    pub fn wanting(read: bool, write: bool) -> Interest {
+        match (read, write) {
+            (true, true) => Interest::BOTH,
+            (false, true) => Interest::WRITABLE,
+            (_, false) => Interest::READABLE,
+        }
+    }
+
     fn epoll_mask(&self) -> u32 {
         let mut m = sys::EPOLLRDHUP;
         if self.readable {

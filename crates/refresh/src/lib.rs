@@ -34,29 +34,21 @@
 use std::time::Duration;
 
 use dqs_cache::EntrySnapshot;
-use dqs_relop::RelId;
 use dqs_source::net::RelStat;
-use dqs_source::DelayModel;
+use dqs_source::{DelayModel, RemoteOpen};
 
 /// Everything the mediator must remember about a cold scan to re-open it
-/// later without a session: which replica group serves it, and the exact
-/// open parameters that reproduce the stream bit-identically.
+/// later without a session: which replica group serves it, and the scan
+/// as the session issued it. A refresh *is* that scan re-issued over
+/// another range, so it reproduces the stream bit-identically — and pays
+/// the modelled delay, which is exactly why deltas beat full re-scans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanProvenance {
     /// Index of the replica group (logical wrapper) in the mediator's
     /// configured set.
     pub group: usize,
-    /// The scanned relation.
-    pub rel: RelId,
-    /// Flow-control window the scan used.
-    pub window: u32,
-    /// Master seed of the delay stream.
-    pub seed: u64,
-    /// Seed-splitter stream label.
-    pub stream: String,
-    /// Delivery pacing — a refresh is a real scan and pays the modelled
-    /// delay, which is exactly why deltas beat full re-scans.
-    pub delay: DelayModel,
+    /// The scan the session opened.
+    pub open: RemoteOpen,
 }
 
 /// What [`classify`] concluded about one cached entry.
@@ -241,6 +233,7 @@ impl RefreshPlanner {
 mod tests {
     use super::*;
     use dqs_cache::CacheKey;
+    use dqs_relop::RelId;
     use dqs_sim::SimDuration;
 
     fn stat(version: u64, total: u64, rewrite_version: u64) -> RelStat {

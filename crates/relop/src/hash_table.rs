@@ -62,7 +62,7 @@ impl SimHashTable {
     }
 
     /// Real key lookup (used by tests and the quickstart example; the
-    /// selectivity-driven probe uses [`SimHashTable::pick`]).
+    /// selectivity-driven probe only counts its matches).
     pub fn lookup(&self, key: u64) -> &[u32] {
         self.index.get(&key).map_or(&[], |v| v.as_slice())
     }
@@ -110,11 +110,11 @@ impl SimHashTable {
 
 /// Copyable snapshot of the probe-relevant state of one hash table.
 ///
-/// Synthetic probes never read the matched build tuple ([`SimHashTable::pick`]
-/// results are discarded; the probe re-emits its own input tuple), so a morsel
-/// worker only needs the table's length (drives the `picked` rotation and the
-/// empty-table skip) and completeness flag (asserted before probing). This is
-/// what lets probe morsels run on plain worker threads with no shared arena.
+/// Synthetic probes never read the matched build tuple (the probe re-emits
+/// its own input tuple), so the operator interpreter only needs the table's
+/// length (the empty-table skip) and completeness flag (asserted before
+/// probing). This is what lets probe morsels run on plain worker threads
+/// with no shared arena, through the same code as a serial batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HtStat {
     /// Number of build tuples.

@@ -17,7 +17,7 @@
 use dqs_sim::SimParams;
 
 use crate::fanout::FanoutAccumulator;
-use crate::hash_table::{HashTableArena, HtId, HtStats};
+use crate::hash_table::{HashTableArena, HtId, HtStat, HtStats};
 use crate::tuple::Tuple;
 
 /// Declarative description of one operator inside a chain, as produced by
@@ -260,79 +260,14 @@ impl PhysChain {
         params: &SimParams,
     ) -> u64 {
         self.consumed += input.len() as u64;
-        out.clear();
-        let mut instr: u64 = 0;
-        if self.ops.is_empty() {
-            out.extend_from_slice(input);
-            self.emitted += out.len() as u64;
-            return instr;
-        }
-
-        let mut spare = std::mem::take(&mut self.scratch);
-        for (i, op) in self.ops.iter_mut().enumerate() {
-            // The first operator reads the caller's slice directly; later
-            // ones ping-pong between `out` and `spare`.
-            match op {
-                RunOp::Select { acc } => {
-                    if i == 0 {
-                        instr += input.len() as u64 * params.instr_move_tuple;
-                        for t in input {
-                            if acc.next() > 0 {
-                                out.push(*t);
-                            }
-                        }
-                    } else {
-                        instr += out.len() as u64 * params.instr_move_tuple;
-                        out.retain(|_| acc.next() > 0);
-                    }
-                }
-                RunOp::Probe { table, acc, picked } => {
-                    let ht = arena.get(*table);
-                    assert!(
-                        ht.is_complete(),
-                        "probe of incomplete hash table {table:?} — C-schedulability violated"
-                    );
-                    let src: &[Tuple] = if i == 0 {
-                        input
-                    } else {
-                        std::mem::swap(out, &mut spare);
-                        out.clear();
-                        &spare
-                    };
-                    instr += src.len() as u64 * params.instr_hash_search;
-                    for t in src {
-                        // An empty build side matches nothing, whatever the
-                        // estimated fan-out says.
-                        let k = if ht.is_empty() { 0 } else { acc.next() };
-                        instr += k * params.instr_produce_tuple;
-                        for _ in 0..k {
-                            // Rotate deterministically through the build side;
-                            // the output carries the probe tuple's identity.
-                            let _build = ht.pick(*picked);
-                            *picked += 1;
-                            out.push(*t);
-                        }
-                    }
-                }
-                RunOp::Build { table } => {
-                    let pending = if i == 0 { input.len() } else { out.len() };
-                    instr += pending as u64 * params.instr_move_tuple;
-                    let ht = arena.get_mut(*table);
-                    if i == 0 {
-                        for t in input {
-                            ht.insert(*t);
-                        }
-                    } else {
-                        for t in out.drain(..) {
-                            ht.insert(t);
-                        }
-                    }
-                }
+        let stat = |id| arena.get(id).stat();
+        let instr = run_ops(&mut self.ops, input, out, &mut self.scratch, stat, params);
+        if let Some(table) = self.build_target() {
+            let ht = arena.get_mut(table);
+            for t in out.drain(..) {
+                ht.insert(t);
             }
         }
-        spare.clear();
-        self.scratch = spare;
-
         self.emitted += out.len() as u64;
         instr
     }
@@ -388,12 +323,80 @@ impl PhysChain {
     }
 }
 
+/// The one interpreter of [`RunOp`]s over tuples: push `input` through `ops`,
+/// reading each probed table's state through `stat`, and return the
+/// instruction count. `out` (cleared first) ends up holding what leaves the
+/// last operator — the open end's survivors, or the tuples a terminal `Build`
+/// is about to insert (the serial batch inserts them, a morsel hands them to
+/// the merge step). The first operator reads the caller's slice directly;
+/// later ones ping-pong between `out` and `spare`.
+fn run_ops(
+    ops: &mut [RunOp],
+    input: &[Tuple],
+    out: &mut Vec<Tuple>,
+    spare: &mut Vec<Tuple>,
+    stat: impl Fn(HtId) -> HtStat,
+    params: &SimParams,
+) -> u64 {
+    out.clear();
+    let mut instr: u64 = 0;
+    if matches!(ops.first(), None | Some(RunOp::Build { .. })) {
+        out.extend_from_slice(input);
+    }
+    for (i, op) in ops.iter_mut().enumerate() {
+        match op {
+            RunOp::Select { acc } => {
+                if i == 0 {
+                    instr += input.len() as u64 * params.instr_move_tuple;
+                    for t in input {
+                        if acc.next() > 0 {
+                            out.push(*t);
+                        }
+                    }
+                } else {
+                    instr += out.len() as u64 * params.instr_move_tuple;
+                    out.retain(|_| acc.next() > 0);
+                }
+            }
+            RunOp::Probe { table, acc, picked } => {
+                let st = stat(*table);
+                assert!(
+                    st.complete,
+                    "probe of incomplete hash table {table:?} — C-schedulability violated"
+                );
+                let src: &[Tuple] = if i == 0 {
+                    input
+                } else {
+                    std::mem::swap(out, spare);
+                    out.clear();
+                    spare
+                };
+                instr += src.len() as u64 * params.instr_hash_search;
+                for t in src {
+                    // An empty build side matches nothing, whatever the
+                    // estimated fan-out says.
+                    let k = if st.len == 0 { 0 } else { acc.next() };
+                    instr += k * params.instr_produce_tuple;
+                    // Matches rotate deterministically through the build
+                    // side; the output carries the probe tuple's identity,
+                    // so only the rotation counter moves.
+                    *picked += k;
+                    for _ in 0..k {
+                        out.push(*t);
+                    }
+                }
+            }
+            RunOp::Build { .. } => instr += out.len() as u64 * params.instr_move_tuple,
+        }
+    }
+    instr
+}
+
 /// Fast-forward `ops` past `n` source tuples arithmetically, mirroring the
-/// exact accumulator calls [`PhysChain::run_batch_into`] would have made, and
-/// return the open-end output count. A probe against an empty build side
-/// never touches its accumulator in the serial path (`if ht.is_empty() { 0 }`
-/// short-circuits before `acc.next()`), so the advance skips it too — safe
-/// because probed tables are complete and their emptiness is frozen.
+/// exact accumulator calls [`run_ops`] would have made, and return the
+/// open-end output count. A probe against an empty build side never touches
+/// its accumulator there, so the advance skips it too — safe because probed
+/// tables are complete and their emptiness is frozen.
 fn advance_ops(ops: &mut [RunOp], n: u64, stats: &HtStats) -> u64 {
     let mut delta = n;
     for op in ops.iter_mut() {
@@ -429,12 +432,12 @@ pub struct MorselCursor {
 }
 
 impl MorselCursor {
-    /// Push one morsel through the forked chain, collecting open-end
-    /// survivors — or, for a build-terminated chain, the build-destined
-    /// partition — into `out` (cleared first), and return the instruction
-    /// count. Instruction charges are identical per tuple to
-    /// [`PhysChain::run_batch_into`], so summing morsel counts reproduces the
-    /// serial batch count exactly.
+    /// Push one morsel through the forked chain: the interpreter under
+    /// [`PhysChain::run_batch_into`], reading the snapshot instead of the
+    /// arena, so morsel instruction counts sum to the serial batch's exactly.
+    /// `out` (cleared first) receives the open-end survivors or, for a
+    /// build-terminated chain, the partition the merge step absorbs in morsel
+    /// order ([`crate::hash_table::SimHashTable::absorb_partition`]).
     ///
     /// # Panics
     /// Panics if a probed table's snapshot says the build is incomplete.
@@ -445,69 +448,8 @@ impl MorselCursor {
         stats: &HtStats,
         params: &SimParams,
     ) -> u64 {
-        out.clear();
-        let mut instr: u64 = 0;
-        if self.ops.is_empty() {
-            out.extend_from_slice(input);
-            return instr;
-        }
-
-        let mut spare: Vec<Tuple> = Vec::new();
-        for (i, op) in self.ops.iter_mut().enumerate() {
-            match op {
-                RunOp::Select { acc } => {
-                    if i == 0 {
-                        instr += input.len() as u64 * params.instr_move_tuple;
-                        for t in input {
-                            if acc.next() > 0 {
-                                out.push(*t);
-                            }
-                        }
-                    } else {
-                        instr += out.len() as u64 * params.instr_move_tuple;
-                        out.retain(|_| acc.next() > 0);
-                    }
-                }
-                RunOp::Probe { table, acc, picked } => {
-                    let st = stats.get(*table);
-                    assert!(
-                        st.complete,
-                        "probe of incomplete hash table {table:?} — C-schedulability violated"
-                    );
-                    let src: &[Tuple] = if i == 0 {
-                        input
-                    } else {
-                        std::mem::swap(out, &mut spare);
-                        out.clear();
-                        &spare
-                    };
-                    instr += src.len() as u64 * params.instr_hash_search;
-                    for t in src {
-                        let k = if st.len == 0 { 0 } else { acc.next() };
-                        instr += k * params.instr_produce_tuple;
-                        for _ in 0..k {
-                            // Serial probing discards the picked build tuple
-                            // (`let _build = ht.pick(*picked)`), so the
-                            // cursor only advances the rotation counter.
-                            *picked += 1;
-                            out.push(*t);
-                        }
-                    }
-                }
-                RunOp::Build { .. } => {
-                    // Collect the partition instead of inserting: the merge
-                    // step absorbs partitions into the real table in morsel
-                    // order ([`SimHashTable::absorb_partition`]), which
-                    // reproduces the serial insert sequence.
-                    let pending = if i == 0 { input.len() } else { out.len() };
-                    instr += pending as u64 * params.instr_move_tuple;
-                    if i == 0 {
-                        out.extend_from_slice(input);
-                    }
-                }
-            }
-        }
-        instr
+        let stat = |id| stats.get(id);
+        run_ops(&mut self.ops, input, out, &mut Vec::new(), stat, params)
     }
 }
 
@@ -824,6 +766,127 @@ mod tests {
             // Insert order must match exactly: pick() rotation depends on it.
             for i in 0..s.len() {
                 assert_eq!(s.pick(i).unwrap(), g.pick(i).unwrap());
+            }
+        }
+    }
+
+    /// A generated chain on its own arena: `ops` are `(kind, x)` pairs
+    /// (select / probe of a six-tuple table / probe of an empty table), split
+    /// into two chains at `split` with `warm` tuples pushed through the front
+    /// before [`PhysChain::concat`], so operator states start out of step the
+    /// way a cancelled materialization leaves them.
+    struct Rig {
+        chain: PhysChain,
+        arena: HashTableArena,
+        built: Option<HtId>,
+    }
+
+    fn rig(ops: &[(u8, f64)], build: bool, split: usize, warm: u64) -> Rig {
+        let p = SimParams::default();
+        let mut arena = HashTableArena::new();
+        let full = arena.alloc();
+        for t in tuples(6) {
+            arena.get_mut(full).insert(t);
+        }
+        arena.get_mut(full).complete();
+        let empty = arena.alloc();
+        arena.get_mut(empty).complete();
+        let built = build.then(|| arena.alloc());
+        let mut spec: Vec<OpSpec> = ops
+            .iter()
+            .map(|&(kind, x)| match kind {
+                0 => OpSpec::Select {
+                    selectivity: x / 3.0,
+                },
+                1 => OpSpec::Probe {
+                    table: full,
+                    fanout: x,
+                },
+                _ => OpSpec::Probe {
+                    table: empty,
+                    fanout: x,
+                },
+            })
+            .collect();
+        let back = spec.split_off(split.min(spec.len()));
+        let mut front = PhysChain::compile(&spec);
+        let _ = front.run_batch(&tuples(warm), &mut arena, &p);
+        let mut back = back;
+        back.extend(built.map(|table| OpSpec::Build { table }));
+        let chain = PhysChain::concat(front, PhysChain::compile(&back));
+        Rig {
+            chain,
+            arena,
+            built,
+        }
+    }
+
+    impl Rig {
+        /// Run `batch` as morsels of `morsel` tuples and merge the way the
+        /// executor does; returns what the serial batch would return.
+        fn run_morsels(&mut self, batch: &[Tuple], morsel: usize) -> (Vec<Tuple>, u64) {
+            let p = SimParams::default();
+            let stats = self.chain.snapshot_stats(&self.arena);
+            let (mut out, mut instr) = (Vec::new(), 0);
+            for (i, chunk) in batch.chunks(morsel).enumerate() {
+                let mut part = Vec::new();
+                let mut cursor = self.chain.fork_morsel((i * morsel) as u64, &stats);
+                instr += cursor.run_into(chunk, &mut part, &stats, &p);
+                match self.built {
+                    Some(ht) => self.arena.get_mut(ht).absorb_partition(&part),
+                    None => out.extend_from_slice(&part),
+                }
+            }
+            let emitted = self.chain.advance_source(batch.len() as u64, &stats);
+            assert_eq!(emitted, out.len() as u64);
+            (out, instr)
+        }
+
+        /// Everything a later batch could observe: counters, every probe's
+        /// rotation counter, and the built table in insert order.
+        fn state(&self) -> (u64, u64, Vec<u64>, Vec<Tuple>) {
+            let picked = self.chain.ops.iter().filter_map(|op| match op {
+                RunOp::Probe { picked, .. } => Some(*picked),
+                _ => None,
+            });
+            let table = self.built.map(|ht| self.arena.get(ht));
+            let rows = table.map_or(0, |t| t.len());
+            (
+                self.chain.consumed(),
+                self.chain.emitted(),
+                picked.collect(),
+                (0..rows)
+                    .map(|i| *table.unwrap().pick(i).unwrap())
+                    .collect(),
+            )
+        }
+    }
+
+    proptest::proptest! {
+        /// Serial batch ≡ one whole-batch cursor ≡ k morsel cursors, over
+        /// generated chains (select-, probe- or build-first, empty build
+        /// sides, concatenations), batch after batch.
+        #[test]
+        fn serial_batch_equals_one_cursor_equals_k_cursors(
+            ops in proptest::collection::vec((0u8..3, 0.0f64..3.0), 0..5),
+            build in proptest::prelude::any::<bool>(),
+            split in 0usize..5,
+            warm in 0u64..200,
+            batches in proptest::collection::vec(0usize..300, 1..4),
+            morsel in 1usize..130,
+        ) {
+            let p = SimParams::default();
+            let mut serial = rig(&ops, build, split, warm);
+            let mut whole = rig(&ops, build, split, warm);
+            let mut split_up = rig(&ops, build, split, warm);
+            for n in batches {
+                let batch = tuples(n as u64);
+                let r = serial.chain.run_batch(&batch, &mut serial.arena, &p);
+                let want = (r.out, r.instr);
+                proptest::prop_assert_eq!(&whole.run_morsels(&batch, n.max(1)), &want);
+                proptest::prop_assert_eq!(&split_up.run_morsels(&batch, morsel), &want);
+                proptest::prop_assert_eq!(whole.state(), serial.state());
+                proptest::prop_assert_eq!(split_up.state(), serial.state());
             }
         }
     }

@@ -42,7 +42,8 @@ use dqs_relop::{RelId, Tuple};
 use dqs_replica::{HealthConfig, ReplicaGroup, ReplicaSet};
 use dqs_sim::SimDuration;
 
-use crate::scan::{dial, Grants, RemoteOpen, Scan};
+use crate::net::RemoteOpen;
+use crate::scan::{dial, Grants, Scan};
 use crate::source::{Notice, SourceError, TupleSource};
 
 /// Consecutive failed attach attempts before a scan gives up and raises
@@ -61,7 +62,6 @@ pub struct FailoverSource {
     produced: u64,
     /// What the reader thread has delivered and the engine not yet taken.
     data: Receiver<Tuple>,
-    pinned: String,
     grants: Arc<Grants>,
     /// The reader and the connection dialed for it, until `start()` opens
     /// the scan and moves both onto their own thread.
@@ -83,12 +83,13 @@ impl FailoverSource {
         notify: Sender<Notice>,
         read_timeout: Duration,
     ) -> Result<Self, SourceError> {
-        let source = Self::attach(replicas, open, notify.clone(), read_timeout)?;
-        let pinned = Notice::ReplicaPinned {
-            rel: source.rel,
-            endpoint: source.pinned.clone(),
-        };
-        notify.send(pinned).ok();
+        let source = Self::attach(replicas, open, notify, read_timeout)?;
+        if let Some((reader, _)) = &source.pending {
+            reader.notice(Notice::ReplicaPinned {
+                rel: source.rel,
+                endpoint: reader.pinned.1.clone(),
+            });
+        }
         Ok(source)
     }
 
@@ -119,7 +120,6 @@ impl FailoverSource {
                 total: open.total,
                 produced: open.resume_from,
                 data,
-                pinned: addr.clone(),
                 grants: Arc::clone(&grants),
                 pending: Some((
                     Supervisor {
@@ -136,11 +136,6 @@ impl FailoverSource {
             });
         }
         Err(last_err)
-    }
-
-    /// The endpoint the scan opened on (for session pin records).
-    pub fn pinned(&self) -> &str {
-        &self.pinned
     }
 }
 
@@ -415,7 +410,6 @@ mod tests {
         let (ntx, nrx) = channel();
         let w = FailoverSource::connect(replicas, mk_open(40), ntx, Duration::from_secs(10))
             .expect("replica a is up");
-        assert_eq!(w.pinned(), a);
         let (got, notices) = drain(w, nrx);
         assert_eq!(got, keys(RelId(3), 0..40), "not a tuple lost or repeated");
         let rel = RelId(3);
@@ -496,7 +490,7 @@ mod tests {
         let replicas = Arc::new(ReplicaSet::new(group, HealthConfig::default()));
         let (ntx, nrx) = channel();
         let started = Instant::now();
-        let source = FailoverSource::connect(
+        let _source = FailoverSource::connect(
             Arc::clone(&replicas),
             mk_open(4),
             ntx,
@@ -508,7 +502,6 @@ mod tests {
             "the dead endpoint cost {:?}, not one bounded connect",
             started.elapsed()
         );
-        assert_eq!(source.pinned(), peer_addr);
         assert_eq!(
             nrx.recv().unwrap(),
             Notice::ReplicaPinned {

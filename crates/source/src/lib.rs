@@ -61,8 +61,7 @@ pub use comm::{
 };
 pub use delay::DelayModel;
 pub use failover::{FailoverSource, RemoteWrapper};
-pub use net::{read_frame, write_frame, Frame, FrameError, RelStat, MAX_FRAME_BYTES};
+pub use net::{read_frame, write_frame, Frame, FrameError, RelStat, RemoteOpen, MAX_FRAME_BYTES};
 pub use queue::TupleQueue;
-pub use scan::RemoteOpen;
 pub use source::{BoxSource, Notice, SourceError, TupleSource};
 pub use wrapper::Wrapper;

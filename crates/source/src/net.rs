@@ -39,6 +39,7 @@
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 
 use dqs_relop::RelId;
 use dqs_sim::SimDuration;
@@ -49,34 +50,42 @@ use crate::delay::DelayModel;
 /// refuses anything larger before allocating.
 pub const MAX_FRAME_BYTES: usize = 4 * 1024 * 1024;
 
+/// The one description of a scan — the body of [`Frame::Open`], and what
+/// every client of a wrapper (a session's source, a failover resume, the
+/// refresher's re-fetch) holds to say which tuples it wants: serve
+/// `[resume_from, total)` of `rel`, keeping at most `window`
+/// unacknowledged tuples in flight. The delay model and the seeded stream
+/// name make the remote wrapper's pacing reproduce the in-process
+/// [`crate::Wrapper`] exactly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RemoteOpen {
+    /// Relation id in the mediator's catalog (also keys the tuples).
+    pub rel: RelId,
+    /// Tuples to deliver.
+    pub total: u64,
+    /// Flow-control window in tuples (also the local channel bound).
+    pub window: u32,
+    /// Master seed for the wrapper's delay stream.
+    pub seed: u64,
+    /// Seed-splitter stream label (e.g. `wrapper:orders`).
+    pub stream: String,
+    /// Delivery pacing the wrapper should perform.
+    pub delay: DelayModel,
+    /// First tuple index to deliver (0 = a fresh scan). Because tuple
+    /// payloads are a pure function of `(rel, index)`, a failed-over scan
+    /// resumes on a replica at the next undelivered index instead of
+    /// re-fetching from the start, and the resumed stream is bit-identical
+    /// to the lost remainder.
+    pub resume_from: u64,
+}
+
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Mediator → wrapper: serve `total` tuples of `rel`, keeping at most
-    /// `window` unacknowledged tuples in flight. The delay model and the
-    /// seeded stream name make the remote wrapper's pacing reproduce the
-    /// in-process [`crate::Wrapper`] exactly. A connection carries one
+    /// Mediator → wrapper: serve this scan. A connection carries one
     /// `Open`: the wrapper serves the scan on the connection's own thread
     /// and refuses a second with an [`Frame::Error`].
-    Open {
-        /// Relation id in the mediator's catalog (also keys the tuples).
-        rel: RelId,
-        /// Tuples to deliver.
-        total: u64,
-        /// Flow-control window in tuples.
-        window: u32,
-        /// Master seed for the wrapper's delay stream.
-        seed: u64,
-        /// Seed-splitter stream label (e.g. `wrapper:orders`).
-        stream: String,
-        /// Delivery pacing.
-        delay: DelayModel,
-        /// First tuple index to deliver (0 = a fresh scan). Because tuple
-        /// payloads are a pure function of `(rel, index, seed)`, a
-        /// failed-over scan resumes on a replica at the next undelivered
-        /// index instead of re-fetching from the start.
-        resume_from: u64,
-    },
+    Open(RemoteOpen),
     /// Wrapper → mediator: result tuples, identified by their synthetic
     /// join keys (the receiver reconstructs `Tuple { key, origin: rel }`).
     TupleBatch {
@@ -349,23 +358,15 @@ impl Frame {
     pub fn encode_body(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(32);
         match self {
-            Frame::Open {
-                rel,
-                total,
-                window,
-                seed,
-                stream,
-                delay,
-                resume_from,
-            } => {
+            Frame::Open(open) => {
                 b.push(TAG_OPEN);
-                put_u16(&mut b, rel.0);
-                put_u64(&mut b, *total);
-                put_u32(&mut b, *window);
-                put_u64(&mut b, *seed);
-                put_str(&mut b, stream);
-                put_delay(&mut b, delay);
-                put_u64(&mut b, *resume_from);
+                put_u16(&mut b, open.rel.0);
+                put_u64(&mut b, open.total);
+                put_u32(&mut b, open.window);
+                put_u64(&mut b, open.seed);
+                put_str(&mut b, &open.stream);
+                put_delay(&mut b, &open.delay);
+                put_u64(&mut b, open.resume_from);
             }
             Frame::TupleBatch { rel, keys } => {
                 b.push(TAG_TUPLE_BATCH);
@@ -495,7 +496,7 @@ impl Frame {
         let mut c = Cursor { b: body, pos: 0 };
         let tag = c.take_u8("tag")?;
         let frame = match tag {
-            TAG_OPEN => Frame::Open {
+            TAG_OPEN => Frame::Open(RemoteOpen {
                 rel: RelId(c.take_u16("open.rel")?),
                 total: c.take_u64("open.total")?,
                 window: c.take_u32("open.window")?,
@@ -503,7 +504,7 @@ impl Frame {
                 stream: c.take_str("open.stream")?,
                 delay: c.take_delay()?,
                 resume_from: c.take_u64("open.resume_from")?,
-            },
+            }),
             TAG_TUPLE_BATCH => {
                 let rel = RelId(c.take_u16("batch.rel")?);
                 let n = c.take_u32("batch.count")? as usize;
@@ -914,6 +915,96 @@ impl WriteBuffer {
     }
 }
 
+/// One non-blocking framed connection: the socket, the [`FrameDecoder`]
+/// for what arrives and the [`WriteBuffer`] for what leaves. Both
+/// reactor-driven ends of the client protocol — the mediator's I/O workers
+/// and the replay harness's clients — are this one state machine: read
+/// until `WouldBlock`, note EOF, drain frames, flush, then wait for exactly
+/// what is still outstanding. It knows no poller: [`FramedConn::wants`]
+/// says "read" and "write", and the caller maps that to its registration.
+#[derive(Debug)]
+pub struct FramedConn {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+    wb: WriteBuffer,
+    /// The peer closed its write half; nothing more will arrive.
+    eof: bool,
+}
+
+impl FramedConn {
+    /// Take over a connected socket, switching it to non-blocking mode.
+    pub fn new(stream: TcpStream) -> std::io::Result<FramedConn> {
+        stream.set_nodelay(true).ok();
+        stream.set_nonblocking(true)?;
+        Ok(FramedConn {
+            stream,
+            decoder: FrameDecoder::new(),
+            wb: WriteBuffer::new(),
+            eof: false,
+        })
+    }
+
+    /// The socket, for severing the connection.
+    pub fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// The socket's descriptor, for registering with a poller.
+    pub fn fd(&self) -> std::os::fd::RawFd {
+        std::os::fd::AsRawFd::as_raw_fd(&self.stream)
+    }
+
+    /// Read whatever the socket holds into the decoder, until it would
+    /// block or the peer's EOF. An `Err` is a dead transport.
+    pub fn fill(&mut self) -> std::io::Result<()> {
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            match self.stream.read(&mut buf) {
+                Ok(0) => {
+                    self.eof = true;
+                    return Ok(());
+                }
+                Ok(n) => self.decoder.feed(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The next complete frame already read ([`FrameDecoder::next_frame`]).
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        self.decoder.next_frame()
+    }
+
+    /// True once [`FramedConn::fill`] has seen the peer's EOF. Frames read
+    /// before it may still be waiting in [`FramedConn::next_frame`].
+    pub fn eof(&self) -> bool {
+        self.eof
+    }
+
+    /// Stage one frame behind whatever is already queued.
+    pub fn push(&mut self, frame: &Frame) {
+        self.wb.push(frame);
+    }
+
+    /// Bytes staged but not yet accepted by the socket.
+    pub fn pending(&self) -> usize {
+        self.wb.pending()
+    }
+
+    /// Write staged bytes until they are gone or the socket blocks.
+    pub fn flush(&mut self) -> std::io::Result<FlushStatus> {
+        self.wb.flush(&mut self.stream)
+    }
+
+    /// The readiness worth waiting for now, as `(read, write)`: more input
+    /// until EOF was seen, writability while bytes are pending.
+    pub fn wants(&self) -> (bool, bool) {
+        (!self.eof, !self.wb.is_empty())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -922,7 +1013,7 @@ mod tests {
 
     fn samples() -> Vec<Frame> {
         vec![
-            Frame::Open {
+            Frame::Open(RemoteOpen {
                 rel: RelId(3),
                 total: 10_000,
                 window: 816,
@@ -934,7 +1025,7 @@ mod tests {
                     pause: SimDuration::from_millis(50),
                 },
                 resume_from: 4_999,
-            },
+            }),
             Frame::TupleBatch {
                 rel: RelId(1),
                 keys: vec![7, u64::MAX, 0],
@@ -1034,18 +1125,37 @@ mod tests {
         assert_eq!(seen, all, "samples() must cover every frame tag");
         // The resume offset is wire-visible: a resumed Open and a fresh
         // Open must not encode identically.
-        let open = |resume_from| Frame::Open {
-            rel: RelId(1),
-            total: 10,
-            window: 4,
-            seed: 9,
-            stream: "wrapper:x".into(),
-            delay: DelayModel::Constant {
-                w: SimDuration::from_micros(1),
-            },
-            resume_from,
+        let open = |resume_from| {
+            Frame::Open(RemoteOpen {
+                rel: RelId(1),
+                total: 10,
+                window: 4,
+                seed: 9,
+                stream: "wrapper:x".into(),
+                delay: DelayModel::Constant {
+                    w: SimDuration::from_micros(1),
+                },
+                resume_from,
+            })
         };
         assert_ne!(open(0).encode_body(), open(5).encode_body());
+    }
+
+    /// The `Open` frame's bytes, captured from the commit before
+    /// `RemoteOpen` became its body: same tag, same field order, same
+    /// widths — an old wrapper and a new mediator still understand each
+    /// other.
+    #[test]
+    fn open_frame_bytes_are_the_ones_the_parent_commit_wrote() {
+        const PARENT: &str = "0000004a010003000000000000271000000330000000000000002a0000000e\
+            777261707065723a6f72646572730300000000000000640000000000004e20\
+            0000000002faf0800000000000001387";
+        let hex: String = samples()[0]
+            .encode()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, PARENT);
     }
 
     #[test]
@@ -1166,14 +1276,16 @@ mod tests {
                 arb_delay(),
                 any::<u64>()
             )
-                .prop_map(|(r, t, w, s, stream, delay, resume_from)| Frame::Open {
-                    rel: RelId(r),
-                    total: t,
-                    window: w,
-                    seed: s,
-                    stream,
-                    delay,
-                    resume_from,
+                .prop_map(|(r, t, w, s, stream, delay, resume_from)| {
+                    Frame::Open(RemoteOpen {
+                        rel: RelId(r),
+                        total: t,
+                        window: w,
+                        seed: s,
+                        stream,
+                        delay,
+                        resume_from,
+                    })
                 }),
             (any::<u16>(), vec(any::<u64>(), 0..64)).prop_map(|(r, keys)| Frame::TupleBatch {
                 rel: RelId(r),

@@ -25,8 +25,7 @@ use std::time::Duration;
 
 use dqs_relop::{synth_key, RelId};
 
-use crate::delay::DelayModel;
-use crate::net::{read_frame, write_frame, Frame, FrameError, RelStat};
+use crate::net::{read_frame, write_frame, Frame, FrameError, RelStat, RemoteOpen};
 use crate::source::SourceError;
 
 /// How long [`dial`] waits for a wrapper to accept the connection. A
@@ -37,29 +36,6 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// Largest pre-allocation [`Scan::drain`] makes from a wrapper-reported
 /// total; beyond it the buffer grows with what actually arrives.
 const DRAIN_PREALLOC_TUPLES: u64 = 1 << 16;
-
-/// Everything the wrapper-server needs to start serving one relation.
-#[derive(Debug, Clone)]
-pub struct RemoteOpen {
-    /// The relation to serve.
-    pub rel: RelId,
-    /// Tuples to deliver.
-    pub total: u64,
-    /// Flow-control window in tuples (also the local channel bound).
-    pub window: u32,
-    /// Master seed for the server's delay stream.
-    pub seed: u64,
-    /// Seed-splitter stream label (e.g. `wrapper:orders`), so the remote
-    /// pacing reproduces the in-process `Wrapper` exactly.
-    pub stream: String,
-    /// Delivery pacing the server should perform.
-    pub delay: DelayModel,
-    /// First tuple index to deliver (0 = fresh scan). A failover resume
-    /// re-opens on a peer replica with this set to the next undelivered
-    /// index; tuple payloads are pure functions of `(rel, index, seed)`,
-    /// so the resumed stream is bit-identical to the lost remainder.
-    pub resume_from: u64,
-}
 
 fn sock_err(e: std::io::Error, what: &str) -> SourceError {
     SourceError::Io {
@@ -158,16 +134,8 @@ impl Scan {
                 open.rel.0, open.resume_from, open.total
             )));
         }
-        let frame = Frame::Open {
-            rel: open.rel,
-            total: open.total,
-            window: open.window,
-            seed: open.seed,
-            stream: open.stream.clone(),
-            delay: open.delay.clone(),
-            resume_from: open.resume_from,
-        };
-        write_frame(&mut stream, &frame).map_err(|e| frame_err(e, read_timeout))?;
+        write_frame(&mut stream, &Frame::Open(open.clone()))
+            .map_err(|e| frame_err(e, read_timeout))?;
         Ok(Scan {
             stream,
             rel: open.rel,
@@ -322,6 +290,7 @@ impl Grants {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::delay::DelayModel;
     use dqs_sim::SimDuration;
     use std::net::{SocketAddr, TcpListener};
     use std::thread;
@@ -481,18 +450,13 @@ pub(crate) mod tests {
     /// With `die_before`, close the connection instead of sending that
     /// index.
     pub(crate) fn serve(mut conn: TcpStream, min_grant: u32, die_before: Option<u64>) {
-        let (rel, total, window, from) = match read_frame(&mut conn).unwrap().unwrap() {
-            Frame::Open {
-                rel,
-                total,
-                window,
-                resume_from,
-                ..
-            } => (rel, total, window, resume_from),
+        let open = match read_frame(&mut conn).unwrap().unwrap() {
+            Frame::Open(open) => open,
             other => panic!("expected Open, got {other:?}"),
         };
-        let mut credits = u64::from(window);
-        for i in from..total {
+        let rel = open.rel;
+        let mut credits = u64::from(open.window);
+        for i in open.resume_from..open.total {
             if die_before == Some(i) {
                 return;
             }

@@ -23,14 +23,14 @@
 //! sessions.
 
 use std::collections::VecDeque;
-use std::io::{self, Read};
+use std::io;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use dqs_core::hist::percentile;
 use dqs_exec::json::{self, fields, fixed, obj, ToJson};
 use dqs_reactor::{Events, Interest, Poller, Token};
-use dqs_source::net::{FlushStatus, Frame, FrameDecoder, WriteBuffer};
+use dqs_source::net::{Frame, FramedConn};
 
 use crate::trace::Trace;
 
@@ -160,9 +160,7 @@ impl ReplayReport {
 
 /// One client session's state machine.
 struct Client {
-    stream: TcpStream,
-    dec: FrameDecoder,
-    wb: WriteBuffer,
+    conn: FramedConn,
     submitted_at: Instant,
     accepted_at: Option<Instant>,
     queued: bool,
@@ -178,27 +176,14 @@ enum Outcome {
 }
 
 fn pump(client: &mut Client) -> Outcome {
-    if client.wb.flush(&mut client.stream).is_err() {
+    if client.conn.flush().is_err() || client.conn.fill().is_err() {
         return Outcome::Failed;
     }
-    let mut buf = [0u8; 4096];
-    let mut eof = false;
+    // The server sends the terminal and closes; the Done may already be
+    // buffered at EOF, so parse before ruling.
+    let eof = client.conn.eof();
     loop {
-        match client.stream.read(&mut buf) {
-            Ok(0) => {
-                // The server sends the terminal and closes; the Done may
-                // already be buffered, so parse before ruling.
-                eof = true;
-                break;
-            }
-            Ok(n) => client.dec.feed(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Outcome::Failed,
-        }
-    }
-    loop {
-        match client.dec.next_frame() {
+        match client.conn.next_frame() {
             Ok(Some(Frame::Accepted { .. })) => {
                 client.accepted_at.get_or_insert_with(Instant::now);
             }
@@ -212,6 +197,11 @@ fn pump(client: &mut Client) -> Outcome {
             Err(_) => return Outcome::Failed,
         }
     }
+}
+
+fn interest(conn: &FramedConn) -> Interest {
+    let (read, write) = conn.wants();
+    Interest::wanting(read, write)
 }
 
 /// Pull the cache counters out of a `Done` frame's metrics JSON.
@@ -268,51 +258,36 @@ pub fn replay(trace: &Trace, opts: &ReplayOpts) -> io::Result<ReplayReport> {
                     continue;
                 }
             };
-            stream.set_nodelay(true).ok();
-            if stream.set_nonblocking(true).is_err() {
+            let Ok(conn) = FramedConn::new(stream) else {
                 report.errored += 1;
                 clients.push(None);
                 continue;
-            }
+            };
             let mut client = Client {
-                stream,
-                dec: FrameDecoder::new(),
-                wb: WriteBuffer::new(),
+                conn,
                 submitted_at: Instant::now(),
                 accepted_at: None,
                 queued: false,
                 interest: Interest::READABLE,
             };
-            client.wb.push(&Frame::Submit {
+            client.conn.push(&Frame::Submit {
                 strategy: ev.strategy.clone(),
                 trace: false,
                 no_cache: false,
                 seed: None,
                 spec_json: trace.specs[ev.spec].clone(),
             });
-            let blocked = matches!(
-                client.wb.flush(&mut client.stream),
-                Ok(FlushStatus::Blocked)
-            );
-            client.interest = if blocked {
-                Interest::BOTH
-            } else {
-                Interest::READABLE
-            };
+            // A failed first write shows up as a failed session at the
+            // first pump.
+            client.conn.flush().ok();
+            client.interest = interest(&client.conn);
+            if poller
+                .register(client.conn.fd(), Token(idx as u64), client.interest)
+                .is_err()
             {
-                use std::os::fd::AsRawFd;
-                if poller
-                    .register(
-                        client.stream.as_raw_fd(),
-                        Token(idx as u64),
-                        client.interest,
-                    )
-                    .is_err()
-                {
-                    report.errored += 1;
-                    clients.push(None);
-                    continue;
-                }
+                report.errored += 1;
+                clients.push(None);
+                continue;
             }
             debug_assert_eq!(clients.len(), idx);
             clients.push(Some(client));
@@ -342,24 +317,16 @@ pub fn replay(trace: &Trace, opts: &ReplayOpts) -> io::Result<ReplayReport> {
             match pump(client) {
                 Outcome::Pending => {
                     // Writable interest only while Submit bytes remain.
-                    let want = if client.wb.is_empty() {
-                        Interest::READABLE
-                    } else {
-                        Interest::BOTH
-                    };
+                    let want = interest(&client.conn);
                     if want != client.interest {
                         client.interest = want;
-                        use std::os::fd::AsRawFd;
                         poller
-                            .modify(client.stream.as_raw_fd(), Token(idx as u64), want)
+                            .modify(client.conn.fd(), Token(idx as u64), want)
                             .ok();
                     }
                 }
                 outcome => {
-                    {
-                        use std::os::fd::AsRawFd;
-                        poller.deregister(client.stream.as_raw_fd()).ok();
-                    }
+                    poller.deregister(client.conn.fd()).ok();
                     match outcome {
                         Outcome::Done(metrics) => {
                             report.completed += 1;

@@ -201,10 +201,13 @@ mod tests {
 
     #[test]
     fn trace_round_trips_through_json() {
-        let t = sample();
-        let back = Trace::from_json(&t.to_json()).expect("round trip");
-        assert_eq!(back, t);
-        assert_eq!(back.to_json(), t.to_json(), "re-render is byte-stable");
+        // A seed above 2^53 is not an exact `f64`; it must survive too.
+        for seed in [9, u64::MAX] {
+            let t = Trace { seed, ..sample() };
+            let back = Trace::from_json(&t.to_json()).expect("round trip");
+            assert_eq!(back, t);
+            assert_eq!(back.to_json(), t.to_json(), "re-render is byte-stable");
+        }
     }
 
     #[test]
