@@ -277,4 +277,70 @@ mod tests {
             );
         }
     }
+
+    /// DESIGN §3's inventory block has one `  name/` row entry per
+    /// directory under `crates/` with a `Cargo.toml`, no other, and the
+    /// sentence above it counts them as they are on disk.
+    #[test]
+    fn design_crate_inventory_matches_the_crate_directories() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+        let design = std::fs::read_to_string(format!("{root}DESIGN.md")).unwrap();
+        let section = design
+            .split("\n## 3. ")
+            .nth(1)
+            .and_then(|s| s.split("\n## 4. ").next())
+            .expect("DESIGN.md has a §3");
+        let block = section.split("```").nth(1).expect("§3's inventory block");
+        let mut rows: Vec<&str> = block
+            .lines()
+            .filter_map(|l| l.strip_prefix("  ").filter(|l| !l.starts_with(' ')))
+            .flat_map(|l| l.split_whitespace().take_while(|w| w.ends_with('/')))
+            .map(|w| w.trim_end_matches('/'))
+            .collect();
+        rows.sort_unstable();
+        let (mut dirs, mut ours) = (Vec::new(), 0);
+        for entry in std::fs::read_dir(format!("{root}crates")).unwrap() {
+            let dir = entry.unwrap().path();
+            let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+                continue;
+            };
+            ours += usize::from(manifest.contains("name = \"dqs-"));
+            dirs.push(dir.file_name().unwrap().to_string_lossy().into_owned());
+        }
+        dirs.sort_unstable();
+        assert_eq!(rows, dirs, "DESIGN §3 rows against crates/*/Cargo.toml");
+        let words = [
+            "zero",
+            "one",
+            "two",
+            "three",
+            "four",
+            "five",
+            "six",
+            "seven",
+            "eight",
+            "nine",
+            "ten",
+            "eleven",
+            "twelve",
+            "thirteen",
+            "fourteen",
+            "fifteen",
+            "sixteen",
+            "seventeen",
+            "eighteen",
+            "nineteen",
+            "twenty",
+        ];
+        let count = format!(
+            "{} workspace crates plus {} vendored dependency stand-ins",
+            words[ours],
+            words[dirs.len() - ours]
+        );
+        let prose = section.split_whitespace().collect::<Vec<_>>().join(" ");
+        assert!(
+            prose.to_lowercase().contains(&count),
+            "DESIGN §3 should say \"{count}\""
+        );
+    }
 }

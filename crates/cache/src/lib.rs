@@ -157,6 +157,14 @@ struct Entry {
     stale: bool,
 }
 
+impl Entry {
+    /// Whether the entry may still be served at `now_ms`: its TTL has not
+    /// elapsed. The one expiry rule every read of the store applies.
+    fn live_at(&self, now_ms: u64) -> bool {
+        now_ms < self.expires_at_ms
+    }
+}
+
 /// Read-only view of one resident entry, for the refresh planner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntrySnapshot {
@@ -221,7 +229,7 @@ impl ScanCache {
     /// wrapper either way).
     pub fn lookup(&mut self, key: &CacheKey, now_ms: u64) -> Option<Arc<Vec<u64>>> {
         match self.entries.get(key) {
-            Some(e) if now_ms >= e.expires_at_ms => {
+            Some(e) if !e.live_at(now_ms) => {
                 self.remove(key);
                 self.stats.expirations += 1;
                 self.stats.misses += 1;
@@ -247,6 +255,12 @@ impl ScanCache {
                 None
             }
         }
+    }
+
+    /// Whether [`ScanCache::lookup`] would serve `key` at `now_ms`, asked
+    /// without serving it: no LRU touch, no counter moves, nothing removed.
+    pub fn would_hit(&self, key: &CacheKey, now_ms: u64) -> bool {
+        self.entries.get(key).is_some_and(|e| e.live_at(now_ms))
     }
 
     /// Shared admission path for inserts and refreshes: evict LRU entries
@@ -408,7 +422,7 @@ impl ScanCache {
     pub fn entries_snapshot(&self, now_ms: u64) -> Vec<EntrySnapshot> {
         self.entries
             .iter()
-            .filter(|(_, e)| now_ms < e.expires_at_ms)
+            .filter(|(_, e)| e.live_at(now_ms))
             .map(|(k, e)| EntrySnapshot {
                 key: k.clone(),
                 len: e.keys.len() as u64,
@@ -488,6 +502,12 @@ impl SharedCache {
     pub fn lookup(&self, key: &CacheKey) -> Option<Arc<Vec<u64>>> {
         let now = self.now_ms();
         self.inner.lock().unwrap().lookup(key, now)
+    }
+
+    /// See [`ScanCache::would_hit`].
+    pub fn would_hit(&self, key: &CacheKey) -> bool {
+        let now = self.now_ms();
+        self.inner.lock().unwrap().would_hit(key, now)
     }
 
     /// See [`ScanCache::insert`].
@@ -638,6 +658,24 @@ mod tests {
         // Re-insert restarts the clock.
         assert!(c.insert(key(1), vec![1], 60));
         assert!(c.lookup(&key(1), 100).is_some());
+    }
+
+    #[test]
+    fn would_hit_answers_as_lookup_would_without_moving_anything() {
+        // Budget fits exactly two 10-tuple entries (80 + 64 each).
+        let mut c = cache(2 * (80 + 64), Some(50));
+        assert!(!c.would_hit(&key(1), 0), "absent");
+        assert!(c.insert(key(1), vec![0; 10], 0));
+        assert!(c.insert(key(2), vec![0; 10], 0));
+        let before = c.stats();
+        assert!(c.would_hit(&key(1), 49));
+        assert_eq!(c.stats(), before, "no counter moved");
+        // Key 1 is still the LRU victim: probing it did not touch it.
+        assert!(c.insert(key(3), vec![0; 10], 0));
+        assert!(!c.contains(&key(1)));
+        // Expired: resident, yet lookup would not serve it.
+        assert!(c.contains(&key(2)) && !c.would_hit(&key(2), 50));
+        assert!(c.contains(&key(2)), "a probe removes nothing");
     }
 
     #[test]

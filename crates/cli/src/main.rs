@@ -54,7 +54,8 @@ fn usage() -> ExitCode {
          \u{20}           --cache-mb M: result-cache budget, --cache-ttl-ms T,\n\
          \u{20}           --io-threads N: reactor event-loop threads (default cores-1),\n\
          \u{20}           --exec-workers N: shared morsel worker pool (default 1),\n\
-         \u{20}           --admission fifo|sjf|fair: backlog promotion policy,\n\
+         \u{20}           --admission fifo|sjf: backlog promotion policy (sjf ranks\n\
+         \u{20}           by the query's lower bound, cached scans at zero),\n\
          \u{20}           --refresh-interval-ms T: background cache refresh cycle\n\
          \u{20}           (needs --cache-mb and --wrappers),\n\
          \u{20}           --refresh-budget-kbps K: refresh traffic cap, 0 = unlimited)\n\

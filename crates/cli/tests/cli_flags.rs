@@ -197,7 +197,8 @@ fn a_bogus_flag_and_a_flag_missing_its_value_exit_2_naming_the_flag() {
         let valued = flags.iter().find(|f| fx.value(f).is_some());
         refused(valued.map_or("--seed", String::as_str));
     }
-    // The three spellings that used to run with a default instead.
+    // The three spellings that used to run with a default instead, and a
+    // policy that no longer exists.
     for (line, named) in [
         (
             "serve --listen 127.0.0.1:0 --max-concurent 4",
@@ -208,6 +209,7 @@ fn a_bogus_flag_and_a_flag_missing_its_value_exit_2_naming_the_flag() {
             "serve --wrappers --backlog 8 --listen 127.0.0.1:0",
             "--wrappers",
         ),
+        ("serve --listen 127.0.0.1:0 --admission fair", "fair"),
     ] {
         let out = dqs(&words(line));
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -16,9 +16,9 @@
 //!   point;
 //! * [`lwb`](mod@lwb) — the analytic response-time lower bound of §5.1.2;
 //! * [`session`] — admission control for the concurrent mediator: who
-//!   runs, who waits (and under which backlog policy — FIFO, shortest-job
-//!   -first, or fair SJF with aging), and under what share of the global
-//!   memory budget;
+//!   runs, who waits (and under which backlog policy — FIFO, or shortest
+//!   job first by the cost the mediator passes: the query's LWB), and
+//!   under what share of the global memory budget;
 //! * [`hist`] — shared latency statistics: exact percentiles for bench
 //!   reports and a log-bucketed histogram for serving-side gauges;
 //! * [`run_named`] — the one by-name dispatch over the five strategies

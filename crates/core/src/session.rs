@@ -12,18 +12,11 @@
 //! Which waiter a freed slot promotes is the [`AdmissionPolicy`]:
 //!
 //! * [`AdmissionPolicy::Fifo`] — arrival order, the original behavior;
-//! * [`AdmissionPolicy::Sjf`] — shortest job first by the estimated cost
-//!   each submission carries (the mediator estimates it from the spec's
-//!   cardinalities and delay models), which collapses tail latency when
-//!   short queries would otherwise convoy behind long ones;
-//! * [`AdmissionPolicy::Fair`] — SJF with per-client aging: a waiter
-//!   bypassed `fair_aging` times by *other clients'* jobs is promoted
-//!   next regardless of cost, so a stream of cheap queries can delay an
-//!   expensive one by a bounded number of promotions, never starve it —
-//!   and a client cannot age its own long job forward by spamming cheap
-//!   ones. That same-client exemption cannot engage in `dqs serve` today:
-//!   the server passes the *connection* id as `client` and a connection
-//!   carries one `Submit`, so every waiter is its own client there.
+//! * [`AdmissionPolicy::Sjf`] — shortest job first by the cost each
+//!   submission carries (the mediator passes the query's §5.1.2 lower
+//!   bound, scans the cache will replay counted at zero), which collapses
+//!   tail latency when short queries would otherwise convoy behind long
+//!   ones.
 //!
 //! The table also records each session's *queue wait* — the time between
 //! submission and promotion (zero for direct admits) — so admission-policy
@@ -37,8 +30,7 @@
 //! * memory in use is exactly `running × partition` and never exceeds the
 //!   global budget;
 //! * under FIFO, a finishing session promotes the oldest queued
-//!   submission; under Fair, no waiter is bypassed more than `fair_aging`
-//!   times.
+//!   submission.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -51,9 +43,6 @@ pub enum AdmissionPolicy {
     Fifo,
     /// Shortest job first by estimated cost (ties broken by arrival).
     Sjf,
-    /// SJF with per-client aging: a waiter bypassed `fair_aging` times
-    /// by other clients' jobs goes next regardless of cost.
-    Fair,
 }
 
 impl std::str::FromStr for AdmissionPolicy {
@@ -63,10 +52,7 @@ impl std::str::FromStr for AdmissionPolicy {
         match s {
             "fifo" => Ok(AdmissionPolicy::Fifo),
             "sjf" => Ok(AdmissionPolicy::Sjf),
-            "fair" => Ok(AdmissionPolicy::Fair),
-            other => Err(format!(
-                "unknown admission policy {other:?} (fifo|sjf|fair)"
-            )),
+            other => Err(format!("unknown admission policy {other:?} (fifo|sjf)")),
         }
     }
 }
@@ -76,7 +62,6 @@ impl std::fmt::Display for AdmissionPolicy {
         f.write_str(match self {
             AdmissionPolicy::Fifo => "fifo",
             AdmissionPolicy::Sjf => "sjf",
-            AdmissionPolicy::Fair => "fair",
         })
     }
 }
@@ -92,9 +77,6 @@ pub struct SessionConfig {
     pub memory_bytes: u64,
     /// Which waiter a freed slot promotes.
     pub policy: AdmissionPolicy,
-    /// Under [`AdmissionPolicy::Fair`]: promotions a waiter may lose to
-    /// cheaper jobs before it is promoted unconditionally.
-    pub fair_aging: u32,
 }
 
 impl Default for SessionConfig {
@@ -104,7 +86,6 @@ impl Default for SessionConfig {
             backlog: 8,
             memory_bytes: 64 << 20,
             policy: AdmissionPolicy::Fifo,
-            fair_aging: 4,
         }
     }
 }
@@ -157,15 +138,11 @@ pub struct SessionStats {
 #[derive(Debug)]
 struct Waiter {
     session: u64,
-    /// Estimated cost (opaque units; the mediator uses estimated wrapper
-    /// microseconds). Lower promotes first under SJF/Fair.
+    /// Estimated cost (opaque units; the mediator passes the query's lower
+    /// bound in nanoseconds). Lower promotes first under SJF.
     cost: u64,
-    /// Submitting client, for per-client accounting under Fair.
-    client: u64,
     /// Arrival order (monotonic; FIFO key and the SJF tie-break).
     seq: u64,
-    /// Times another client's job bypassed this waiter.
-    skipped: u32,
     queued_at: Instant,
 }
 
@@ -209,17 +186,19 @@ impl SessionTable {
         self.cfg.memory_bytes / self.cfg.max_concurrent as u64
     }
 
-    /// Decide a new submission's fate with neither a cost estimate nor a
-    /// client id (cost 0 sorts first under SJF; ties resolve by arrival,
-    /// so an all-default table behaves exactly like FIFO).
+    /// Decide a new submission's fate without a cost estimate (cost 0
+    /// sorts first under SJF; ties resolve by arrival, so an all-default
+    /// table behaves exactly like FIFO).
     pub fn submit(&mut self) -> Decision {
         self.submit_with(0, 0)
     }
 
     /// Decide a new submission's fate. `cost` is the caller's estimate of
     /// how long the query will run (opaque units — only the ordering
-    /// matters); `client` identifies the submitter for fair-share aging.
-    pub fn submit_with(&mut self, cost: u64, client: u64) -> Decision {
+    /// matters). `client` is accepted and ignored: no policy reads it, and
+    /// the parameter stays only because the benchmark crate links this
+    /// two-argument form.
+    pub fn submit_with(&mut self, cost: u64, _client: u64) -> Decision {
         let session = self.next_id;
         self.next_id += 1;
         if self.running.len() < self.cfg.max_concurrent {
@@ -235,9 +214,7 @@ impl SessionTable {
             self.queue.push_back(Waiter {
                 session,
                 cost,
-                client,
                 seq,
-                skipped: 0,
                 queued_at: Instant::now(),
             });
             self.stats.queued = self.queue.len();
@@ -273,24 +250,14 @@ impl SessionTable {
         if self.queue.is_empty() {
             return None;
         }
-        let cheapest = || {
-            self.queue
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| (w.cost, w.seq))
-                .map(|(i, _)| i)
-        };
         match self.cfg.policy {
             AdmissionPolicy::Fifo => Some(0),
-            AdmissionPolicy::Sjf => cheapest(),
-            AdmissionPolicy::Fair => self
+            AdmissionPolicy::Sjf => self
                 .queue
                 .iter()
                 .enumerate()
-                .filter(|(_, w)| w.skipped >= self.cfg.fair_aging)
-                .min_by_key(|(_, w)| w.seq)
-                .map(|(i, _)| i)
-                .or_else(cheapest),
+                .min_by_key(|(_, w)| (w.cost, w.seq))
+                .map(|(i, _)| i),
         }
     }
 
@@ -325,16 +292,6 @@ impl SessionTable {
         self.stats.mem_in_use = self.running.len() as u64 * self.partition_bytes();
         let pick = self.pick_next()?;
         let waiter = self.queue.remove(pick).expect("picked index exists");
-        // Every earlier arrival still waiting just lost a promotion to
-        // the pick — that is the aging clock. Aging is per client: losing
-        // to your own later submissions is self-inflicted and does not
-        // count, so one client cannot age its way ahead by spamming
-        // cheap queries.
-        for w in self.queue.iter_mut() {
-            if w.seq < waiter.seq && w.client != waiter.client {
-                w.skipped += 1;
-            }
-        }
         self.waits
             .insert(waiter.session, waiter.queued_at.elapsed());
         self.admit(waiter.session);
@@ -361,15 +318,15 @@ mod tests {
         }
     }
 
-    fn admit(t: &mut SessionTable, cost: u64, client: u64) -> u64 {
-        match t.submit_with(cost, client) {
+    fn admit(t: &mut SessionTable, cost: u64) -> u64 {
+        match t.submit_with(cost, 0) {
             Decision::Admit { session, .. } => session,
             d => panic!("expected admit, got {d:?}"),
         }
     }
 
-    fn park(t: &mut SessionTable, cost: u64, client: u64) -> u64 {
-        match t.submit_with(cost, client) {
+    fn park(t: &mut SessionTable, cost: u64) -> u64 {
+        match t.submit_with(cost, 0) {
             Decision::Queue { session, .. } => session,
             d => panic!("expected queue, got {d:?}"),
         }
@@ -466,9 +423,9 @@ mod tests {
     #[test]
     fn fifo_ignores_cost_even_when_estimates_are_supplied() {
         let mut t = SessionTable::new(cfg(1, 3, 10));
-        let a = admit(&mut t, 5, 0);
-        let expensive = park(&mut t, 1_000, 1);
-        let cheap = park(&mut t, 1, 2);
+        let a = admit(&mut t, 5);
+        let expensive = park(&mut t, 1_000);
+        let cheap = park(&mut t, 1);
         assert_eq!(t.finish(a), Some(expensive), "FIFO promotes by arrival");
         assert_eq!(t.finish(expensive), Some(cheap));
     }
@@ -479,11 +436,11 @@ mod tests {
             policy: AdmissionPolicy::Sjf,
             ..cfg(1, 8, 10)
         });
-        let a = admit(&mut t, 0, 0);
-        let big = park(&mut t, 500, 1);
-        let small_late = park(&mut t, 10, 2);
-        let small_later = park(&mut t, 10, 3);
-        let mid = park(&mut t, 100, 4);
+        let a = admit(&mut t, 0);
+        let big = park(&mut t, 500);
+        let small_late = park(&mut t, 10);
+        let small_later = park(&mut t, 10);
+        let mid = park(&mut t, 100);
         assert_eq!(
             t.finish(a),
             Some(small_late),
@@ -496,92 +453,11 @@ mod tests {
     }
 
     #[test]
-    fn fair_ages_a_bypassed_job_to_the_front() {
-        let mut t = SessionTable::new(SessionConfig {
-            policy: AdmissionPolicy::Fair,
-            fair_aging: 2,
-            ..cfg(1, 8, 10)
-        });
-        let a = admit(&mut t, 0, 0);
-        let big = park(&mut t, 1_000, 1); // arrives first, costs most
-        let c1 = park(&mut t, 1, 2);
-        let c2 = park(&mut t, 1, 2);
-        let c3 = park(&mut t, 1, 2);
-        let c4 = park(&mut t, 1, 2);
-        // Two promotions go to cheaper jobs; each bypass ages `big`.
-        assert_eq!(t.finish(a), Some(c1));
-        assert_eq!(t.finish(c1), Some(c2));
-        // Aged out: `big` now beats the remaining cheap jobs.
-        assert_eq!(
-            t.finish(c2),
-            Some(big),
-            "a job bypassed fair_aging times must be promoted next"
-        );
-        assert_eq!(t.finish(big), Some(c3));
-        assert_eq!(t.finish(c3), Some(c4));
-    }
-
-    #[test]
-    fn fair_starvation_is_bounded_under_a_stream_of_cheap_arrivals() {
-        // The adversarial shape: cheap jobs keep arriving while one
-        // expensive job waits. Under pure SJF it never runs; under Fair
-        // it must run within fair_aging + 1 promotions.
-        let aging = 3u32;
-        let mut t = SessionTable::new(SessionConfig {
-            policy: AdmissionPolicy::Fair,
-            fair_aging: aging,
-            ..cfg(1, 64, 10)
-        });
-        let mut running = admit(&mut t, 0, 0);
-        let big = park(&mut t, u64::MAX, 1);
-        let mut promotions = 0u32;
-        loop {
-            // A fresh cheap job arrives before every slot release.
-            park(&mut t, 1, 2);
-            let promoted = t.finish(running).expect("backlog is never empty");
-            promotions += 1;
-            if promoted == big {
-                break;
-            }
-            running = promoted;
-            assert!(
-                promotions <= aging + 1,
-                "fair must bound starvation at {aging} bypasses, \
-                 still waiting after {promotions} promotions"
-            );
-        }
-        assert_eq!(promotions, aging + 1);
-    }
-
-    #[test]
-    fn fair_aging_ignores_bypasses_by_the_same_client() {
-        // Client 1 submits a long job, then spams cheap ones. Its own
-        // cheap jobs must not age the long job forward past client 2's.
-        let mut t = SessionTable::new(SessionConfig {
-            policy: AdmissionPolicy::Fair,
-            fair_aging: 1,
-            ..cfg(1, 8, 10)
-        });
-        let a = admit(&mut t, 0, 0);
-        let big = park(&mut t, 1_000, 1);
-        let own1 = park(&mut t, 1, 1);
-        let own2 = park(&mut t, 1, 1);
-        let other = park(&mut t, 5, 2);
-        // Self-bypasses: big never ages from own1/own2 promotions.
-        assert_eq!(t.finish(a), Some(own1));
-        assert_eq!(t.finish(own1), Some(own2));
-        // First foreign bypass reaches the aging bound (fair_aging = 1)…
-        assert_eq!(t.finish(own2), Some(other));
-        // …so big goes next.
-        assert_eq!(t.finish(other), Some(big));
-    }
-
-    #[test]
     fn queue_wait_is_zero_for_direct_admits_and_recorded_for_promotions() {
         let mut t = SessionTable::new(cfg(1, 2, 10));
-        let a = admit(&mut t, 0, 0);
+        let a = admit(&mut t, 0);
         assert_eq!(t.queue_wait(a), Some(Duration::ZERO));
-        let b = park(&mut t, 0, 0);
+        let b = park(&mut t, 0);
         assert_eq!(t.queue_wait(b), None, "still queued: wait unknown");
         std::thread::sleep(Duration::from_millis(2));
         assert_eq!(t.finish(a), Some(b));
@@ -630,7 +506,6 @@ mod tests {
     fn admission_policy_parses_from_flag_values() {
         assert_eq!("fifo".parse(), Ok(AdmissionPolicy::Fifo));
         assert_eq!("sjf".parse(), Ok(AdmissionPolicy::Sjf));
-        assert_eq!("fair".parse(), Ok(AdmissionPolicy::Fair));
         assert!("lifo".parse::<AdmissionPolicy>().is_err());
         assert_eq!(AdmissionPolicy::Sjf.to_string(), "sjf");
     }

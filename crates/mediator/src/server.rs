@@ -36,7 +36,9 @@
 //! hand-off to the executor pool: at most `max_concurrent` sessions execute
 //! at once, each query re-planned under `memory_bytes / max_concurrent`
 //! — the §4 memory bound applied per-session so concurrent queries
-//! cannot starve each other — and a bounded FIFO backlog absorbs bursts.
+//! cannot starve each other — and a bounded backlog absorbs bursts, promoted
+//! in arrival order or, under `--admission sjf`, by each query's §5.1.2
+//! lower bound with the scans the cache will replay counted at zero.
 //! A `backlog_depth` gauge in [`ServerMetrics`] tracks every queue /
 //! dequeue transition.
 //!
@@ -62,6 +64,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dqs_cache::{payload_bytes, CacheConfig, CacheKey, CacheStats, SharedCache};
+use dqs_core::lwb;
 use dqs_core::session::{AdmissionPolicy, Decision, SessionConfig, SessionStats, SessionTable};
 use dqs_core::{run_named, unknown_strategy, LatencyHistogram, STRATEGY_NAMES};
 use dqs_exec::json::{self, arr, fields, fixed, obj, ToJson};
@@ -72,11 +75,13 @@ use dqs_exec::{
 };
 use dqs_reactor::{Events, Interest, Poller, TimerId, TimerWheel, Token, Waker};
 use dqs_refresh::{RefreshPlanner, ScanProvenance};
+use dqs_relop::RelId;
 use dqs_replica::{parse_groups, EndpointSnapshot, EndpointState, HealthConfig, ReplicaSet};
-use dqs_sim::SimTime;
+use dqs_sim::{SimDuration, SimTime};
 use dqs_source::net::{FlushStatus, Frame, FramedConn};
 use dqs_source::{
-    scan, BoxSource, FailoverSource, RecordingSource, RemoteOpen, ReplaySource, SourceError,
+    scan, BoxSource, DelayModel, FailoverSource, RecordingSource, RemoteOpen, ReplaySource,
+    SourceError,
 };
 
 use crate::refresher::{self, RefreshState, RefresherCtx};
@@ -130,9 +135,9 @@ pub struct ServeOpts {
     /// meaningful: concurrent queries compete for the same workers rather
     /// than each spawning its own set.
     pub exec_workers: usize,
-    /// Backlog promotion policy (`--admission fifo|sjf|fair`). SJF
-    /// promotes by estimated cost (spec cardinality × delay class), fair
-    /// adds per-client aging so long jobs cannot starve.
+    /// Backlog promotion policy (`--admission fifo|sjf`). SJF promotes the
+    /// query with the smallest §5.1.2 lower bound `LWB`, every scan the
+    /// cache will replay counted as a zero-delay source.
     pub admission: AdmissionPolicy,
     /// Refresh cycle period (`--refresh-interval-ms`); `None` disables
     /// the background refresher. Requires a cache and remote wrappers —
@@ -175,8 +180,6 @@ pub struct ServerMetrics {
     trace_frames_dropped: AtomicU64,
     trace_lines_rendered: AtomicU64,
     connections_accepted: AtomicU64,
-    /// Queue wait of the most recently dispatched session, µs (gauge).
-    queue_wait_last_us: AtomicU64,
     /// Cumulative queue-wait distribution over every dispatched session.
     queue_wait: Mutex<LatencyHistogram>,
     /// The shared morsel pool, when `exec_workers > 1` — lets operators
@@ -234,13 +237,6 @@ impl ServerMetrics {
         self.exec_pool.get().map_or(0, |p| p.stats().stolen)
     }
 
-    /// Queue wait of the most recently dispatched session, microseconds
-    /// (zero for direct admits) — a gauge tracking what the admission
-    /// policy is currently costing arrivals.
-    pub fn queue_wait_last_us(&self) -> u64 {
-        self.queue_wait_last_us.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of the cumulative queue-wait histogram over every
     /// session dispatched since bind (log-bucketed; see
     /// [`LatencyHistogram`]).
@@ -249,7 +245,6 @@ impl ServerMetrics {
     }
 
     fn record_queue_wait(&self, us: u64) {
-        self.queue_wait_last_us.store(us, Ordering::Relaxed);
         self.queue_wait.lock().unwrap().record_us(us);
     }
 
@@ -382,6 +377,12 @@ impl Shared {
         }
     }
 
+    /// The cache a session replays from and records into: none when the
+    /// mediator has none or the client asked for `no_cache`.
+    fn session_cache(&self, no_cache: bool) -> Option<&Arc<SharedCache>> {
+        self.cache.as_ref().filter(|_| !no_cache)
+    }
+
     fn replica_health(&self) -> Vec<(String, Vec<EndpointSnapshot>)> {
         self.replica_sets
             .iter()
@@ -496,7 +497,6 @@ impl MediatorServer {
                     backlog: opts.backlog,
                     memory_bytes: opts.memory_bytes - opts.cache_bytes,
                     policy: opts.admission,
-                    ..SessionConfig::default()
                 }),
                 queued: HashMap::new(),
                 ready: VecDeque::new(),
@@ -906,15 +906,20 @@ impl IoWorker {
         if let Some(seed) = seed {
             workload.config.seed = seed;
         }
-        // The SJF/fair cost estimate: expected wrapper delivery time over
-        // the whole spec, computable before the query runs. Cheap, so it
-        // happens outside the admission lock even under FIFO.
-        let cost_us = estimated_cost_us(&workload);
+        // The SJF key is computed outside the admission lock; FIFO needs none.
+        let cost = match self.shared.opts.admission {
+            AdmissionPolicy::Fifo => 0,
+            AdmissionPolicy::Sjf => sjf_key(
+                &workload,
+                &self.shared.replica_sets,
+                self.shared.session_cache(no_cache),
+            ),
+        };
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
         let mut admission = self.shared.admission.lock().unwrap();
-        let (session, memory_bytes, position) = match admission.table.submit_with(cost_us, id) {
+        let (session, memory_bytes, position) = match admission.table.submit_with(cost, id) {
             Decision::Reject { reason } => {
                 drop(admission);
                 self.queue_terminal(id, Frame::Rejected { reason });
@@ -1077,20 +1082,34 @@ fn listener_fd(listener: &TcpListener) -> std::os::fd::RawFd {
 
 // --- the executor pool ------------------------------------------------------
 
-/// The admission cost estimate for a parsed workload: expected wrapper
-/// delivery time in microseconds, summed over the spec's relations
-/// (cardinality × the delay model's mean inter-tuple gap). Under
-/// `--admission sjf|fair` this is the promotion key; computed from the
-/// spec alone, before the query ever runs.
-fn estimated_cost_us(w: &Workload) -> u64 {
-    w.catalog
-        .iter()
-        .map(|(rel, _)| {
-            w.delays[rel.0 as usize]
-                .expected_total(w.actual_cardinality(rel))
-                .as_micros_f64() as u64
-        })
-        .sum()
+/// The `--admission sjf` promotion key: the §5.1.2 lower bound `LWB` of
+/// the query as it will run, in nanoseconds. A scan `cache` will replay is
+/// a source with no gaps, so its retrieval term drops out of the bound.
+fn sjf_key(workload: &Workload, sets: &[Arc<ReplicaSet>], cache: Option<&Arc<SharedCache>>) -> u64 {
+    let mut w = workload.clone();
+    for (rel, _) in workload.catalog.iter() {
+        if cache.is_some_and(|c| c.would_hit(&scan_key(workload, rel, sets))) {
+            w.delays[rel.0 as usize] = DelayModel::Constant {
+                w: SimDuration::ZERO,
+            };
+        }
+    }
+    lwb(&w).bound().as_nanos()
+}
+
+/// The cache identity of `rel`'s scan: the one rule for "this scan will
+/// replay", shared by the driver build and the SJF key. It names the
+/// replica *group*, not an endpoint, so a scan recorded off one replica
+/// replays for its peers, and the *spec* total, so the entry stays the
+/// logical scan's while the refresher appends deltas to it in place.
+fn scan_key(workload: &Workload, rel: RelId, sets: &[Arc<ReplicaSet>]) -> CacheKey {
+    let wrapper = match sets.len() {
+        0 => "local",
+        n => sets[rel.0 as usize % n].id(),
+    };
+    let stream = format!("wrapper:{}", workload.catalog.name(rel));
+    let total = workload.actual_cardinality(rel);
+    CacheKey::for_scan(wrapper, rel, total, workload.config.seed, &stream)
 }
 
 /// Release `session`'s slot and dispatch whatever the table promotes.
@@ -1130,16 +1149,11 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
         job.workload.config.workers = pool.workers();
     }
 
-    let cache = if job.no_cache {
-        None
-    } else {
-        shared.cache.as_ref()
-    };
     let (driver, outcomes) = match build_driver(
         &job.workload,
         &shared.opts,
         &shared.replica_sets,
-        cache,
+        shared.session_cache(job.no_cache),
         shared.refresh.as_deref(),
     ) {
         Ok(built) => built,
@@ -1241,8 +1255,7 @@ fn probe_replicas(shared: &Shared) {
 /// A remote scan asks its group's [`ReplicaSet`] for the best live
 /// endpoint and runs through a [`FailoverSource`], which survives mid-scan
 /// endpoint deaths by resuming on a peer — or, in a group of one, surfaces
-/// the death at once. Cache keys use the *group id*, not the endpoint, so
-/// a scan recorded off one replica replays for its peers. Returns the
+/// the death at once. Cache keys are [`scan_key`]'s. Returns the
 /// driver and the per-relation cache outcomes; which endpoint each live
 /// scan opened on is the source's own `ReplicaPinned` notice. An outcome is
 /// the `CacheHit` / `CacheMiss` event the session's trace leads with.
@@ -1252,9 +1265,7 @@ fn probe_replicas(shared: &Shared) {
 /// (so a session sees appended tuples the spec predates) and recordings
 /// are stamped with the wrapper's current version. This applies to
 /// `no_cache` sessions too — a cold truth run and a refreshed warm one
-/// must answer bit-identically. The cache key keeps using the *spec*
-/// total: it names the logical scan, whose entry then drifts forward in
-/// place as the refresher appends deltas.
+/// must answer bit-identically.
 fn build_driver(
     workload: &Workload,
     opts: &ServeOpts,
@@ -1267,7 +1278,6 @@ fn build_driver(
         let mut sources: Vec<BoxSource> = Vec::with_capacity(workload.catalog.len());
         for (rel, spec) in workload.catalog.iter() {
             let total = workload.actual_cardinality(rel);
-            let stream = format!("wrapper:{}", spec.name);
             let group = (!sets.is_empty()).then(|| rel.0 as usize % sets.len());
             let set = group.map(|g| &sets[g]);
             let stat = match (refresh, set) {
@@ -1275,10 +1285,7 @@ fn build_driver(
                 _ => None,
             };
             let version = stat.map_or(0, |s| s.version);
-            let key = cache.map(|_| {
-                let wrapper_id = set.map_or("local", |s| s.id());
-                CacheKey::for_scan(wrapper_id, rel, total, workload.config.seed, &stream)
-            });
+            let key = cache.map(|_| scan_key(workload, rel, sets));
             // The one description of this relation's scan: what a live
             // source opens, and what the refresher re-issues later.
             let open = RemoteOpen {
@@ -1286,7 +1293,7 @@ fn build_driver(
                 total: stat.map_or(total, |s| s.total.max(total)),
                 window: workload.config.queue_capacity as u32,
                 seed: workload.config.seed,
-                stream,
+                stream: format!("wrapper:{}", spec.name),
                 delay: workload.delays[rel.0 as usize].clone(),
                 resume_from: 0,
             };
@@ -1455,24 +1462,6 @@ mod tests {
             Some("dse"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn estimated_cost_orders_specs_by_expected_wrapper_time() {
-        let slow = WorkloadSpec::from_json(dqs_workload::TINY_SPEC)
-            .and_then(WorkloadSpec::into_workload)
-            .expect("tiny spec builds");
-        let fast_spec = dqs_workload::TINY_SPEC.replace("3000", "100");
-        let fast = WorkloadSpec::from_json(&fast_spec)
-            .and_then(WorkloadSpec::into_workload)
-            .expect("fast spec builds");
-        let (slow_us, fast_us) = (estimated_cost_us(&slow), estimated_cost_us(&fast));
-        assert!(
-            slow_us > 10 * fast_us,
-            "3000us/tuple ({slow_us}) must dominate 100us/tuple ({fast_us})"
-        );
-        // 2 relations × 64 tuples × 3000 µs.
-        assert_eq!(slow_us, 2 * 64 * 3000);
     }
 
     #[test]
@@ -1879,6 +1868,116 @@ mod tests {
         ));
         assert_eq!(server.stats().running, 0);
         server.shutdown();
+    }
+
+    /// Under SJF, with one slot held by hand and TINY_SPEC's scans resident:
+    /// park a cold copy of it (1 ms a tuple, seed 8, so nothing of it is
+    /// cached), then TINY_SPEC itself (seed 7), release the slot, and
+    /// return the seed of the session promoted first.
+    fn seed_promoted_first(warm_no_cache: bool) -> u64 {
+        use crate::{submit, SubmitOpts};
+        use dqs_source::net::{read_frame, write_frame};
+        use dqs_workload::TINY_SPEC;
+        use std::net::TcpStream;
+
+        let server = MediatorServer::bind(
+            "127.0.0.1:0",
+            ServeOpts {
+                max_concurrent: 1,
+                backlog: 4,
+                io_threads: 1,
+                cache_bytes: 1 << 20,
+                admission: AdmissionPolicy::Sjf,
+                ..ServeOpts::default()
+            },
+        )
+        .unwrap();
+        submit(
+            server.local_addr(),
+            TINY_SPEC,
+            &SubmitOpts::default(),
+            |_| {},
+        )
+        .expect("the warm-up session runs");
+        let shared = Arc::clone(&server.shared);
+        let held = match shared.admission.lock().unwrap().table.submit_with(0, 0) {
+            Decision::Admit { session, .. } => session,
+            other => panic!("an idle table must admit: {other:?}"),
+        };
+        let park = |spec: &str, seed: Option<u64>, no_cache: bool| {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            let submit = Frame::Submit {
+                strategy: "dse".into(),
+                trace: false,
+                no_cache,
+                seed,
+                spec_json: spec.into(),
+            };
+            write_frame(&mut conn, &submit).unwrap();
+            assert!(matches!(
+                read_frame(&mut conn),
+                Ok(Some(Frame::Queued { .. }))
+            ));
+            conn
+        };
+        let cold = park(&TINY_SPEC.replace("3000", "1000"), Some(8), false);
+        let warm = park(TINY_SPEC, None, warm_no_cache);
+        let first = {
+            let mut admission = shared.admission.lock().unwrap();
+            assert!(admission.finish(held), "a parked job takes the slot");
+            admission.ready[0].workload.config.seed
+        };
+        shared.metrics.queue_pop();
+        shared.work.notify_one();
+        for mut conn in [cold, warm] {
+            loop {
+                match read_frame(&mut conn) {
+                    Ok(Some(Frame::Accepted { .. })) => {}
+                    Ok(Some(Frame::Done { .. })) => break,
+                    other => panic!("expected Accepted, then Done: {other:?}"),
+                }
+            }
+        }
+        server.shutdown();
+        first
+    }
+
+    /// A session whose every scan will replay ranks by its CPU term alone,
+    /// so it overtakes a cold session queued before it (64 ms of retrieval
+    /// against a cold 192 ms: summing wrapper time ranked the cold copy's
+    /// 128 ms first).
+    #[test]
+    fn under_sjf_a_warm_session_overtakes_a_queued_cold_one() {
+        assert_eq!(seed_promoted_first(false), 7);
+    }
+
+    /// A `no_cache` session never replays, so a resident spec submitted
+    /// with it keeps its cold key and waits behind the cheaper cold copy.
+    #[test]
+    fn under_sjf_a_no_cache_submission_of_a_resident_spec_keeps_its_cold_key() {
+        assert_eq!(seed_promoted_first(true), 8);
+    }
+
+    /// Sources deliver in parallel, so a spec ranks by its slower one: two
+    /// relations of 64 tuples at 2 ms (LWB 128 ms) go before 64 at 2.5 ms
+    /// beside 64 at 10 µs (LWB 160 ms), though summing wrapper time ranks
+    /// them the other way (256 ms against 160.6 ms).
+    #[test]
+    fn under_sjf_parallel_sources_rank_by_the_slower_one() {
+        let key = |a: &str, b: &str| {
+            let spec = dqs_workload::TINY_SPEC
+                .replacen("3000", a, 1)
+                .replacen("3000", b, 1);
+            let w = WorkloadSpec::from_json(&spec)
+                .and_then(WorkloadSpec::into_workload)
+                .expect("spec builds");
+            sjf_key(&w, &[], None)
+        };
+        let (x, y) = (key("2000", "2000"), key("2500", "10"));
+        assert!(x < y, "{x} must rank before {y}");
+        assert_eq!((x, y), (64 * 2_000_000, 64 * 2_500_000), "retrieval-bound");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!    a rewrite that only a full re-scan can repair?
 //! 2. **Rank** ([`RefreshPlanner::plan`]): order stale entries by
 //!    staleness-benefit — observed hit rate × age × estimated re-scan
-//!    cost (the `DelayModel::expected_total` arithmetic the admission
-//!    layer already uses) — so the refresh budget goes to the entries
+//!    cost (`DelayModel::expected_total`, one wrapper's retrieval term of
+//!    the §5.1.2 lower bound) — so the refresh budget goes to the entries
 //!    whose staleness hurts most.
 //! 3. **Budget**: spend a per-cycle payload-byte allowance
 //!    (`--refresh-budget-kbps × --refresh-interval-ms`) strictly in rank
@@ -111,7 +111,7 @@ pub struct Candidate {
 }
 
 /// Estimated cost, in microseconds, of re-scanning `total` tuples under
-/// `delay` — the same `expected_total` arithmetic admission costing uses.
+/// `delay` — one wrapper's retrieval term of the §5.1.2 lower bound.
 pub fn rescan_cost_us(delay: &DelayModel, total: u64) -> f64 {
     delay.expected_total(total).as_micros_f64()
 }

@@ -18,8 +18,8 @@
 //!   fires a trace at a live mediator honoring timestamps, holds every
 //!   session to its terminal frame, and reports throughput and
 //!   p50/p99/p999 latency *split into queue wait vs execution* plus the
-//!   cache hit rate — the observables an `--admission fifo|sjf|fair`
-//!   A/B is judged on.
+//!   cache hit rate — the observables an `--admission fifo|sjf` A/B is
+//!   judged on.
 //!
 //! The C10K bench (`dqs bench c10k`) is [`replay()`] of [`Trace::flood`]:
 //! every arrival at t = 0.

@@ -3,9 +3,10 @@
 //! round-trip, and an end-to-end replay of a generated Zipf/Poisson
 //! trace against an in-process mediator under SJF admission.
 //!
-//! The admission-policy unit tests (FIFO invariant, SJF cheapest-first,
-//! fair aging bounds starvation) live with `SessionTable` in
-//! `dqs-core`; these tests cover the harness built on top of it.
+//! The admission-policy unit tests (FIFO invariant, SJF cheapest-first)
+//! live with `SessionTable` in `dqs-core`, and the SJF key's (LWB, cached
+//! scans at zero) with the mediator server; these tests cover the harness
+//! built on top of them.
 
 use std::time::Duration;
 
