@@ -525,10 +525,7 @@ fn print_metrics(m: &RunMetrics) {
         m.memory_high_water as f64 / (1024.0 * 1024.0)
     );
     if m.morsels > 0 {
-        println!(
-            "morsels        {} dispatched, {} stolen",
-            m.morsels, m.steals
-        );
+        println!("morsels        {} dispatched", m.morsels);
     }
     if m.query_responses.len() > 1 {
         for (q, t) in &m.query_responses {

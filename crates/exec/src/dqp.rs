@@ -21,10 +21,14 @@ use crate::policy::{Interrupt, Policy};
 use crate::pool::{TaskCtx, WorkerPool};
 use crate::runtime::{Engine, Inflight};
 
+/// Morsel granularity in source tuples. Batches at most this size (or
+/// chains with no operators) always run serially.
+pub(crate) const MORSEL_TUPLES: usize = 64;
+
 /// Modeled dispatch overhead of one morsel, in instructions: a small base
 /// cost plus jitter drawn deterministically from the morsel's RNG stream
 /// seed `(fragment seed, morsel index)` — reproducible by construction,
-/// whatever the worker count or steal order.
+/// whatever the worker count or the order the workers ran in.
 fn morsel_overhead_instr(frag_seed: u64, index: u64) -> u64 {
     200 + crate::world::morsel_seed(frag_seed, index) % 101
 }
@@ -285,8 +289,8 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
     /// Determinism: morsels are carved at fixed offsets, forked
     /// arithmetically from the master chain state, and merged in morsel-index
     /// order; the modeled makespan likewise assigns morsels to lanes in index
-    /// order. Neither the answer nor the charged time depends on which
-    /// physical worker ran a morsel or who stole what.
+    /// order. Neither the answer, the charged time nor the event stream
+    /// depends on which physical worker ran a morsel.
     pub(crate) fn run_batch_morsels(
         &mut self,
         f: FragId,
@@ -295,7 +299,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
         now: SimTime,
     ) -> Option<u64> {
         let workers = self.cfg.workers;
-        let morsel = self.cfg.morsel_tuples.max(1);
+        let morsel = MORSEL_TUPLES;
         if workers <= 1 || input.len() <= morsel {
             return None;
         }
@@ -348,11 +352,11 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
             let chunk = chunk.to_vec();
             let stats = stats.clone();
             let params = params.clone();
-            tasks.push(move |ctx: TaskCtx| {
+            tasks.push(move |_: TaskCtx| {
                 let mut cursor = cursor;
                 let mut part = Vec::new();
                 let instr = cursor.run_into(&chunk, &mut part, &stats, &params);
-                (part, instr, ctx)
+                (part, instr)
             });
         }
         let results = pool.execute(tasks);
@@ -364,17 +368,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
         out.clear();
         let build = self.frags.get(f).chain.build_target();
         let mut lanes = vec![0u64; workers];
-        for (i, (part, instr, ctx)) in results.into_iter().enumerate() {
-            if ctx.stolen {
-                self.emit(
-                    now,
-                    EngineEvent::MorselStolen {
-                        frag: f,
-                        index: i as u64,
-                        worker: ctx.worker as u64,
-                    },
-                );
-            }
+        for (i, (part, instr)) in results.into_iter().enumerate() {
             let lane = (0..workers).min_by_key(|&j| lanes[j]).expect("workers > 1");
             lanes[lane] += instr + morsel_overhead_instr(frag_seed, i as u64);
             match build {

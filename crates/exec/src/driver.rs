@@ -31,6 +31,11 @@ use dqs_source::{BoxSource, Notice};
 use crate::workload::{EngineConfig, Workload};
 use crate::world::sim_sources;
 
+/// Longest uninterrupted wait of a [`RealTimeDriver`] between looks at its
+/// run's liveness flag — the same slice the mediator's service threads
+/// sleep in.
+const WAIT_SLICE: std::time::Duration = std::time::Duration::from_millis(50);
+
 /// Events the driver delivers to the engine's loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Signal {
@@ -255,28 +260,22 @@ impl Driver for RealTimeDriver {
             if let Some((_, s)) = self.timers.pop_due(now) {
                 return Some((now, s));
             }
-            match self.timers.next_deadline() {
-                Some(deadline) => {
-                    // Wait for an arrival, but no longer than the deadline.
-                    match self.notify_rx.recv_timeout(until(now, deadline)) {
-                        Ok(notice) => return Some((self.clock.now(), notice.into())),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            // No remote source left to announce anything; sleep
-                            // out the timer.
-                            std::thread::sleep(until(self.clock.now(), deadline));
-                        }
-                    }
-                }
-                None => {
-                    // No deadlines: only an arrival can wake us.
-                    match self.notify_rx.recv() {
-                        Ok(notice) => return Some((self.clock.now(), notice.into())),
-                        // Readers done and nothing scheduled: nothing can
-                        // ever happen again.
-                        Err(_) => return None,
-                    }
-                }
+            // Wait for an arrival, but no longer than the next deadline nor
+            // one slice, so a departed client is noticed within a slice.
+            let wait = self
+                .timers
+                .next_deadline()
+                .map_or(WAIT_SLICE, |deadline| until(now, deadline).min(WAIT_SLICE));
+            match self.notify_rx.recv_timeout(wait) {
+                Ok(notice) => return Some((self.clock.now(), notice.into())),
+                Err(RecvTimeoutError::Timeout) => {}
+                // No remote source left to announce anything: sleep out the
+                // slice, unless nothing is scheduled either — then nothing
+                // can ever happen again.
+                Err(RecvTimeoutError::Disconnected) => match self.timers.next_deadline() {
+                    Some(_) => std::thread::sleep(wait),
+                    None => return None,
+                },
             }
         }
     }

@@ -109,7 +109,7 @@ pub struct Fragment {
     /// seed and the fragment's position (chain id / MF-CF role) at creation.
     /// Morsel streams derive from `(seed, morsel index)` — see
     /// [`Fragment::morsel_seed`] — so per-morsel randomness never depends on
-    /// worker count or steal order.
+    /// worker count or the order the workers ran in.
     pub seed: u64,
 }
 

@@ -58,8 +58,10 @@ pub struct RunMetrics {
     /// Morsels dispatched to the worker pool (zero on the serial path;
     /// deliberately excluded from the golden fingerprint signature).
     pub morsels: u64,
-    /// Morsels executed by a worker other than their home worker. Unlike
-    /// `morsels` this is scheduling-dependent — answers never are.
+    /// Always 0: the worker pool has one queue and nothing to steal from.
+    /// Kept only because the benchmark's `exec.pool.steals_per_session`
+    /// probe and the `Done` payload's `"steals"` key still read it; ROADMAP
+    /// 1(b) removes all three together.
     pub steals: u64,
     /// SPM rate-observatory samples folded (zero outside `SpmPolicy` runs;
     /// excluded from the golden fingerprint signature like `morsels`).

@@ -183,17 +183,6 @@ pub enum EngineEvent<'a> {
         /// Source tuples in the morsel.
         tuples: u64,
     },
-    /// A dispatched morsel was executed by a worker other than the one it
-    /// was queued on — a work-stealing event. Steals change *placement*
-    /// only; the deterministic merge order keeps answers bit-identical.
-    MorselStolen {
-        /// Fragment whose morsel moved.
-        frag: FragId,
-        /// Morsel index within the batch.
-        index: u64,
-        /// The worker that stole and ran it.
-        worker: u64,
-    },
     /// The SPM rate observatory folded a delivery-rate sample for wrapper
     /// `rel` (only emitted under `SpmPolicy`; excluded from the golden
     /// fingerprint, which never runs SPM).
@@ -274,7 +263,6 @@ impl EngineObserver for MetricsObserver {
             EngineEvent::Failover { .. } => m.failovers += 1,
             EngineEvent::ReplicaDegraded { .. } => m.replica_retries += 1,
             EngineEvent::MorselDispatched { .. } => m.morsels += 1,
-            EngineEvent::MorselStolen { .. } => m.steals += 1,
             EngineEvent::RateSample { .. } => m.rate_samples += 1,
             EngineEvent::RatePermuted { .. } => m.permutations += 1,
             EngineEvent::Stalled => self.acc.stall_begin(at),
@@ -369,13 +357,6 @@ pub fn render(at: SimTime, ev: &EngineEvent<'_>) -> String {
                 index,
                 tuples,
             } => fields!(o, "type": "morsel", "frag": frag.0, "index": index, "tuples": tuples),
-            EngineEvent::MorselStolen {
-                frag,
-                index,
-                worker,
-            } => fields!(o,
-                "type": "morsel_stolen", "frag": frag.0, "index": index, "worker": worker
-            ),
             EngineEvent::RateSample {
                 rel,
                 rate_tps,
@@ -563,7 +544,6 @@ mod tests {
             EngineEvent::Failover { rel: RelId(0), from: "127.0.0.1:7405", to: "host\\b:7406", resume_from: 1234 },
             EngineEvent::ReplicaDegraded { rel: RelId(0), endpoint: "127.0.0.1:7405", error: &timeout },
             EngineEvent::MorselDispatched { frag: FragId(2), index: 3, tuples: 64 },
-            EngineEvent::MorselStolen { frag: FragId(2), index: 3, worker: 1 },
             EngineEvent::RateSample { rel: RelId(1), rate_tps: 12345.678901, burstiness: 0.25 },
             EngineEvent::RatePermuted { order: &[RelId(1), RelId(0)] },
             EngineEvent::Stalled,
@@ -591,11 +571,10 @@ mod tests {
             r#"{"at_us":27,"type":"failover","rel":0,"from":"127.0.0.1:7405","to":"host\\b:7406","resume_from":1234}"#,
             r#"{"at_us":28.5,"type":"replica_degraded","rel":0,"endpoint":"127.0.0.1:7405","error":"timeout"}"#,
             r#"{"at_us":30,"type":"morsel","frag":2,"index":3,"tuples":64}"#,
-            r#"{"at_us":31.5,"type":"morsel_stolen","frag":2,"index":3,"worker":1}"#,
-            r#"{"at_us":33,"type":"rate_sample","rel":1,"tps":12345.679,"cv":0.2500}"#,
-            r#"{"at_us":34.5,"type":"rate_permuted","order":[1,0]}"#,
-            r#"{"at_us":36,"type":"stall"}"#,
-            r#"{"at_us":37.5,"type":"abort","kind":"wrapper","reason":"wrapper for relation 2 failed: peer disconnected: reset \"by\" peer\n\u0001"}"#,
+            r#"{"at_us":31.5,"type":"rate_sample","rel":1,"tps":12345.679,"cv":0.2500}"#,
+            r#"{"at_us":33,"type":"rate_permuted","order":[1,0]}"#,
+            r#"{"at_us":34.5,"type":"stall"}"#,
+            r#"{"at_us":36,"type":"abort","kind":"wrapper","reason":"wrapper for relation 2 failed: peer disconnected: reset \"by\" peer\n\u0001"}"#,
         ];
         let mut sink = JsonLinesSink::new(Vec::new());
         for (i, ev) in events.iter().enumerate() {

@@ -1,58 +1,86 @@
-//! Process-wide worker pool for morsel-driven intra-query parallelism.
+//! Process-wide worker pool: morsel-driven intra-query parallelism, and
+//! the mediator's session slots.
 //!
 //! The scheduler (priority order, C-/M-schedulability, critical degree)
 //! stays the *admission* layer: it still decides which fragment runs a batch
 //! next. Once a batch is admitted, [`WorkerPool::execute`] fans its morsels
-//! out across a fixed set of worker threads with per-worker deques and
-//! work-stealing (the Morsel-Driven Parallelism model), and gathers results
-//! back **in submission order** — the merge order never depends on which
-//! worker ran a morsel or when, which is one half of the bit-identical
-//! answer guarantee (the other half is the arithmetic chain forking in
-//! `dqs-relop`).
+//! out across a fixed set of worker threads fed from ONE first-in,
+//! first-out queue, and gathers results back **in submission order** — the
+//! merge order never depends on which worker ran a morsel or when, which
+//! is one half of the bit-identical answer guarantee (the other half is the
+//! arithmetic chain forking in `dqs-relop`). Nothing about placement is
+//! recorded, so a parallel run's trace is as repeatable as a serial one's.
 //!
-//! One pool is shared by everything in the process: every mediator session,
-//! every bench repetition. Sharing is what keeps the admission layer
-//! meaningful — concurrent queries compete for the same workers instead of
-//! each spawning its own set.
+//! One pool is shared by everything in the process that fans out morsels:
+//! every mediator session, every bench repetition. Sharing is what keeps
+//! the admission layer meaningful — concurrent queries compete for the same
+//! workers instead of each spawning its own set. [`WorkerPool::spawn`] puts
+//! fire-and-forget tasks on the same queue; the mediator runs its session
+//! slots that way, on a pool of their own.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// Where a task ran, handed to the task closure so callers can record
-/// per-morsel placement (worker id, whether it was stolen from another
-/// worker's deque) without the pool knowing anything about morsels.
+/// The argument every [`WorkerPool::execute`] task receives. It carries
+/// nothing: which thread ran a task is not the task's business.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskCtx {
-    /// Index of the worker thread that executed the task.
-    pub worker: usize,
-    /// True when the task was popped from another worker's deque.
-    pub stolen: bool,
-}
+pub struct TaskCtx;
 
-type Task = Box<dyn FnOnce(TaskCtx) + Send + 'static>;
+type Task = Box<dyn FnOnce(&PoolShared) + Send + 'static>;
 
-/// A queued task remembers its home deque so the runner can tell a steal
-/// from a local pop.
-struct QueuedTask {
-    home: usize,
-    run: Task,
+/// The queue and the stop flag, under the pool's one mutex.
+struct Queue {
+    tasks: VecDeque<Task>,
+    stop: bool,
 }
 
 struct PoolShared {
-    deques: Vec<Mutex<VecDeque<QueuedTask>>>,
-    /// Paired with `cond`; the guarded value counts submitted-not-yet-started
-    /// tasks so sleeping workers know whether a wakeup is worth taking.
-    pending: Mutex<u64>,
-    cond: Condvar,
-    stop: AtomicBool,
-    next_home: AtomicUsize,
+    queue: Mutex<Queue>,
+    /// Signalled when tasks are queued and when the pool stops.
+    ready: Condvar,
     busy: AtomicU64,
     dispatched: AtomicU64,
-    stolen: AtomicU64,
+}
+
+/// Tasks never run under the queue lock, so none can poison it.
+const UNPOISONED: &str = "no task runs under the pool's queue lock";
+
+impl PoolShared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect(UNPOISONED)
+    }
+
+    fn push(&self, tasks: impl IntoIterator<Item = Task>) {
+        let mut q = self.lock();
+        let before = q.tasks.len();
+        q.tasks.extend(tasks);
+        let n = q.tasks.len() - before;
+        self.dispatched.fetch_add(n as u64, Ordering::Relaxed);
+        drop(q);
+        // A batch wakes every worker with one call; a notify per task would
+        // cost a system call per task.
+        if n == 1 {
+            self.ready.notify_one();
+        } else {
+            self.ready.notify_all();
+        }
+    }
+
+    fn pop(&self) -> Option<Task> {
+        self.lock().tasks.pop_front()
+    }
+
+    /// Run `f`, counted as busy until it returns — so a task's bookkeeping
+    /// is settled before its result is sent.
+    fn counted<T>(&self, f: impl FnOnce() -> T) -> T {
+        self.busy.fetch_add(1, Ordering::Relaxed);
+        let out = f();
+        self.busy.fetch_sub(1, Ordering::Relaxed);
+        out
+    }
 }
 
 /// Point-in-time snapshot of the pool's activity counters.
@@ -60,33 +88,28 @@ struct PoolShared {
 pub struct PoolStats {
     /// Number of worker threads.
     pub workers: u64,
-    /// Workers currently running a task.
+    /// Tasks running now: on a worker, or inline on an
+    /// [`WorkerPool::execute`] caller helping drain the queue.
     pub busy_workers: u64,
     /// Tasks submitted but not yet started.
     pub queued: u64,
     /// Total tasks ever submitted.
     pub dispatched: u64,
-    /// Total tasks executed by a worker other than their home worker.
-    pub stolen: u64,
 }
 
-/// Fixed-size work-stealing thread pool (see module docs).
+/// Fixed-size thread pool over one FIFO queue (see module docs).
 ///
-/// Entirely safe code: per-worker `Mutex<VecDeque>` deques instead of a
-/// lock-free stealing deque. Morsels are coarse (hundreds of microseconds of
-/// modeled work each), so deque lock traffic is noise; what matters is that
-/// idle workers steal instead of spinning and that results merge in
-/// submission order.
+/// Morsels are coarse (hundreds of microseconds of modeled work each), so
+/// one mutex around one queue is noise; what matters is that results merge
+/// in submission order.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    workers: usize,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
             .field("stats", &self.stats())
             .finish()
     }
@@ -95,31 +118,25 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Spawn a pool with `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> Arc<WorkerPool> {
-        let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: Mutex::new(0),
-            cond: Condvar::new(),
-            stop: AtomicBool::new(false),
-            next_home: AtomicUsize::new(0),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                stop: false,
+            }),
+            ready: Condvar::new(),
             busy: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
         });
-        let threads = (0..workers)
+        let threads = (0..workers.max(1))
             .map(|i| {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("dqs-morsel-{i}"))
-                    .spawn(move || worker_loop(i, &sh))
-                    .expect("spawn morsel worker")
+                    .name(format!("dqs-worker-{i}"))
+                    .spawn(move || worker_loop(&sh))
+                    .expect("spawn pool worker")
             })
             .collect();
-        Arc::new(WorkerPool {
-            shared,
-            threads: Mutex::new(threads),
-            workers,
-        })
+        Arc::new(WorkerPool { shared, threads })
     }
 
     /// The process-global pool, sized to the machine (capped at 8), created
@@ -136,36 +153,40 @@ impl WorkerPool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.threads.len()
     }
 
     /// Snapshot the activity counters.
     pub fn stats(&self) -> PoolStats {
-        let queued: u64 = *self.shared.pending.lock().unwrap();
+        let queued = self.shared.lock().tasks.len() as u64;
         PoolStats {
-            workers: self.workers as u64,
+            workers: self.threads.len() as u64,
             busy_workers: self.shared.busy.load(Ordering::Relaxed),
             queued,
             dispatched: self.shared.dispatched.load(Ordering::Relaxed),
-            stolen: self.shared.stolen.load(Ordering::Relaxed),
         }
     }
 
+    /// Queue `task` to run on a worker and return at once.
+    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
+        self.shared
+            .push([Box::new(move |sh: &PoolShared| sh.counted(task)) as Task]);
+    }
+
     /// Run every task on the pool and return their results **in submission
-    /// order**, blocking the caller until all are done. Tasks are dealt
-    /// round-robin across the worker deques; idle workers steal from busy
-    /// ones, so completion order is scheduling-dependent — but the returned
-    /// `Vec` is not.
+    /// order**, blocking the caller until all are done. Completion order is
+    /// scheduling-dependent; the returned `Vec` is not.
     ///
     /// Safe to call from many threads at once (concurrent mediator sessions
     /// share one pool); each call gathers only its own tasks. Also safe to
     /// call from *inside* a pool task (a bench repetition running on the
-    /// pool whose engine fans out morsels): while waiting, the gatherer
-    /// runs queued tasks inline instead of blocking, so even a one-worker
-    /// pool makes progress.
+    /// pool whose engine fans out morsels): the caller runs queued tasks
+    /// inline until the queue is empty, so even a one-worker pool makes
+    /// progress. Once it is empty every one of this call's tasks has been
+    /// claimed by a running thread, and the caller waits for their results.
     ///
     /// # Panics
-    /// Panics if a task panicked on its worker (the channel closes early).
+    /// Panics if a task panicked (its result never arrives).
     pub fn execute<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
@@ -176,136 +197,61 @@ impl WorkerPool {
             return Vec::new();
         }
         let (tx, rx) = mpsc::channel::<(usize, T)>();
-        {
-            let mut pending = self.shared.pending.lock().unwrap();
-            for (idx, f) in tasks.into_iter().enumerate() {
-                let home = self.shared.next_home.fetch_add(1, Ordering::Relaxed) % self.workers;
+        self.shared
+            .push(tasks.into_iter().enumerate().map(|(idx, f)| {
                 let tx = tx.clone();
-                let run: Task = Box::new(move |ctx| {
+                Box::new(move |sh: &PoolShared| {
+                    let out = sh.counted(|| f(TaskCtx));
                     // A dropped receiver just means the gatherer already
                     // panicked; nothing useful to do with the error.
-                    let _ = tx.send((idx, f(ctx)));
-                });
-                self.shared.deques[home]
-                    .lock()
-                    .unwrap()
-                    .push_back(QueuedTask { home, run });
-                *pending += 1;
-            }
-            self.shared
-                .dispatched
-                .fetch_add(n as u64, Ordering::Relaxed);
-            self.shared.cond.notify_all();
-        }
+                    let _ = tx.send((idx, out));
+                }) as Task
+            }));
         drop(tx);
-
+        while let Some(task) = self.shared.pop() {
+            task(&self.shared);
+        }
+        // Every task holds a sender until it finishes, so the channel
+        // disconnects exactly when the last one is done.
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut done = 0;
-        while done < n {
-            match rx.try_recv() {
-                Ok((idx, val)) => {
-                    slots[idx] = Some(val);
-                    done += 1;
-                    continue;
-                }
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    panic!("morsel task panicked on worker")
-                }
-                Err(mpsc::TryRecvError::Empty) => {}
-            }
-            // Help-first gathering: drain queued work (ours or anyone's)
-            // instead of parking. Helper-run tasks report their home worker
-            // unstolen — the caller is not a worker, and steal accounting
-            // only describes real cross-deque pops.
-            if let Some(task) = self.pop_any() {
-                (task.run)(TaskCtx {
-                    worker: task.home,
-                    stolen: false,
-                });
-            } else {
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok((idx, val)) => {
-                        slots[idx] = Some(val);
-                        done += 1;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        panic!("morsel task panicked on worker")
-                    }
-                }
-            }
+        for (idx, out) in rx {
+            slots[idx] = Some(out);
         }
-        slots.into_iter().map(|s| s.unwrap()).collect()
-    }
-
-    /// Pop one queued task from any deque (front-first, lowest worker
-    /// first), for the gatherer's help loop.
-    fn pop_any(&self) -> Option<QueuedTask> {
-        for d in &self.shared.deques {
-            if let Some(t) = d.lock().unwrap().pop_front() {
-                let mut pending = self.shared.pending.lock().unwrap();
-                *pending = pending.saturating_sub(1);
-                return Some(t);
-            }
-        }
-        None
+        slots
+            .into_iter()
+            .map(|s| s.expect("pool task panicked on worker"))
+            .collect()
     }
 }
 
 impl Drop for WorkerPool {
+    /// Drain the queue, then join the workers.
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.cond.notify_all();
-        for h in self.threads.lock().unwrap().drain(..) {
+        let mut q = self
+            .shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        q.stop = true;
+        drop(q);
+        self.shared.ready.notify_all();
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(me: usize, sh: &PoolShared) {
-    let n = sh.deques.len();
+fn worker_loop(sh: &PoolShared) {
+    let mut q = sh.lock();
     loop {
-        // Own deque first (FIFO), then steal from the others' tails in a
-        // fixed rotation starting after `me` — deterministic victim order,
-        // though which victim has work is of course timing-dependent.
-        let mut found: Option<QueuedTask> = sh.deques[me].lock().unwrap().pop_front();
-        if found.is_none() {
-            for step in 1..n {
-                let victim = (me + step) % n;
-                if let Some(t) = sh.deques[victim].lock().unwrap().pop_back() {
-                    found = Some(t);
-                    break;
-                }
-            }
-        }
-        match found {
-            Some(task) => {
-                {
-                    let mut pending = sh.pending.lock().unwrap();
-                    *pending = pending.saturating_sub(1);
-                }
-                let stolen = task.home != me;
-                if stolen {
-                    sh.stolen.fetch_add(1, Ordering::Relaxed);
-                }
-                sh.busy.fetch_add(1, Ordering::Relaxed);
-                (task.run)(TaskCtx { worker: me, stolen });
-                sh.busy.fetch_sub(1, Ordering::Relaxed);
-            }
-            None => {
-                if sh.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let pending = sh.pending.lock().unwrap();
-                if *pending == 0 {
-                    // Timeout bounds the cost of a lost race between the
-                    // emptiness check above and this wait.
-                    let _ = sh
-                        .cond
-                        .wait_timeout(pending, Duration::from_millis(2))
-                        .unwrap();
-                }
-            }
+        if let Some(task) = q.tasks.pop_front() {
+            drop(q);
+            task(sh);
+            q = sh.lock();
+        } else if q.stop {
+            return;
+        } else {
+            q = sh.ready.wait(q).expect(UNPOISONED);
         }
     }
 }
@@ -313,6 +259,7 @@ fn worker_loop(me: usize, sh: &PoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -354,15 +301,19 @@ mod tests {
         });
     }
 
+    /// The counters are settled by the time `execute` returns: no worker
+    /// is still between sending its result and leaving the task.
     #[test]
     fn stats_count_dispatches() {
         let pool = WorkerPool::new(2);
-        let _ = pool.execute((0..10).map(|i| move |_ctx: TaskCtx| i).collect::<Vec<_>>());
-        let st = pool.stats();
-        assert_eq!(st.workers, 2);
-        assert_eq!(st.dispatched, 10);
-        assert_eq!(st.queued, 0);
-        assert_eq!(st.busy_workers, 0);
+        for round in 1..=1_000u64 {
+            let _ = pool.execute((0..10).map(|i| move |_ctx: TaskCtx| i).collect::<Vec<_>>());
+            let st = pool.stats();
+            assert_eq!(st.workers, 2);
+            assert_eq!(st.dispatched, 10 * round);
+            assert_eq!(st.queued, 0);
+            assert_eq!(st.busy_workers, 0, "round {round}");
+        }
     }
 
     #[test]
@@ -375,7 +326,7 @@ mod tests {
     #[test]
     fn nested_execute_from_inside_a_task_cannot_deadlock() {
         // One worker: the outer task occupies it, so the inner execute can
-        // only finish because the gatherer helps run queued tasks inline.
+        // only finish because the caller runs queued tasks inline.
         let pool = WorkerPool::new(1);
         let inner_pool = Arc::clone(&pool);
         let got = pool.execute(vec![move |_ctx: TaskCtx| {
@@ -388,14 +339,18 @@ mod tests {
         assert_eq!(got[0], (0..8).map(|i| i * 2).collect::<Vec<u64>>());
     }
 
+    /// Spawned tasks share the queue, and dropping the pool runs whatever
+    /// is still queued before the workers are joined.
     #[test]
-    fn single_worker_pool_runs_everything_unstolen() {
+    fn drop_drains_spawned_tasks() {
         let pool = WorkerPool::new(1);
-        let ctxs = pool.execute((0..8).map(|_| |ctx: TaskCtx| ctx).collect::<Vec<_>>());
-        for c in ctxs {
-            assert_eq!(c.worker, 0);
-            assert!(!c.stolen);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..16u64 {
+            let tx = tx.clone();
+            pool.spawn(move || tx.send(i).unwrap());
         }
-        assert_eq!(pool.stats().stolen, 0);
+        drop(pool);
+        drop(tx);
+        assert_eq!(rx.iter().collect::<Vec<_>>(), (0..16).collect::<Vec<_>>());
     }
 }

@@ -115,8 +115,6 @@ pub struct ConfigSpec {
     pub seed: Option<u64>,
     /// Morsel worker threads (1 = serial execution).
     pub workers: Option<usize>,
-    /// Morsel size in tuples.
-    pub morsel_tuples: Option<usize>,
 }
 
 /// The whole workload file.
@@ -316,10 +314,6 @@ fn decode_config(v: &Json) -> Result<ConfigSpec, SpecError> {
             .take("workers")
             .map(|v| decode_u64(v, "config.workers").map(|n| n as usize))
             .transpose()?,
-        morsel_tuples: f
-            .take("morsel_tuples")
-            .map(|v| decode_u64(v, "config.morsel_tuples").map(|n| n as usize))
-            .transpose()?,
     };
     f.deny_unknown()?;
     Ok(spec)
@@ -426,12 +420,6 @@ impl WorkloadSpec {
         if let Some(w) = c.workers {
             cfg.workers = w.max(1);
         }
-        if let Some(m) = c.morsel_tuples {
-            if m == 0 {
-                return Err(SpecError::Invalid("morsel_tuples must be positive".into()));
-            }
-            cfg.morsel_tuples = m;
-        }
         Ok(workload)
     }
 }
@@ -529,20 +517,21 @@ mod tests {
     fn workers_config_round_trips() {
         let spec = GOOD.replace(
             r#""memory_mb": 16, "seed": 7"#,
-            r#""memory_mb": 16, "seed": 7, "workers": 4, "morsel_tuples": 32"#,
+            r#""memory_mb": 16, "seed": 7, "workers": 4"#,
         );
         let w = WorkloadSpec::from_json(&spec)
             .unwrap()
             .into_workload()
             .unwrap();
         assert_eq!(w.config.workers, 4);
-        assert_eq!(w.config.morsel_tuples, 32);
 
-        let zero = GOOD.replace(r#""seed": 7"#, r#""seed": 7, "morsel_tuples": 0"#);
-        assert!(WorkloadSpec::from_json(&zero)
-            .unwrap()
-            .into_workload()
-            .is_err());
+        // The morsel size is a constant of the engine, not a knob.
+        let retired = GOOD.replace(r#""seed": 7"#, r#""seed": 7, "morsel_tuples": 32"#);
+        let err = WorkloadSpec::from_json(&retired).unwrap_err();
+        assert!(
+            matches!(&err, SpecError::Parse(m) if m.contains(r#"unknown field "morsel_tuples""#)),
+            "{err}"
+        );
     }
 
     #[test]

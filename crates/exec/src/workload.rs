@@ -31,9 +31,6 @@ pub struct EngineConfig {
     /// batch may be morselized across. `1` (the default, and what every
     /// golden-fingerprint workload uses) keeps the serial batch path.
     pub workers: usize,
-    /// Morsel granularity in source tuples. Batches at most this size (or
-    /// chains with no operators) always run serially.
-    pub morsel_tuples: usize,
 }
 
 impl Default for EngineConfig {
@@ -47,7 +44,6 @@ impl Default for EngineConfig {
             rate_change_threshold: None,
             seed: 42,
             workers: 1,
-            morsel_tuples: 64,
         }
     }
 }

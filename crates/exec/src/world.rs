@@ -39,7 +39,7 @@ pub fn sim_source(workload: &Workload, rel: RelId) -> BoxSource {
 /// give every fragment its own seed stream at construction
 /// ([`crate::frag::FragTable::from_plan`]), so per-morsel randomness is a
 /// pure function of *position* — (fragment seed, morsel index) — and never of
-/// worker count, steal order, or wall-clock timing.
+/// worker count, the order the workers ran in, or wall-clock timing.
 pub fn derive_seed(master: u64, label: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in label.bytes() {

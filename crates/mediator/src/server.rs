@@ -23,18 +23,20 @@
 //! frame takes no lock.
 //!
 //! Query *execution* stays blocking by design — each admitted session
-//! runs a full engine on its own [`RealTimeDriver`] — but on a fixed pool
-//! of `max_concurrent` executor threads. Since admission already caps
-//! running sessions at `max_concurrent`, the pool is never the
-//! bottleneck, and the other ten thousand connections (queued sessions,
-//! idle clients, slow readers) hold only a file descriptor and a few
-//! hundred bytes of state.
+//! runs a full engine on its own [`RealTimeDriver`] — but on a
+//! [`WorkerPool`] of `max_concurrent` session threads, one per slot. Since
+//! admission already caps running sessions at `max_concurrent`, a spawned
+//! session never waits for a thread, and the other ten thousand
+//! connections (queued sessions, idle clients, slow readers) hold only a
+//! file descriptor and a few hundred bytes of state.
 //!
 //! Admission is the sans-io `dqs_core::session::SessionTable` behind a
-//! single mutex shared by I/O workers (submit, disconnect) and executor
-//! threads (finish, promote) — the same mutex, with one condvar, is the
-//! hand-off to the executor pool: at most `max_concurrent` sessions execute
-//! at once, each query re-planned under `memory_bytes / max_concurrent`
+//! single mutex shared by I/O workers (submit, disconnect) and session
+//! threads (finish, promote). A direct admit is spawned on the session
+//! pool; a session that finishes hands its slot to the job the table
+//! promotes and runs it next on the same thread. At most `max_concurrent`
+//! sessions execute at once, each query re-planned under
+//! `memory_bytes / max_concurrent`
 //! — the §4 memory bound applied per-session so concurrent queries
 //! cannot starve each other — and a bounded backlog absorbs bursts, promoted
 //! in arrival order or, under `--admission sjf`, by each query's §5.1.2
@@ -59,7 +61,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -227,16 +229,6 @@ impl ServerMetrics {
         self.exec_pool.get().map_or(0, |p| p.stats().busy_workers)
     }
 
-    /// Morsels submitted to the shared pool but not yet started.
-    pub fn exec_queued_morsels(&self) -> u64 {
-        self.exec_pool.get().map_or(0, |p| p.stats().queued)
-    }
-
-    /// Total morsels a worker stole from another worker's deque.
-    pub fn exec_steals(&self) -> u64 {
-        self.exec_pool.get().map_or(0, |p| p.stats().stolen)
-    }
-
     /// Snapshot of the cumulative queue-wait histogram over every
     /// session dispatched since bind (log-bucketed; see
     /// [`LatencyHistogram`]).
@@ -259,7 +251,7 @@ impl ServerMetrics {
     }
 }
 
-/// An admitted (or queued) submission, ready for an executor thread.
+/// An admitted (or queued) submission, ready for a session thread.
 struct Job {
     conn_id: u64,
     /// Cleared by the connection's I/O worker when the client goes away;
@@ -274,31 +266,26 @@ struct Job {
     workload: Workload,
 }
 
-/// Admission state and the hand-off to the executor pool: the sans-io
-/// table, the jobs parked in its backlog and the jobs granted a slot but
-/// not yet picked up, under ONE mutex — so an executor promoting a session
-/// and an I/O worker reaping a disconnected queued client can never
-/// double-count a slot.
+/// Admission state: the sans-io table and the jobs parked in its backlog,
+/// under ONE mutex — so a session thread promoting a session and an I/O
+/// worker reaping a disconnected queued client can never double-count a
+/// slot.
 struct Admission {
     table: SessionTable,
     queued: HashMap<u64, Job>,
-    /// Slot-holding jobs waiting for an executor ([`Shared::work`]).
-    ready: VecDeque<Job>,
 }
 
 impl Admission {
-    /// Release `session`'s slot and move the job the table promotes into
-    /// it, if any, to `ready`. `true` when one moved: the caller owes
-    /// [`Shared::work`] a notify and the backlog gauge a pop.
-    fn finish(&mut self, session: u64) -> bool {
-        let promoted = self.table.finish(session);
-        match promoted.and_then(|p| self.queued.remove(&p)) {
-            Some(job) => {
-                self.ready.push_back(job);
-                true
-            }
-            None => false,
-        }
+    /// Release `session`'s slot and take out the job the table promotes
+    /// into it, with how long it waited. The caller owes the backlog gauge
+    /// a pop and the job a thread.
+    fn finish(&mut self, session: u64) -> Option<(Job, Duration)> {
+        let job = self
+            .table
+            .finish(session)
+            .and_then(|p| self.queued.remove(&p))?;
+        let waited = self.table.queue_wait(job.session).unwrap_or_default();
+        Some((job, waited))
     }
 }
 
@@ -328,10 +315,11 @@ impl WorkerHandle {
     }
 }
 
+/// State every service thread shares. It never holds the session pool:
+/// session tasks hold `Arc<Shared>`, so the pool's last handle could drop
+/// on one of its own threads, which would then join itself.
 struct Shared {
     admission: Mutex<Admission>,
-    /// Signalled when a job lands in [`Admission::ready`] and at shutdown.
-    work: Condvar,
     opts: ServeOpts,
     /// The wrapper result cache all sessions share; `None` when disabled.
     cache: Option<Arc<SharedCache>>,
@@ -361,22 +349,6 @@ impl Shared {
         true
     }
 
-    /// The next slot-holding job and how long admission held it (zero for
-    /// direct admits), or `None` once `stop` is raised and nothing is ready.
-    fn next_job(&self) -> Option<(Job, Duration)> {
-        let mut admission = self.admission.lock().unwrap();
-        loop {
-            if let Some(job) = admission.ready.pop_front() {
-                let waited = admission.table.queue_wait(job.session).unwrap_or_default();
-                return Some((job, waited));
-            }
-            if self.stop.load(Ordering::SeqCst) {
-                return None;
-            }
-            admission = self.work.wait(admission).unwrap();
-        }
-    }
-
     /// The cache a session replays from and records into: none when the
     /// mediator has none or the client asked for `no_cache`.
     fn session_cache(&self, no_cache: bool) -> Option<&Arc<SharedCache>> {
@@ -397,13 +369,14 @@ impl std::fmt::Debug for Shared {
     }
 }
 
-/// The mediator service: reactor I/O workers + executor pool.
+/// The mediator service: reactor I/O workers + session pool.
 #[derive(Debug)]
 pub struct MediatorServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     io_workers: Vec<JoinHandle<()>>,
-    exec_workers: Vec<JoinHandle<()>>,
+    /// One thread per session slot; every I/O worker holds a clone.
+    sessions: Arc<WorkerPool>,
     prober: Option<JoinHandle<()>>,
     refresher: Option<JoinHandle<()>>,
 }
@@ -499,9 +472,7 @@ impl MediatorServer {
                     policy: opts.admission,
                 }),
                 queued: HashMap::new(),
-                ready: VecDeque::new(),
             }),
-            work: Condvar::new(),
             workers: handles.clone(),
             metrics,
             opts,
@@ -512,6 +483,7 @@ impl MediatorServer {
             stop: AtomicBool::new(false),
         });
 
+        let sessions = WorkerPool::new(shared.opts.max_concurrent);
         let mut listener = Some(listener);
         let io_workers: Vec<JoinHandle<()>> = pollers
             .into_iter()
@@ -520,6 +492,7 @@ impl MediatorServer {
                 let worker = IoWorker {
                     idx,
                     shared: Arc::clone(&shared),
+                    sessions: Arc::clone(&sessions),
                     poller,
                     listener: listener.take(),
                     mailbox: Arc::clone(&handles[idx].mailbox),
@@ -531,19 +504,6 @@ impl MediatorServer {
                     .name(format!("dqs-io-{idx}"))
                     .spawn(move || worker.run())
                     .expect("spawn io worker")
-            })
-            .collect();
-        let exec_workers: Vec<JoinHandle<()>> = (0..shared.opts.max_concurrent.max(1))
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("dqs-exec-{idx}"))
-                    .spawn(move || {
-                        while let Some((job, waited)) = shared.next_job() {
-                            run_job(&shared, job, waited);
-                        }
-                    })
-                    .expect("spawn exec worker")
             })
             .collect();
         let prober = (!shared.replica_sets.is_empty()).then(|| {
@@ -571,7 +531,7 @@ impl MediatorServer {
             addr,
             shared,
             io_workers,
-            exec_workers,
+            sessions,
             prober,
             refresher,
         })
@@ -605,25 +565,20 @@ impl MediatorServer {
     }
 
     /// Stop accepting, sever live client connections, and join every
-    /// service thread — I/O workers, the executor pool, the replica
-    /// prober, and the refresher — so tests and CI shut the mediator down without leaking
-    /// threads or relying on process exit. Executors finish their current
-    /// query first (an engine run cannot be interrupted mid-flight).
+    /// service thread — I/O workers, the session pool, the replica
+    /// prober, and the refresher — so tests and CI shut the mediator down
+    /// without leaking threads or relying on process exit. Severed clients
+    /// cancel their sessions' runs, so the session pool drains at once.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         for handle in &self.shared.workers {
             handle.waker.wake();
         }
-        // Taking the lock orders the store before every executor's next
-        // look at `stop`, so none sleeps through the wake-up.
-        drop(self.shared.admission.lock());
-        self.shared.work.notify_all();
         for h in self.io_workers.drain(..) {
             h.join().ok();
         }
-        for h in self.exec_workers.drain(..) {
-            h.join().ok();
-        }
+        // The I/O workers' clones went with them: this is the last handle.
+        drop(self.sessions);
         if let Some(t) = self.prober.take() {
             t.join().ok();
         }
@@ -669,6 +624,8 @@ struct Conn {
 struct IoWorker {
     idx: usize,
     shared: Arc<Shared>,
+    /// Where admitted sessions run ([`MediatorServer`]'s pool).
+    sessions: Arc<WorkerPool>,
     poller: Poller,
     /// Worker 0 owns the listening socket.
     listener: Option<TcpListener>,
@@ -943,17 +900,17 @@ impl IoWorker {
             no_cache,
             workload,
         };
-        match position {
-            None => admission.ready.push_back(job),
-            Some(_) => {
-                admission.queued.insert(session, job);
-            }
-        }
-        drop(admission);
         conn.state = ConnState::InSession { session };
         match position {
-            None => self.shared.work.notify_one(),
+            None => {
+                drop(admission);
+                let shared = Arc::clone(&self.shared);
+                self.sessions
+                    .spawn(move || run_session(&shared, job, Duration::ZERO));
+            }
             Some(position) => {
+                admission.queued.insert(session, job);
+                drop(admission);
                 self.shared.metrics.queue_push();
                 self.queue_frame(
                     id,
@@ -1060,10 +1017,11 @@ impl IoWorker {
         conn.alive.store(false, Ordering::SeqCst);
         if let ConnState::InSession { session } = conn.state {
             // A queued session whose client left must not wait for (or
-            // hold) a slot. The single admission lock means an executor
-            // promoting this very session either got there first (the job
-            // is gone from `queued`; whoever runs it finds `alive` cleared
-            // and releases the slot) or we reap it here and it never runs.
+            // hold) a slot. The single admission lock means a finishing
+            // session promoting this very one either got there first (the
+            // job is gone from `queued`; the thread that runs it next finds
+            // `alive` cleared and releases the slot) or we reap it here and
+            // it never runs.
             let mut admission = self.shared.admission.lock().unwrap();
             if admission.queued.remove(&session).is_some() {
                 admission.table.finish(session);
@@ -1080,7 +1038,7 @@ fn listener_fd(listener: &TcpListener) -> std::os::fd::RawFd {
     listener.as_raw_fd()
 }
 
-// --- the executor pool ------------------------------------------------------
+// --- the session threads ----------------------------------------------------
 
 /// The `--admission sjf` promotion key: the §5.1.2 lower bound `LWB` of
 /// the query as it will run, in nanoseconds. A scan `cache` will replay is
@@ -1112,21 +1070,32 @@ fn scan_key(workload: &Workload, rel: RelId, sets: &[Arc<ReplicaSet>]) -> CacheK
     CacheKey::for_scan(wrapper, rel, total, workload.config.seed, &stream)
 }
 
-/// Release `session`'s slot and dispatch whatever the table promotes.
-/// Runs under the admission lock so promotion and queued-client
+/// Release `session`'s slot and return whatever the table promotes into
+/// it. Runs under the admission lock so promotion and queued-client
 /// disconnect cannot race.
-fn finish_and_promote(shared: &Shared, session: u64) {
-    if shared.admission.lock().unwrap().finish(session) {
+fn finish_and_promote(shared: &Shared, session: u64) -> Option<(Job, Duration)> {
+    let promoted = shared.admission.lock().unwrap().finish(session);
+    if promoted.is_some() {
         shared.metrics.queue_pop();
-        shared.work.notify_one();
+    }
+    promoted
+}
+
+/// A session slot's task: run `job`, then every job a finish promotes into
+/// the slot, on this one session thread.
+fn run_session(shared: &Shared, job: Job, queue_wait: Duration) {
+    let mut next = Some((job, queue_wait));
+    while let Some((job, queue_wait)) = next {
+        next = run_job(shared, job, queue_wait);
     }
 }
 
-/// Execute one admitted session on this executor thread, streaming
+/// Execute one admitted session on this session thread, streaming
 /// progress frames to the connection's I/O worker. `queue_wait` is how long
 /// admission held the session before a slot freed — fed to the server
-/// gauges and stamped onto the Done payload.
-fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
+/// gauges and stamped onto the Done payload. Returns the job its finish
+/// promoted into the slot.
+fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) -> Option<(Job, Duration)> {
     let queue_wait_secs = queue_wait.as_secs_f64();
     shared
         .metrics
@@ -1138,8 +1107,7 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
         memory_bytes: job.memory_bytes,
     };
     if !shared.send(&job, Msg::Frame(job.conn_id, accepted)) {
-        finish_and_promote(shared, job.session);
-        return;
+        return finish_and_promote(shared, job.session);
     }
     // The session's query plans against its partition, not the global
     // budget.
@@ -1161,13 +1129,13 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
             // Slot released *before* the terminal frame goes out, so a
             // client that saw the outcome never observes its session
             // still counted as running.
-            finish_and_promote(shared, job.session);
+            let next = finish_and_promote(shared, job.session);
             let failed = Frame::Error {
                 code: 2,
                 message: format!("wrapper connect failed: {e}"),
             };
             shared.send(&job, Msg::Terminal(job.conn_id, failed));
-            return;
+            return next;
         }
     };
     // A client that leaves cancels the run (and frees the slot) at once.
@@ -1215,8 +1183,9 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) {
             message: e.to_string(),
         },
     };
-    finish_and_promote(shared, job.session);
+    let next = finish_and_promote(shared, job.session);
     shared.send(&job, Msg::Terminal(job.conn_id, terminal));
+    next
 }
 
 /// Background liveness prober. Between sessions, endpoint health only
@@ -1693,8 +1662,8 @@ mod tests {
         server.shutdown();
     }
 
-    /// A remote session takes the admission lock to be submitted, to be
-    /// handed to an executor and to finish — never in between. The
+    /// A remote session takes the admission lock to be submitted and to
+    /// finish — never in between. The
     /// group's first endpoint never answers, so building the session's
     /// sources takes one bounded connect (500 ms): long enough for the
     /// client to see `Accepted` and take the lock first. With the lock
@@ -1751,8 +1720,8 @@ mod tests {
 
     /// A session whose client disconnects gives its slot back exactly
     /// once, wherever it was waiting: parked in the backlog (its I/O
-    /// worker reaps it at close) or already granted a slot but not yet
-    /// picked up (the executor finds `alive` cleared and never runs it).
+    /// worker reaps it at close) or already promoted into a slot but not
+    /// yet run (the slot's thread finds `alive` cleared and never runs it).
     #[test]
     fn a_waiting_session_whose_client_left_releases_its_slot_once() {
         use dqs_source::net::{read_frame, write_frame};
@@ -1818,26 +1787,31 @@ mod tests {
         assert!(shared.admission.lock().unwrap().queued.is_empty());
         assert_eq!(server.stats().running, 1, "the held slot is untouched");
 
-        // Granted the slot, not yet picked up, when its client leaves: the
-        // admission lock keeps the executor out while the slot changes
-        // hands and the I/O worker marks the connection dead.
-        let mut ready = submit_tiny();
+        // Promoted into the slot, not yet run, when its client leaves: the
+        // admission lock keeps the I/O worker from reaping it while the
+        // slot changes hands and the connection is marked dead.
+        let mut promoted = submit_tiny();
         assert!(matches!(
-            read_frame(&mut ready),
+            read_frame(&mut promoted),
             Ok(Some(Frame::Queued { .. }))
         ));
         let alive = parked_flag();
-        {
+        let (job, waited) = {
             let mut admission = shared.admission.lock().unwrap();
-            assert!(admission.finish(held), "the parked job takes the slot");
+            let next = admission
+                .finish(held)
+                .expect("the parked job takes the slot");
             shared.metrics.queue_pop();
-            drop(ready);
+            drop(promoted);
             until("the connection is marked dead", &|| {
                 !alive.load(Ordering::SeqCst)
             });
-            assert_eq!(admission.ready.len(), 1);
-        }
-        shared.work.notify_one();
+            next
+        };
+        let slot = Arc::clone(&shared);
+        server
+            .sessions
+            .spawn(move || run_session(&slot, job, waited));
         until("the dead session's slot is released", &|| {
             server.stats().running == 0
         });
@@ -1924,13 +1898,18 @@ mod tests {
         };
         let cold = park(&TINY_SPEC.replace("3000", "1000"), Some(8), false);
         let warm = park(TINY_SPEC, None, warm_no_cache);
-        let first = {
-            let mut admission = shared.admission.lock().unwrap();
-            assert!(admission.finish(held), "a parked job takes the slot");
-            admission.ready[0].workload.config.seed
-        };
+        let (job, waited) = shared
+            .admission
+            .lock()
+            .unwrap()
+            .finish(held)
+            .expect("a parked job takes the slot");
+        let first = job.workload.config.seed;
         shared.metrics.queue_pop();
-        shared.work.notify_one();
+        let slot = Arc::clone(&shared);
+        server
+            .sessions
+            .spawn(move || run_session(&slot, job, waited));
         for mut conn in [cold, warm] {
             loop {
                 match read_frame(&mut conn) {

@@ -560,11 +560,9 @@ fn accepted(addr: SocketAddr, spec: &str) -> TcpStream {
     }
 }
 
-/// A client that disconnects mid-run stops its run: the slot frees within
-/// a second, not when the 8 s of source time would have run out, and the
-/// next client is served.
-#[test]
-fn a_client_that_leaves_frees_its_slot() {
+/// Bind a one-slot mediator, run `spec` for a client that leaves 200 ms
+/// after `Accepted`, and assert the slot frees within a second of that.
+fn one_slot_freed_when_its_client_leaves(spec: &str) -> MediatorServer {
     let mediator = MediatorServer::bind(
         "127.0.0.1:0",
         ServeOpts {
@@ -573,8 +571,7 @@ fn a_client_that_leaves_frees_its_slot() {
         },
     )
     .expect("bind mediator");
-    let addr = mediator.local_addr();
-    let conn = accepted(addr, SLOW_SPEC);
+    let conn = accepted(mediator.local_addr(), spec);
     std::thread::sleep(Duration::from_millis(200));
     assert_eq!(mediator.stats().running, 1, "the slow run holds the slot");
     drop(conn);
@@ -586,10 +583,36 @@ fn a_client_that_leaves_frees_its_slot() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    let m = submit(addr, &quickstart_json(), &SubmitOpts::default(), |_| {})
-        .expect("the next client runs");
+    mediator
+}
+
+/// A client that disconnects mid-run stops its run: the slot frees within
+/// a second, not when the 8 s of source time would have run out, and the
+/// next client is served.
+#[test]
+fn a_client_that_leaves_frees_its_slot() {
+    let mediator = one_slot_freed_when_its_client_leaves(SLOW_SPEC);
+    let m = submit(
+        mediator.local_addr(),
+        &quickstart_json(),
+        &SubmitOpts::default(),
+        |_| {},
+    )
+    .expect("the next client runs");
     assert!(m.output_tuples > 0);
     mediator.shutdown();
+}
+
+/// A run with nothing to do but wait out a 5 s source gap still notices
+/// within one wait slice that its client left — not at the 2 s stall
+/// timer, nor at the end of the gap.
+#[test]
+fn a_client_that_leaves_a_stalled_run_frees_its_slot_within_a_second() {
+    let stalled = SLOW_SPEC.replace(
+        r#"{"constant_us": 400}"#,
+        r#"{"initial": {"delay_ms": 5000, "mean_us": 100}}"#,
+    );
+    one_slot_freed_when_its_client_leaves(&stalled).shutdown();
 }
 
 /// A query whose build side is larger than the session's whole memory
@@ -848,9 +871,9 @@ fn cache_budget_is_validated_at_bind_and_deducted_from_partitions() {
 /// The shared-pool acceptance check: N concurrent sessions on a mediator
 /// with `--exec-workers 4` all draw morsel execution from ONE process-wide
 /// pool, and every one of them returns the same answer a solo session
-/// does — concurrency and work-stealing never leak into results. Each
-/// session's memory high-water must also stay inside the per-session
-/// partition the mediator granted it.
+/// does — concurrency never leaks into results. Each session's memory
+/// high-water must also stay inside the per-session partition the mediator
+/// granted it.
 #[test]
 fn concurrent_sessions_share_one_exec_pool_without_perturbing_answers() {
     let mediator = MediatorServer::bind(
@@ -905,7 +928,6 @@ fn concurrent_sessions_share_one_exec_pool_without_perturbing_answers() {
     // one shared pool the metrics endpoint watches.
     let metrics = mediator.metrics();
     assert!(metrics.exec_busy_workers() <= 4);
-    let _ = metrics.exec_steals(); // gauge reachable (steals may be zero)
     mediator.shutdown();
 }
 

@@ -6,9 +6,9 @@
 //! and the faster modeled CPU may shift batch boundaries against wrapper
 //! arrivals, so batch and plan *counts* can differ between worker counts.
 //! The query answer must not, whatever the worker count and whichever
-//! workers physically ran (or stole) which morsel.
+//! workers physically ran which morsel.
 
-use dqs_bench::fingerprint::{metrics_signature, parity_workloads};
+use dqs_bench::fingerprint::{fingerprint_run, parity_workloads};
 use dqs_bench::{run_once, StrategyKind};
 use dqs_exec::Workload;
 use dqs_plan::{generate, GeneratorConfig};
@@ -29,8 +29,9 @@ fn answer_of(m: &dqs_exec::RunMetrics) -> (u64, Vec<u32>) {
 
 /// The parity matrix: every golden workload × every strategy × workers in
 /// {1, 2, 4, 8} agrees on the answer, and each parallel configuration is
-/// itself deterministic (two runs fingerprint identically even though the
-/// physical steal order differs).
+/// itself deterministic: two runs agree on their metrics signature and on
+/// the hash of their whole event stream, though the workers that ran each
+/// morsel differ.
 #[test]
 fn morsel_parallel_answers_match_serial_on_the_parity_matrix() {
     for (name, workload) in parity_workloads() {
@@ -48,10 +49,17 @@ fn morsel_parallel_answers_match_serial_on_the_parity_matrix() {
                 // NOTE deliberately unasserted: batches/plans may shift —
                 // the faster modeled CPU drains queues at different
                 // instants, so batch boundaries move. The answer must not.
-                let b = run_once(&w, strategy);
+                // The two traced runs go at once: they share the global
+                // pool, so their morsels interleave on its workers, and
+                // the matrix takes half the wall time.
+                let (x, y) = std::thread::scope(|s| {
+                    let x = s.spawn(|| fingerprint_run(&w, strategy));
+                    let y = fingerprint_run(&w, strategy);
+                    (x.join().unwrap(), y)
+                });
                 assert_eq!(
-                    metrics_signature(&a),
-                    metrics_signature(&b),
+                    x,
+                    y,
                     "{name}/{}/workers={workers}: parallel run not deterministic",
                     strategy.name()
                 );
@@ -75,6 +83,7 @@ fn morsel_counters_reflect_the_execution_path() {
         "a 4-worker run of fig5 must split batches into morsels"
     );
     assert_eq!(parallel.output_tuples, serial.output_tuples);
+    assert_eq!(parallel.steals, 0, "one queue: nothing to steal");
 }
 
 /// Random bushy queries from the generator, compact descriptors so
@@ -106,20 +115,17 @@ proptest! {
         gen_seed in 0u64..10_000,
         run_seed in 0u64..10_000,
         relations in 2usize..6,
-        morsel_tuples in 16usize..256,
     ) {
         let base = random_workload(gen_seed, relations).with_seed(run_seed);
         for strategy in StrategyKind::ALL {
             let serial = run_once(&base, strategy);
             for &workers in &WORKER_COUNTS {
-                let mut w = base.clone().with_workers(workers);
-                w.config.morsel_tuples = morsel_tuples;
-                let m = run_once(&w, strategy);
+                let m = run_once(&base.clone().with_workers(workers), strategy);
                 prop_assert_eq!(
                     answer_of(&m),
                     answer_of(&serial),
-                    "{}/workers={}/morsel={}: answer diverged",
-                    strategy.name(), workers, morsel_tuples
+                    "{}/workers={}: answer diverged",
+                    strategy.name(), workers
                 );
             }
         }
