@@ -120,12 +120,11 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
                         self.stalled = true;
                         self.emit(now, EngineEvent::Stalled);
                     }
-                    if self.timeout_ev.is_none() && !self.cfg.timeout.is_zero() {
+                    if !self.timeout_armed && !self.cfg.timeout.is_zero() {
+                        self.timeout_armed = true;
                         self.timeout_gen += 1;
-                        let id = self
-                            .driver
+                        self.driver
                             .schedule(now + self.cfg.timeout, Signal::Timeout(self.timeout_gen));
-                        self.timeout_ev = Some(id);
                     }
                     return;
                 }
@@ -146,8 +145,10 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
         }
 
         self.stalled = false;
-        if let Some(id) = self.timeout_ev.take() {
-            self.driver.cancel(id);
+        // The stall is over: its pending timer becomes stale.
+        if self.timeout_armed {
+            self.timeout_armed = false;
+            self.timeout_gen += 1;
         }
 
         // Pull the input batch into the reusable scratch buffer.

@@ -1,12 +1,14 @@
 //! The sans-io driver layer.
 //!
 //! The scheduler core — event loop, DQP batch processing, planning phases
-//! — programs against the [`Driver`] trait: a clock, a timer/deadline
-//! facility, a stream of [`Signal`]s, and a factory for the tuple sources
-//! the communication manager will drive. What "time" and "waiting" mean is
-//! the driver's business:
+//! — programs against the [`Driver`] trait: a clock, a way to schedule a
+//! [`Signal`] for later, a stream of signals, and a factory for the tuple
+//! sources the communication manager will drive. A scheduled signal is
+//! never cancelled: the engine recognises one it no longer wants (a stale
+//! [`Signal::Timeout`]) by its payload when it arrives. What "time" and
+//! "waiting" mean is the driver's business:
 //!
-//! * [`SimDriver`] wraps the discrete-event [`EventQueue`]: time is
+//! * [`SimDriver`] is the discrete-event [`EventQueue`] itself: time is
 //!   virtual, a scheduled signal *is* the clock advancing, and runs are
 //!   bit-identical to the pre-driver engine by construction (same wrapper
 //!   seeding, same `(time, seq)` event ordering).
@@ -25,7 +27,7 @@ use std::sync::Arc;
 
 use dqs_relop::RelId;
 use dqs_sim::clock::until;
-use dqs_sim::{Clock, EventId, EventQueue, SimTime, TimerHeap, TimerId, WallClock};
+use dqs_sim::{EventQueue, SimTime, TimerHeap, WallClock};
 use dqs_source::{BoxSource, Notice};
 
 use crate::workload::{EngineConfig, Workload};
@@ -45,7 +47,8 @@ pub enum Signal {
     BatchDone,
     /// A temp relation's prefetched pages became resident.
     TempReady,
-    /// The stall timer expired (generation guards staleness).
+    /// The stall timer expired. The generation tells a stale timer — one
+    /// armed for a stall that a batch has since ended — from the live one.
     Timeout(u64),
     /// Anything else a remote source reports — a terminal fault, a replica
     /// pin, a failover, a degraded endpoint — as the source wrote it. Boxed
@@ -67,9 +70,6 @@ impl From<Notice> for Signal {
 
 /// The substrate a scheduler run executes on: time, timers, and sources.
 pub trait Driver {
-    /// Handle to a scheduled signal, for cancellation.
-    type Timer: Copy + std::fmt::Debug;
-
     /// Create the tuple sources for `workload` (called once, before the
     /// world is built).
     fn sources(&mut self, workload: &Workload) -> Vec<BoxSource>;
@@ -84,10 +84,7 @@ pub trait Driver {
 
     /// Schedule `signal` for time `at` (which a real-time driver may treat
     /// as already due if it lies in the past).
-    fn schedule(&mut self, at: SimTime, signal: Signal) -> Self::Timer;
-
-    /// Cancel a scheduled signal; `false` if it already fired.
-    fn cancel(&mut self, timer: Self::Timer) -> bool;
+    fn schedule(&mut self, at: SimTime, signal: Signal);
 
     /// Deliver the next signal, advancing (or waiting for) time. `None`
     /// means no signal can ever arrive again.
@@ -104,24 +101,11 @@ pub trait Driver {
     }
 }
 
-/// The discrete-event driver: virtual time from the [`EventQueue`].
-#[derive(Debug, Default)]
-pub struct SimDriver {
-    events: EventQueue<Signal>,
-}
+/// The discrete-event driver: virtual time from the [`EventQueue`], which
+/// is the driver itself.
+pub type SimDriver = EventQueue<Signal>;
 
-impl SimDriver {
-    /// A fresh driver at virtual time zero.
-    pub fn new() -> SimDriver {
-        SimDriver {
-            events: EventQueue::new(),
-        }
-    }
-}
-
-impl Driver for SimDriver {
-    type Timer = EventId;
-
+impl Driver for EventQueue<Signal> {
     fn sources(&mut self, workload: &Workload) -> Vec<BoxSource> {
         sim_sources(workload)
     }
@@ -131,19 +115,15 @@ impl Driver for SimDriver {
     }
 
     fn now(&self) -> SimTime {
-        self.events.now()
+        EventQueue::now(self)
     }
 
-    fn schedule(&mut self, at: SimTime, signal: Signal) -> EventId {
-        self.events.schedule(at, signal)
-    }
-
-    fn cancel(&mut self, timer: EventId) -> bool {
-        self.events.cancel(timer)
+    fn schedule(&mut self, at: SimTime, signal: Signal) {
+        EventQueue::schedule(self, at, signal)
     }
 
     fn next(&mut self) -> Option<(SimTime, Signal)> {
-        self.events.pop()
+        self.pop()
     }
 }
 
@@ -219,8 +199,6 @@ impl Default for RealTimeDriver {
 }
 
 impl Driver for RealTimeDriver {
-    type Timer = TimerId;
-
     fn sources(&mut self, workload: &Workload) -> Vec<BoxSource> {
         // Only prebuilt remote sources post notices, and they already hold
         // their sender clones.
@@ -243,12 +221,8 @@ impl Driver for RealTimeDriver {
         self.clock.now()
     }
 
-    fn schedule(&mut self, at: SimTime, signal: Signal) -> TimerId {
+    fn schedule(&mut self, at: SimTime, signal: Signal) {
         self.timers.arm(at, signal)
-    }
-
-    fn cancel(&mut self, timer: TimerId) -> bool {
-        self.timers.cancel(timer)
     }
 
     fn next(&mut self) -> Option<(SimTime, Signal)> {
@@ -297,14 +271,6 @@ mod tests {
         assert_eq!(d.next(), Some((SimTime::from_nanos(10), Signal::TempReady)));
         assert_eq!(d.now(), SimTime::from_nanos(10));
         assert_eq!(d.next(), Some((SimTime::from_nanos(30), Signal::BatchDone)));
-        assert_eq!(d.next(), None);
-    }
-
-    #[test]
-    fn sim_driver_cancellation() {
-        let mut d = SimDriver::new();
-        let t = d.schedule(SimTime::from_nanos(5), Signal::Timeout(1));
-        assert!(d.cancel(t));
         assert_eq!(d.next(), None);
     }
 

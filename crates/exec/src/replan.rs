@@ -49,16 +49,14 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
         }
     }
 
-    /// Stall-timer expiry: raise `TimeOut` unless the timer is stale. If
-    /// the new plan still runs nothing while no batch is on the CPU, no temp
-    /// page is on its way from disk and every wrapper is done or suspended
-    /// by the window protocol, only this timer could ever fire again: the
-    /// run is deadlocked.
-    pub(crate) fn on_timeout(&mut self, gen: u64) {
-        self.timeout_ev = None;
-        if gen != self.timeout_gen || self.inflight.is_some() || self.output_done_at.is_some() {
-            return;
-        }
+    /// Expiry of the live stall timer (the signal loop drops stale ones):
+    /// the DQP has been stalled for `timeout` with no batch in between, so
+    /// raise `TimeOut`. If the new plan still runs nothing while no batch
+    /// is on the CPU, no temp page is on its way from disk and every
+    /// wrapper is done or suspended by the window protocol, only this timer
+    /// could ever fire again: the run is deadlocked.
+    pub(crate) fn on_timeout(&mut self) {
+        self.timeout_armed = false;
         let now = self.driver.now();
         self.emit(now, EngineEvent::InterruptRaised(Interrupt::Timeout));
         self.replan(Interrupt::Timeout);

@@ -67,7 +67,9 @@ pub struct Engine<P: Policy, O: EngineObserver = NullObserver, D: Driver = SimDr
     pub(crate) sp: Vec<FragId>,
     pub(crate) inflight: Option<Inflight>,
     pub(crate) pending_replan: Option<Interrupt>,
-    pub(crate) timeout_ev: Option<D::Timer>,
+    /// True while a stall timer is pending whose generation is
+    /// `timeout_gen`; every earlier generation still in the driver is stale.
+    pub(crate) timeout_armed: bool,
     pub(crate) timeout_gen: u64,
     /// Memory reservation per built hash table: (grant, reserved bytes).
     pub(crate) ht_mem: HashMap<HtId, (ReservationId, u64)>,
@@ -136,7 +138,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
             sp: Vec::new(),
             inflight: None,
             pending_replan: None,
-            timeout_ev: None,
+            timeout_armed: false,
             timeout_gen: 0,
             ht_mem: HashMap::new(),
             last_overflow: None,
@@ -188,6 +190,10 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
                 });
                 break;
             };
+            // A stall timer that a batch outlived is not an event at all.
+            if matches!(ev, Signal::Timeout(gen) if gen != self.timeout_gen) {
+                continue;
+            }
             self.obs.metrics.acc.m.events += 1;
             match ev {
                 Signal::Arrival(rel) => self.on_arrival(rel, t),
@@ -197,7 +203,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
                         self.try_dispatch();
                     }
                 }
-                Signal::Timeout(gen) => self.on_timeout(gen),
+                Signal::Timeout(_) => self.on_timeout(),
                 Signal::Source(notice) => self.on_notice(*notice, t),
                 Signal::Cancelled => self.aborted = Some(RunError::Cancelled),
             }

@@ -1,7 +1,7 @@
 //! Engine-mechanics tests that exercise specific DQP behaviours through
 //! the public API: tracing, the window-protocol emergency lane,
 //! synchronous vs write-behind materialization, the MF-cancellation
-//! hand-off, and the deadlock verdict.
+//! hand-off, the stall timer's staleness rule, and the deadlock verdict.
 
 use dqs_exec::{
     run_workload, Engine, EngineEvent, EngineObserver, FragId, Interrupt, MaPolicy, PlanCtx,
@@ -159,6 +159,79 @@ fn cpu_accounting_is_conserved() {
         (1.8..2.2).contains(&ratio),
         "doubling tuples should double CPU work: {ratio:.3}"
     );
+}
+
+/// The stall-timer events of a run, in order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum StallEvent {
+    Stalled,
+    TimeOut,
+    BatchStart,
+}
+
+#[derive(Default)]
+struct StallLog(Vec<(SimTime, StallEvent)>);
+
+impl EngineObserver for StallLog {
+    fn on_event(&mut self, at: SimTime, ev: &EngineEvent<'_>) {
+        let kind = match ev {
+            EngineEvent::Stalled => StallEvent::Stalled,
+            EngineEvent::InterruptRaised(Interrupt::Timeout) => StallEvent::TimeOut,
+            EngineEvent::BatchStart { .. } => StallEvent::BatchStart,
+            _ => return,
+        };
+        self.0.push((at, kind));
+    }
+}
+
+#[test]
+fn a_stale_stall_timer_never_raises_timeout() {
+    // A's bursts pause 3 ms and B's 8 ms around a 5 ms timeout: a stall
+    // waiting on A ends in a batch before its timer fires, leaving that
+    // timer stale in the queue; a stall waiting on B outlasts it.
+    let timeout = SimDuration::from_millis(5);
+    let bursty = |pause_ms| DelayModel::Bursty {
+        burst: 300,
+        within: SimDuration::from_micros(10),
+        pause: SimDuration::from_millis(pause_ms),
+    };
+    let mut w = two_way(3_000, 3_000)
+        .with_delay(RelId(0), bursty(3))
+        .with_delay(RelId(1), bursty(8));
+    w.config.timeout = timeout;
+    let mut log = StallLog::default();
+    let m = Engine::with_observer(&w, SeqPolicy, &mut log)
+        .try_run()
+        .unwrap();
+    let log = log.0;
+
+    // The timer a TimeOut fires from was armed by the latest Stalled or
+    // TimeOut, exactly `timeout` earlier, and no batch ran since.
+    let mut raised = 0;
+    for (i, &(at, kind)) in log.iter().enumerate().skip(1) {
+        if kind != StallEvent::TimeOut {
+            continue;
+        }
+        raised += 1;
+        let (armed_at, armed_by) = log[i - 1];
+        assert_ne!(
+            armed_by,
+            StallEvent::BatchStart,
+            "TimeOut at {at} after a batch ended its stall"
+        );
+        assert_eq!(armed_at + timeout, at, "TimeOut at {at} from a stale timer");
+    }
+    assert!(raised > 0, "B's pauses outlast the timeout");
+    assert_eq!(m.timeouts, raised);
+
+    // Some stall ended in a batch before its timer: a stale timer fired.
+    let outlived = log.windows(2).any(|p| {
+        let [(stalled_at, StallEvent::Stalled), (at, StallEvent::BatchStart)] = p else {
+            return false;
+        };
+        *at < *stalled_at + timeout
+    });
+    assert!(outlived, "no stall ended before its timer");
 }
 
 /// Schedules nothing, ever.

@@ -2,21 +2,18 @@
 //!
 //! The scheduler core is written against *some* notion of "now" plus a set
 //! of pending deadlines. In simulation, both come from the event queue
-//! ([`crate::EventQueue`] advances virtual time as it pops). A real-time
-//! driver instead reads a [`WallClock`] (monotonic `std::time::Instant`
-//! mapped onto [`SimTime`] nanoseconds) and keeps its deadlines in a
-//! [`TimerHeap`], turning them into actual waits.
+//! ([`crate::EventQueue`] advances virtual time as it pops, over a
+//! [`TimerHeap`]). A real-time driver instead reads a [`WallClock`]
+//! (monotonic `std::time::Instant` mapped onto [`SimTime`] nanoseconds) and
+//! keeps its deadlines in a [`TimerHeap`] of its own, turning them into
+//! actual waits. A timer is never cancelled: one its owner no longer cares
+//! about fires anyway and is recognised as stale by its payload.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use crate::event::DeadlineHeap;
 use crate::time::{SimDuration, SimTime};
-
-/// A monotonic source of "now" expressed as [`SimTime`].
-pub trait Clock {
-    /// The current time.
-    fn now(&self) -> SimTime;
-}
 
 /// Wall-clock time: nanoseconds elapsed since the clock was created,
 /// reported through the same [`SimTime`] type the simulator uses so the
@@ -33,6 +30,12 @@ impl WallClock {
             start: Instant::now(),
         }
     }
+
+    /// The time elapsed since the origin.
+    pub fn now(&self) -> SimTime {
+        let ns = self.start.elapsed().as_nanos();
+        SimTime::from_nanos(ns.min(u64::MAX as u128) as u64)
+    }
 }
 
 impl Default for WallClock {
@@ -41,57 +44,69 @@ impl Default for WallClock {
     }
 }
 
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        let ns = self.start.elapsed().as_nanos();
-        SimTime::from_nanos(ns.min(u64::MAX as u128) as u64)
+#[derive(Debug)]
+struct Scheduled<E> {
+    at: SimTime,
+    seq: u64,
+    payload: E,
+}
+
+// Order by (time, seq): entries at the same instant surface in arming
+// order, which makes runs reproducible regardless of heap internals.
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
-/// Handle to a pending timer in a [`TimerHeap`], usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
-
-/// A deadline queue for real-time drivers: like [`crate::EventQueue`] it
-/// orders by `(time, insertion sequence)` and supports tombstone
-/// cancellation, but it does **not** own "now" — deadlines may lie in the
-/// past (they are then simply due immediately), because wall time keeps
-/// moving while the scheduler works.
+/// A deadline queue ordered by `(time, arming sequence)`. It does **not**
+/// own "now": deadlines may lie in the past (they are then simply due
+/// immediately), because wall time keeps moving while the scheduler works.
+/// [`crate::EventQueue`] adds the virtual clock on top.
 #[derive(Debug)]
 pub struct TimerHeap<E> {
-    heap: DeadlineHeap<E>,
+    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    next_seq: u64,
 }
 
 impl<E> TimerHeap<E> {
     /// An empty heap.
     pub fn new() -> TimerHeap<E> {
         TimerHeap {
-            heap: DeadlineHeap::new(),
+            heap: BinaryHeap::new(),
+            next_seq: 0,
         }
     }
 
     /// Arm a timer for `at` (which may already have passed).
-    pub fn arm(&mut self, at: SimTime, payload: E) -> TimerId {
-        TimerId(self.heap.push(at, payload))
+    pub fn arm(&mut self, at: SimTime, payload: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Scheduled { at, seq, payload }));
     }
 
-    /// Disarm a pending timer. Returns `false` if it already fired or was
-    /// already cancelled.
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        self.heap.cancel(id.0)
+    /// The earliest pending deadline, if any.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(s)| s.at)
     }
 
-    /// The earliest live deadline, if any.
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
-        self.heap.peek_time()
-    }
-
-    /// Pop the earliest live timer regardless of the current time.
+    /// Pop the earliest pending timer regardless of the current time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop()
+        self.heap.pop().map(|Reverse(s)| (s.at, s.payload))
     }
 
-    /// Pop the earliest live timer only if its deadline is at or before
+    /// Pop the earliest pending timer only if its deadline is at or before
     /// `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
         match self.next_deadline() {
@@ -100,9 +115,14 @@ impl<E> TimerHeap<E> {
         }
     }
 
-    /// True when no live timers remain.
+    /// Number of pending timers.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True when no timers remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.pending() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -141,44 +161,6 @@ mod tests {
         assert_eq!(h.pop().unwrap().1, "b");
         assert_eq!(h.pop().unwrap().1, "c");
         assert!(h.pop().is_none());
-    }
-
-    #[test]
-    fn cancellation_tombstones() {
-        let mut h = TimerHeap::new();
-        let a = h.arm(SimTime::from_nanos(10), "a");
-        h.arm(SimTime::from_nanos(20), "b");
-        assert!(h.cancel(a));
-        assert!(!h.cancel(a), "double cancel reports failure");
-        assert_eq!(h.next_deadline(), Some(SimTime::from_nanos(20)));
-        assert_eq!(h.pop().unwrap().1, "b");
-        assert!(h.is_empty());
-    }
-
-    #[test]
-    fn cancelling_a_fired_timer_reports_false_and_parks_nothing() {
-        let mut h = TimerHeap::new();
-        let a = h.arm(SimTime::from_nanos(10), "a");
-        assert_eq!(h.pop().unwrap().1, "a");
-        assert!(!h.cancel(a), "it already fired");
-        assert_eq!(h.heap.tombstones(), 0);
-    }
-
-    #[test]
-    fn draining_drops_every_tombstone() {
-        let mut h = TimerHeap::new();
-        let ids: Vec<_> = (0..10).map(|i| h.arm(SimTime::from_nanos(i), i)).collect();
-        for id in ids.iter().step_by(2) {
-            assert!(h.cancel(*id));
-        }
-        let fired: Vec<_> = std::iter::from_fn(|| h.pop()).map(|(_, p)| p).collect();
-        assert_eq!(fired, vec![1, 3, 5, 7, 9]);
-        assert!(
-            ids.iter().all(|id| !h.cancel(*id)),
-            "all fired or cancelled"
-        );
-        assert_eq!(h.heap.tombstones(), 0);
-        assert!(h.is_empty());
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use clock::{Clock, TimerHeap, TimerId, WallClock};
-pub use event::{EventId, EventQueue};
+pub use clock::{TimerHeap, WallClock};
+pub use event::EventQueue;
 pub use params::SimParams;
 pub use resource::{FifoResource, Grant};
 pub use rng::SeedSplitter;

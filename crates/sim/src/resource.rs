@@ -3,7 +3,7 @@
 //! A [`FifoResource`] models a single server with FIFO queueing discipline:
 //! a request arriving at `now` with service demand `d` starts when the device
 //! frees up and completes `d` later. The caller schedules the completion
-//! event at the returned finish time. Utilization accounting is built in so
+//! event at the returned finish time. Busy-time accounting is built in so
 //! experiments can report CPU-busy and disk-busy fractions.
 
 use crate::time::{SimDuration, SimTime};
@@ -14,7 +14,6 @@ pub struct FifoResource {
     name: &'static str,
     next_free: SimTime,
     busy: SimDuration,
-    requests: u64,
 }
 
 /// Outcome of a resource acquisition.
@@ -35,7 +34,6 @@ impl FifoResource {
             name,
             next_free: SimTime::ZERO,
             busy: SimDuration::ZERO,
-            requests: 0,
         }
     }
 
@@ -45,7 +43,6 @@ impl FifoResource {
         let finish = start + service;
         self.next_free = finish;
         self.busy += service;
-        self.requests += 1;
         Grant {
             start,
             finish,
@@ -58,27 +55,9 @@ impl FifoResource {
         self.next_free
     }
 
-    /// True if a request arriving at `now` would start immediately.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.next_free <= now
-    }
-
     /// Total busy time accumulated.
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Number of requests served.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// Utilization in [0, 1] over the horizon `[0, end]`.
-    pub fn utilization(&self, end: SimTime) -> f64 {
-        if end == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / end.as_secs_f64()
     }
 
     /// Label given at construction.
@@ -124,8 +103,7 @@ mod tests {
         r.acquire(t(0), d(10));
         let g = r.acquire(t(100), d(5));
         assert_eq!(g.start, t(100));
-        assert!(r.is_idle_at(t(105)));
-        assert!(!r.is_idle_at(t(104)));
+        assert_eq!(r.next_free(), t(105));
     }
 
     #[test]
@@ -134,9 +112,5 @@ mod tests {
         r.acquire(t(0), d(30));
         r.acquire(t(0), d(30));
         assert_eq!(r.busy_time(), d(60));
-        assert_eq!(r.requests(), 2);
-        // Busy 60 µs over a 120 µs horizon => 50 % utilized.
-        let u = r.utilization(t(120));
-        assert!((u - 0.5).abs() < 1e-12, "{u}");
     }
 }

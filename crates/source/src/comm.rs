@@ -21,7 +21,7 @@ use dqs_relop::{RelId, Tuple};
 use dqs_sim::{Ewma, SimDuration, SimParams, SimTime};
 
 use crate::queue::TupleQueue;
-use crate::source::{BoxSource, TupleSource};
+use crate::source::BoxSource;
 
 /// Default EWMA weight for delivery-rate estimation.
 pub const DEFAULT_RATE_ALPHA: f64 = 0.05;
@@ -79,24 +79,8 @@ pub struct CommManager {
 }
 
 impl CommManager {
-    /// Build a CM over `wrappers` with per-queue `capacity` tuples.
-    pub fn new<S: TupleSource + Send + 'static>(
-        wrappers: Vec<S>,
-        capacity: usize,
-        params: SimParams,
-    ) -> Self {
-        Self::from_boxed(
-            wrappers
-                .into_iter()
-                .map(|w| Box::new(w) as BoxSource)
-                .collect(),
-            capacity,
-            params,
-        )
-    }
-
-    /// Build a CM over already type-erased sources (what a driver hands
-    /// over when the source kind is chosen at runtime).
+    /// Build a CM over type-erased `wrappers` (a driver chooses the source
+    /// kind at runtime) with per-queue `capacity` tuples.
     pub fn from_boxed(wrappers: Vec<BoxSource>, capacity: usize, params: SimParams) -> Self {
         let ports = wrappers
             .into_iter()
@@ -225,21 +209,10 @@ impl CommManager {
         }
     }
 
-    /// Dequeue up to `max` tuples of `rel` for processing.
-    pub fn consume(&mut self, rel: RelId, max: usize) -> Vec<Tuple> {
-        let port = self.port_mut(rel);
-        let batch = port.queue.pop_batch(max);
-        port.queue.note_dequeued(batch.len() as u64);
-        batch
-    }
-
     /// Dequeue up to `max` tuples of `rel` into `out` (appended),
     /// returning how many were moved — the allocation-free batch path.
     pub fn consume_into(&mut self, rel: RelId, max: usize, out: &mut Vec<Tuple>) -> usize {
-        let port = self.port_mut(rel);
-        let n = port.queue.pop_batch_into(max, out);
-        port.queue.note_dequeued(n as u64);
-        n
+        self.port_mut(rel).queue.pop_batch_into(max, out)
     }
 
     /// After consumption, resume a suspended wrapper if the queue has room.
@@ -325,7 +298,7 @@ mod tests {
             },
             SeedSplitter::new(5).stream("cm-test"),
         );
-        CommManager::new(vec![w], capacity, SimParams::default())
+        CommManager::from_boxed(vec![Box::new(w)], capacity, SimParams::default())
     }
 
     fn drive_until_blocked(cm: &mut CommManager) -> (SimTime, u64) {
@@ -366,7 +339,8 @@ mod tests {
         let (t, _) = drive_until_blocked(&mut c);
         // Nothing resumes while the queue stays full.
         assert!(c.after_consume(RelId(0), t).is_none() || !c.port(RelId(0)).queue.is_full());
-        let got = c.consume(RelId(0), 4);
+        let mut got = Vec::new();
+        assert_eq!(c.consume_into(RelId(0), 4, &mut got), 4);
         assert_eq!(got.len(), 4);
         let resumed = c.after_consume(RelId(0), t);
         assert_eq!(resumed, Some(t + SimDuration::from_micros(20)));
@@ -388,7 +362,7 @@ mod tests {
         assert!(finished);
         assert!(c.exhausted(RelId(0)));
         assert!(!c.drained(RelId(0)));
-        let _ = c.consume(RelId(0), 10);
+        c.consume_into(RelId(0), 10, &mut Vec::new());
         assert!(c.drained(RelId(0)));
     }
 
@@ -432,7 +406,7 @@ mod tests {
             SeedSplitter::new(5).stream("cm-rate"),
         );
         // Manually drive: 200 fast tuples, mark, then slow tuples.
-        let mut c = CommManager::new(vec![w], 100_000, SimParams::default());
+        let mut c = CommManager::from_boxed(vec![Box::new(w)], 100_000, SimParams::default());
         let (arrivals, _) = c.start(SimTime::ZERO);
         let mut next = arrivals[0].1;
         for _ in 0..199 {
@@ -474,7 +448,8 @@ mod tests {
                 next = t;
             }
         }
-        let batch = c.consume(RelId(0), 4);
+        let mut batch = Vec::new();
+        assert_eq!(c.consume_into(RelId(0), 4, &mut batch), 4);
         assert_eq!(batch.len(), 4);
         assert_eq!(c.available(RelId(0)), 6);
         assert_eq!(c.received(RelId(0)), 10);

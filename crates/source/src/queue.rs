@@ -16,8 +16,6 @@ use dqs_relop::Tuple;
 pub struct TupleQueue {
     buf: VecDeque<Tuple>,
     capacity: usize,
-    enqueued: u64,
-    dequeued: u64,
 }
 
 impl TupleQueue {
@@ -27,14 +25,7 @@ impl TupleQueue {
         TupleQueue {
             buf: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            enqueued: 0,
-            dequeued: 0,
         }
-    }
-
-    /// Configured capacity (the flow-control window).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Tuples currently buffered.
@@ -63,13 +54,6 @@ impl TupleQueue {
             "push into full queue — window protocol violated"
         );
         self.buf.push_back(t);
-        self.enqueued += 1;
-    }
-
-    /// Dequeue up to `max` tuples.
-    pub fn pop_batch(&mut self, max: usize) -> Vec<Tuple> {
-        let n = max.min(self.buf.len());
-        self.buf.drain(..n).collect()
     }
 
     /// Dequeue up to `max` tuples into `out` (appended), returning how
@@ -78,22 +62,6 @@ impl TupleQueue {
         let n = max.min(self.buf.len());
         out.extend(self.buf.drain(..n));
         n
-    }
-
-    /// Total tuples ever enqueued.
-    pub fn total_enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Total tuples ever dequeued.
-    pub fn total_dequeued(&self) -> u64 {
-        self.dequeued
-    }
-
-    /// Record `n` tuples as consumed (kept separate from `pop_batch` so the
-    /// caller can account consumption at batch completion time).
-    pub fn note_dequeued(&mut self, n: u64) {
-        self.dequeued += n;
     }
 }
 
@@ -112,7 +80,8 @@ mod tests {
         q.push(t(1));
         q.push(t(2));
         q.push(t(3));
-        let out = q.pop_batch(2);
+        let mut out = Vec::new();
+        q.pop_batch_into(2, &mut out);
         assert_eq!(out.iter().map(|x| x.key).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(q.len(), 1);
     }
@@ -138,9 +107,11 @@ mod tests {
     fn pop_more_than_available_clamps() {
         let mut q = TupleQueue::new(5);
         q.push(t(1));
-        let out = q.pop_batch(10);
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch_into(10, &mut out), 1);
         assert_eq!(out.len(), 1);
-        assert!(q.pop_batch(10).is_empty());
+        assert_eq!(q.pop_batch_into(10, &mut out), 0);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -155,17 +126,6 @@ mod tests {
         assert_eq!(q.pop_batch_into(10, &mut out), 1);
         assert_eq!(q.pop_batch_into(10, &mut out), 0);
         assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn counters_track_traffic() {
-        let mut q = TupleQueue::new(5);
-        q.push(t(1));
-        q.push(t(2));
-        let _ = q.pop_batch(2);
-        q.note_dequeued(2);
-        assert_eq!(q.total_enqueued(), 2);
-        assert_eq!(q.total_dequeued(), 2);
     }
 
     #[test]

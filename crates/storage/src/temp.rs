@@ -148,13 +148,6 @@ impl<T: Clone> TempRelation<T> {
         }
     }
 
-    /// Tuples a cursor at position `pos` could read right now (everything
-    /// appended is readable: flushed pages from disk, the tail from the
-    /// write buffer).
-    pub fn readable_from(&self, pos: u64) -> u64 {
-        self.len().saturating_sub(pos)
-    }
-
     /// Tuples contiguously readable from `pos` *without blocking* at
     /// `now`: resident read-ahead pages plus — once the whole flushed
     /// region is resident — the still-buffered memory tail.
@@ -390,11 +383,12 @@ mod tests {
     #[test]
     fn readable_from_tracks_appends() {
         let (_p, mut d, mut t) = setup();
-        assert_eq!(t.readable_from(0), 0);
-        t.append_batch(&[1, 2, 3], SimTime::ZERO, &mut d);
-        assert_eq!(t.readable_from(0), 3);
-        assert_eq!(t.readable_from(2), 1);
-        assert_eq!(t.readable_from(5), 0);
+        let now = SimTime::ZERO;
+        assert_eq!(t.available(0, now), 0);
+        t.append_batch(&[1, 2, 3], now, &mut d);
+        assert_eq!(t.available(0, now), 3);
+        assert_eq!(t.available(2, now), 1);
+        assert_eq!(t.available(5, now), 0);
     }
 
     #[test]
