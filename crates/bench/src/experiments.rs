@@ -455,7 +455,7 @@ pub fn ablate_rate() -> String {
                 pause: SimDuration::from_millis(120),
             },
         );
-        w.config.rate_change_threshold = Some(threshold);
+        w.config.rate_change_threshold = threshold;
         let m = run_once(&w, StrategyKind::Dse);
         let _ = writeln!(
             out,

@@ -228,11 +228,6 @@ impl FragTable {
         self.by_pc[pc.0 as usize].len() > 1
     }
 
-    /// True when every non-superseded fragment is done.
-    pub fn all_done(&self) -> bool {
-        self.frags.iter().all(|f| f.status != FragStatus::Active)
-    }
-
     /// Split an active, not-yet-started fragment at operator boundary `k`:
     /// the *head* runs `ops[..k]` and materializes into `temp`; the *tail*
     /// reads the temp and runs `ops[k..]` into the original sink. This is
@@ -359,7 +354,7 @@ mod tests {
         let f1 = t.get(FragId(1));
         assert_eq!(f1.sink, FragSink::Output);
         assert_eq!(t.live_body(PcId(0)), Some(FragId(0)));
-        assert!(!t.all_done());
+        assert!(t.iter().all(|f| f.status == FragStatus::Active));
     }
 
     #[test]
@@ -418,14 +413,5 @@ mod tests {
         let mut t = FragTable::from_plan(&plan(), 42);
         t.get_mut(FragId(0)).started = true;
         t.degrade(PcId(0), true, TempId(0));
-    }
-
-    #[test]
-    fn all_done_tracks_statuses() {
-        let mut t = FragTable::from_plan(&plan(), 42);
-        t.get_mut(FragId(0)).status = FragStatus::Done;
-        assert!(!t.all_done());
-        t.get_mut(FragId(1)).status = FragStatus::Done;
-        assert!(t.all_done());
     }
 }

@@ -83,14 +83,6 @@ impl RunMetrics {
         self.response_time.as_secs_f64()
     }
 
-    /// Fraction of the response time the CPU was busy.
-    pub fn cpu_utilization(&self) -> f64 {
-        if self.response_time.is_zero() {
-            return 0.0;
-        }
-        self.cpu_busy.as_secs_f64() / self.response_time.as_secs_f64()
-    }
-
     /// Relative gain of this run over a `baseline` response time, as the
     /// paper reports it: `(base - this) / base`.
     pub fn gain_over(&self, baseline: &RunMetrics) -> f64 {
@@ -154,11 +146,5 @@ mod tests {
         acc.stall_begin(t(5));
         acc.stall_end(t(6));
         assert_eq!(acc.m.stall_time, SimDuration::from_secs(3));
-    }
-
-    #[test]
-    fn utilization_guards_zero() {
-        let m = RunMetrics::default();
-        assert_eq!(m.cpu_utilization(), 0.0);
     }
 }

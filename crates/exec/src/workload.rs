@@ -3,7 +3,7 @@
 use dqs_plan::{Catalog, Fig5, Qep};
 use dqs_relop::RelId;
 use dqs_sim::{SimDuration, SimParams};
-use dqs_source::{DelayModel, DEFAULT_QUEUE_CAPACITY};
+use dqs_source::{DelayModel, DEFAULT_QUEUE_CAPACITY, DEFAULT_RATE_CHANGE_THRESHOLD};
 
 /// Engine tuning knobs, with the defaults every experiment starts from.
 #[derive(Debug, Clone)]
@@ -22,9 +22,9 @@ pub struct EngineConfig {
     /// (§3.2).
     pub timeout: SimDuration,
     /// Relative drift of a wrapper's delivery-rate estimate from the
-    /// scheduler's planning mark that raises `RateChange` (§3.2). `None`
-    /// keeps the communication manager's default (0.5).
-    pub rate_change_threshold: Option<f64>,
+    /// scheduler's planning mark that raises `RateChange` (§3.2); must
+    /// be positive.
+    pub rate_change_threshold: f64,
     /// Master seed for all randomness.
     pub seed: u64,
     /// Intra-query parallelism degree: number of worker lanes an admitted
@@ -41,7 +41,7 @@ impl Default for EngineConfig {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             batch_size: 128,
             timeout: SimDuration::from_secs(2),
-            rate_change_threshold: None,
+            rate_change_threshold: DEFAULT_RATE_CHANGE_THRESHOLD,
             seed: 42,
             workers: 1,
         }

@@ -104,10 +104,12 @@ impl World {
         let chains = ChainSet::decompose(&workload.qep);
         let plan = AnnotatedPlan::annotate(chains, &workload.catalog, &params);
 
-        let mut cm = CommManager::from_boxed(sources, queue_capacity, params.clone());
-        if let Some(t) = workload.config.rate_change_threshold {
-            cm.set_rate_change_threshold(t);
-        }
+        let cm = CommManager::from_boxed(
+            sources,
+            queue_capacity,
+            params.clone(),
+            workload.config.rate_change_threshold,
+        );
 
         let mut arena = HashTableArena::new();
         for _ in 0..plan.chains.ht_count {

@@ -20,7 +20,7 @@
 //! `refresh_delta`, `refresh_apply`) so operators — and the CI smoke —
 //! can watch freshness converge without a client attached.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -40,8 +40,10 @@ use crate::sleep_unless;
 #[derive(Debug, Default)]
 pub(crate) struct RefreshState {
     /// How to re-open every cold-recorded scan: the `Open` the session
-    /// sent, keyed by cache key. Pruned against cache residency
-    /// each cycle so it never outgrows the cache itself.
+    /// sent, keyed by cache key. Recorded once the session's run is over,
+    /// when each of its recordings is resident or discarded, and pruned
+    /// against cache residency each cycle, so it never outgrows the cache
+    /// itself.
     pub(crate) provenance: Mutex<HashMap<CacheKey, ScanProvenance>>,
     /// Latest change-tracking stats observed per (group id, relation).
     /// Session builds consult this so a live scan opens at the wrapper's
@@ -78,26 +80,17 @@ pub(crate) struct RefresherCtx {
 
 /// The refresher loop: poll, plan, execute, sleep — until `stop`.
 pub(crate) fn run_refresher(ctx: &RefresherCtx, stop: &AtomicBool) {
-    // Keys observed resident at least once. Provenance is recorded at
-    // session-build time, *before* the scan completes and inserts, so a
-    // never-yet-resident key is an in-flight recording, not garbage —
-    // only keys that materialized and have since been evicted or
-    // invalidated are safe to forget.
-    let mut materialized: HashSet<CacheKey> = HashSet::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
         poll_stats(ctx);
         execute_cycle(ctx, stop);
-        ctx.state.provenance.lock().unwrap().retain(|k, _| {
-            if ctx.cache.contains(k) {
-                materialized.insert(k.clone());
-                true
-            } else {
-                !materialized.remove(k)
-            }
-        });
+        ctx.state
+            .provenance
+            .lock()
+            .unwrap()
+            .retain(|k, _| ctx.cache.contains(k));
         if !sleep_unless(stop, ctx.interval) {
             return;
         }

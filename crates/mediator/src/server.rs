@@ -47,8 +47,10 @@
 //! Backpressure: a client that stops reading grows its own write buffer
 //! and nothing else. Past a high-water mark its `Trace` frames are
 //! dropped (counted in [`ServerMetrics`]); lifecycle frames are always
-//! queued, and a draining connection that stays stalled is cut by a
-//! timer-wheel deadline.
+//! queued, and a draining connection that stays stalled is cut when its
+//! drain deadline passes. No timer is cancelled: each connection stores
+//! its own deadline, and a fired token whose connection holds no due
+//! deadline is stale and ignored.
 //!
 //! Every wrapper spec is a replica group (`id=host:port,host:port`; a
 //! bare address is a group of one): each scan opens on the best live
@@ -75,7 +77,7 @@ use dqs_exec::{
     observe, sim_source, EngineEvent, EngineObserver, RealTimeDriver, RunMetrics, WorkerPool,
     Workload,
 };
-use dqs_reactor::{Events, Interest, Poller, TimerId, TimerWheel, Token, Waker};
+use dqs_reactor::{Events, Interest, Poller, TimerWheel, Token, Waker};
 use dqs_refresh::{RefreshPlanner, ScanProvenance};
 use dqs_relop::RelId;
 use dqs_replica::{parse_groups, EndpointSnapshot, EndpointState, HealthConfig, ReplicaSet};
@@ -609,7 +611,8 @@ enum ConnState {
     Closing,
 }
 
-/// Per-connection state machine, owned by exactly one I/O worker.
+/// Per-connection state machine and deadline, owned by exactly one I/O
+/// worker.
 struct Conn {
     io: FramedConn,
     state: ConnState,
@@ -617,8 +620,10 @@ struct Conn {
     interest: Interest,
     /// Shared with the session's [`Job`]; cleared at [`IoWorker::close`].
     alive: Arc<AtomicBool>,
-    /// Pending submit/drain deadline in the worker's timer wheel.
-    timer: Option<TimerId>,
+    /// The submit or drain deadline this connection is held to, if any.
+    /// The wheel's token for it is never cancelled: when a `Token(id)`
+    /// fires, this field alone says whether it still matters.
+    deadline: Option<Instant>,
 }
 
 struct IoWorker {
@@ -686,10 +691,19 @@ impl IoWorker {
                 }
             }
             expired.clear();
-            self.timers.advance(Instant::now(), &mut expired);
+            let now = Instant::now();
+            self.timers.advance(now, &mut expired);
             for t in &expired {
-                // Both deadlines — submit and drain — mean "cut it".
-                if self.conns.contains_key(&t.0) {
+                // Both deadlines — submit and drain — mean "cut it". The
+                // wheel never fires a token early, so a token whose
+                // connection holds no due deadline is stale: the deadline
+                // it was scheduled for was cleared or replaced.
+                if self
+                    .conns
+                    .get(&t.0)
+                    .and_then(|c| c.deadline)
+                    .is_some_and(|d| d <= now)
+                {
                     self.close(t.0);
                 }
             }
@@ -746,9 +760,8 @@ impl IoWorker {
         {
             return;
         }
-        let timer = self
-            .timers
-            .schedule(Instant::now(), SUBMIT_TIMEOUT, Token(id));
+        let now = Instant::now();
+        self.timers.schedule(now, SUBMIT_TIMEOUT, Token(id));
         self.conns.insert(
             id,
             Conn {
@@ -756,7 +769,7 @@ impl IoWorker {
                 state: ConnState::AwaitSubmit,
                 interest: Interest::READABLE,
                 alive: Arc::new(AtomicBool::new(true)),
-                timer: Some(timer),
+                deadline: Some(now + SUBMIT_TIMEOUT),
             },
         );
     }
@@ -800,9 +813,7 @@ impl IoWorker {
         };
         match conn.state {
             ConnState::AwaitSubmit => {
-                if let Some(t) = conn.timer.take() {
-                    self.timers.cancel(t);
-                }
+                conn.deadline = None;
                 match frame {
                     Frame::Submit {
                         strategy,
@@ -966,13 +977,9 @@ impl IoWorker {
         }
         conn.io.push(&frame);
         conn.state = ConnState::Closing;
-        if let Some(t) = conn.timer.take() {
-            self.timers.cancel(t);
-        }
-        conn.timer = Some(
-            self.timers
-                .schedule(Instant::now(), DRAIN_TIMEOUT, Token(id)),
-        );
+        let now = Instant::now();
+        self.timers.schedule(now, DRAIN_TIMEOUT, Token(id));
+        conn.deadline = Some(now + DRAIN_TIMEOUT);
         self.flush(id);
     }
 
@@ -1007,12 +1014,9 @@ impl IoWorker {
     /// Tear a connection down: deregister, mark it dead for its session's
     /// job, reap any queued session, sever the socket.
     fn close(&mut self, id: u64) {
-        let Some(mut conn) = self.conns.remove(&id) else {
+        let Some(conn) = self.conns.remove(&id) else {
             return;
         };
-        if let Some(t) = conn.timer.take() {
-            self.timers.cancel(t);
-        }
         self.poller.deregister(conn.io.fd()).ok();
         conn.alive.store(false, Ordering::SeqCst);
         if let ConnState::InSession { session } = conn.state {
@@ -1117,7 +1121,7 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) -> Option<(Job, 
         job.workload.config.workers = pool.workers();
     }
 
-    let (driver, outcomes) = match build_driver(
+    let (driver, outcomes, provenance) = match build_driver(
         &job.workload,
         &shared.opts,
         &shared.replica_sets,
@@ -1165,6 +1169,14 @@ fn run_job(shared: &Shared, mut job: Job, queue_wait: Duration) -> Option<(Job, 
     }
     let result = run_named(&job.strategy, &job.workload, trace, driver)
         .expect("strategy name validated at submit");
+    // Every recording has now been inserted or discarded, so a scan the
+    // refresher learns of is resident unless since evicted — and its
+    // provenance goes with it at the next prune.
+    if let Some(state) = shared.refresh.as_deref() {
+        for (key, prov) in provenance {
+            state.record(key, prov);
+        }
+    }
     let terminal = match result {
         Ok(mut m) => {
             (m.cache_hits, m.cache_misses, m.cache_bytes_served) = (hits, misses, bytes_served);
@@ -1212,6 +1224,9 @@ fn probe_replicas(shared: &Shared) {
     }
 }
 
+/// How to re-open each cached remote scan of a session, by cache key.
+type Provenance = Vec<(CacheKey, ScanProvenance)>;
+
 /// Build the session's driver: one source per catalog relation. With a
 /// cache, resident scans become [`ReplaySource`]s — no wrapper connection
 /// is even dialed for them — and live scans are wrapped in a
@@ -1234,15 +1249,20 @@ fn probe_replicas(shared: &Shared) {
 /// (so a session sees appended tuples the spec predates) and recordings
 /// are stamped with the wrapper's current version. This applies to
 /// `no_cache` sessions too — a cold truth run and a refreshed warm one
-/// must answer bit-identically.
+/// must answer bit-identically. The refresher also gets each cached
+/// remote scan's [`ScanProvenance`], returned for the caller to record
+/// once the run is over: a scan that never completes is never resident,
+/// and recording it up front would leave the refresher a key no prune
+/// can tell from one still in flight.
 fn build_driver(
     workload: &Workload,
     opts: &ServeOpts,
     sets: &[Arc<ReplicaSet>],
     cache: Option<&Arc<SharedCache>>,
     refresh: Option<&RefreshState>,
-) -> Result<(RealTimeDriver, Vec<EngineEvent<'static>>), SourceError> {
+) -> Result<(RealTimeDriver, Vec<EngineEvent<'static>>, Provenance), SourceError> {
     let mut outcomes = Vec::new();
+    let mut provenance = Vec::new();
     let driver = RealTimeDriver::try_with_sources(|notify| {
         let mut sources: Vec<BoxSource> = Vec::with_capacity(workload.catalog.len());
         for (rel, spec) in workload.catalog.iter() {
@@ -1266,9 +1286,9 @@ fn build_driver(
                 delay: workload.delays[rel.0 as usize].clone(),
                 resume_from: 0,
             };
-            if let (Some(state), Some(key), Some(group)) = (refresh, &key, group) {
+            if let (Some(_), Some(key), Some(group)) = (refresh, &key, group) {
                 let open = open.clone();
-                state.record(key.clone(), ScanProvenance { group, open });
+                provenance.push((key.clone(), ScanProvenance { group, open }));
             }
             if let (Some(cache), Some(key)) = (cache, &key) {
                 let hit = cache.lookup(key);
@@ -1307,7 +1327,7 @@ fn build_driver(
         }
         Ok(sources)
     })?;
-    Ok((driver, outcomes))
+    Ok((driver, outcomes, provenance))
 }
 
 /// Streams the engine's events to the client as `Trace` frames — if the
@@ -1957,6 +1977,88 @@ mod tests {
         let (x, y) = (key("2000", "2000"), key("2500", "10"));
         assert!(x < y, "{x} must rank before {y}");
         assert_eq!((x, y), (64 * 2_000_000, 64 * 2_500_000), "retrieval-bound");
+    }
+
+    /// A scan that never completes is never resident, so the refresher
+    /// must not remember how to re-open it: a client that leaves
+    /// mid-scan cancels its run, and within two refresh cycles of its
+    /// slot freeing no provenance is left for the scans it abandoned.
+    #[test]
+    fn an_abandoned_scan_leaves_no_provenance_behind() {
+        use crate::WrapperServer;
+        use dqs_source::net::{read_frame, write_frame};
+        use std::net::TcpStream;
+
+        let wrapper = WrapperServer::bind("127.0.0.1:0").unwrap();
+        let interval = Duration::from_millis(100);
+        let server = MediatorServer::bind(
+            "127.0.0.1:0",
+            ServeOpts {
+                max_concurrent: 1,
+                io_threads: 1,
+                cache_bytes: 1 << 20,
+                wrappers: vec![format!("w0={}", wrapper.local_addr())],
+                refresh_interval: Some(interval),
+                ..ServeOpts::default()
+            },
+        )
+        .unwrap();
+        let shared = Arc::clone(&server.shared);
+        // TINY_SPEC at 5 ms a tuple: 320 ms a scan, far longer than the
+        // client stays.
+        let spec = dqs_workload::TINY_SPEC.replace("3000", "5000");
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let submit = Frame::Submit {
+            strategy: "dse".into(),
+            trace: false,
+            no_cache: false,
+            seed: None,
+            spec_json: spec.clone(),
+        };
+        write_frame(&mut conn, &submit).unwrap();
+        assert!(matches!(
+            read_frame(&mut conn),
+            Ok(Some(Frame::Accepted { .. }))
+        ));
+        drop(conn);
+        let start = Instant::now();
+        while server.stats().running > 0 {
+            assert!(start.elapsed() < Duration::from_secs(5), "slot never freed");
+            thread::sleep(Duration::from_millis(2));
+        }
+        let freed = Instant::now();
+        let workload = WorkloadSpec::from_json(&spec)
+            .and_then(WorkloadSpec::into_workload)
+            .unwrap();
+        let cache = shared.cache.as_ref().unwrap();
+        let state = shared.refresh.as_ref().unwrap();
+        let abandoned: Vec<CacheKey> = workload
+            .catalog
+            .iter()
+            .map(|(rel, _)| scan_key(&workload, rel, &shared.replica_sets))
+            .filter(|key| !cache.contains(key))
+            .collect();
+        assert!(
+            !abandoned.is_empty(),
+            "the client left after every scan finished"
+        );
+        // The provenance was recorded before the slot freed, so the next
+        // prune drops it: two cycles suffice, and the bound leaves a loaded
+        // machine slack.
+        while abandoned
+            .iter()
+            .any(|key| state.provenance.lock().unwrap().contains_key(key))
+        {
+            assert!(
+                freed.elapsed() < 5 * interval,
+                "provenance of a never-resident scan outlived the refresh cycles"
+            );
+            thread::sleep(Duration::from_millis(2));
+        }
+        server.shutdown();
+        wrapper.shutdown();
     }
 
     #[test]

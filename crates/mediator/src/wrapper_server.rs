@@ -124,19 +124,9 @@ impl WrapperServer {
         Self::bind_with(addr, Duration::ZERO, None)
     }
 
-    /// Like [`WrapperServer::bind`], but every tuple costs an extra
-    /// `per_tuple` on top of the modelled gap — an artificial handicap for
-    /// exercising rate-aware replica selection against a deliberately slow
-    /// endpoint.
-    pub fn bind_throttled(
-        addr: impl ToSocketAddrs,
-        per_tuple: Duration,
-    ) -> io::Result<WrapperServer> {
-        Self::bind_with(addr, per_tuple, None)
-    }
-
-    /// Full-control bind: per-tuple throttle plus the optional `--churn`
-    /// background write stream.
+    /// Full-control bind: every tuple costs an extra `per_tuple` on top of
+    /// the modelled gap (a deliberately slow endpoint), plus the optional
+    /// `--churn` background write stream.
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         per_tuple: Duration,

@@ -73,7 +73,7 @@ impl AnnotatedPlan {
             let mem_bytes = (build_input_card.ceil() as u64) * params.tuple_bytes as u64;
             info.push(ChainInfo {
                 source_card,
-                instr_per_tuple: est.instr_per_tuple(),
+                instr_per_tuple: est.instr_per_source_tuple,
                 fanout_total: est.fanout_total,
                 output_card,
                 build_input_card,
@@ -95,11 +95,6 @@ impl AnnotatedPlan {
         SimDuration::from_nanos((instr * 1_000.0 / params.cpu_mips as f64).round() as u64)
     }
 
-    /// Expected source tuple count `n_p` for chain `p`.
-    pub fn expected_tuples(&self, p: PcId) -> u64 {
-        self.info(p).source_card.round() as u64
-    }
-
     /// Total estimated CPU time to process every chain (a component of the
     /// analytic lower bound LWB, §5.1.2).
     pub fn total_cpu_estimate(&self, params: &SimParams) -> SimDuration {
@@ -115,17 +110,6 @@ impl AnnotatedPlan {
     /// resident simultaneously (worst case for M-schedulability).
     pub fn total_ht_bytes(&self) -> u64 {
         self.info.iter().map(|i| i.mem_bytes).sum()
-    }
-}
-
-/// Convenience extension: `estimate_chain` returns instructions via a field
-/// name that reads poorly at call sites; alias it.
-trait EstExt {
-    fn instr_per_tuple(&self) -> f64;
-}
-impl EstExt for dqs_relop::ChainCostEstimate {
-    fn instr_per_tuple(&self) -> f64 {
-        self.instr_per_source_tuple
     }
 }
 
@@ -215,6 +199,6 @@ mod tests {
         let (_c, plan, params) = setup();
         assert_eq!(plan.total_ht_bytes(), 40_000 + 80_000);
         assert!(plan.total_cpu_estimate(&params) > SimDuration::ZERO);
-        assert_eq!(plan.expected_tuples(PcId(2)), 4_000);
+        assert_eq!(plan.info(PcId(2)).source_card, 4_000.0);
     }
 }

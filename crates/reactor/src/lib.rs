@@ -14,8 +14,10 @@
 //!   another thread: how engine threads tell an I/O worker "this
 //!   connection has frames to flush".
 //! * [`TimerWheel`] — a hashed timer wheel for connection deadlines and
-//!   backoff: O(1) schedule/cancel, expiry in slot order, far-future
-//!   timers parked via rounds counters instead of unbounded slots.
+//!   backoff: O(1) schedule, expiry in tick order, far-future timers
+//!   parked in their slot with their absolute tick instead of unbounded
+//!   slots. Nothing is cancelled: a caller recognises a stale token when
+//!   it fires.
 //!
 //! The crate is sans-policy: it neither reads nor writes sockets, it only
 //! says *which* registered file descriptors are ready for what. All
@@ -30,4 +32,4 @@ pub mod sys;
 mod timer;
 
 pub use poller::{Event, Events, Interest, Poller, Token, Waker};
-pub use timer::{TimerId, TimerWheel};
+pub use timer::TimerWheel;

@@ -1,27 +1,27 @@
 //! A hashed timer wheel for connection deadlines and backoff.
 //!
-//! Schedule and cancel are O(1); expiry cost is proportional to the
-//! ticks that actually elapsed (capped at one full sweep of the wheel).
-//! Timers further out than one wheel revolution stay parked in their
-//! slot and simply survive sweeps until their absolute tick arrives —
-//! no unbounded slot vectors, no heap.
+//! Schedule is O(1); expiry cost is proportional to the ticks that
+//! actually elapsed (capped at one full sweep of the wheel). Timers
+//! further out than one wheel revolution stay parked in their slot and
+//! simply survive sweeps until their absolute tick arrives — no
+//! unbounded slot vectors, no heap.
+//!
+//! Nothing is ever cancelled: a timer leaves the wheel only by firing.
+//! A caller whose deadline stopped mattering recognises the stale token
+//! when it fires (the mediator's I/O worker compares the connection's
+//! own deadline with `now`). Because entries only leave by firing, the
+//! earliest pending tick is exact.
 //!
 //! All methods take an explicit `now` so the wheel is testable without
 //! sleeping: callers (the mediator's I/O workers) pass one `Instant`
 //! per loop iteration.
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use crate::poller::Token;
 
-/// Handle for cancelling a scheduled timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
-
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    id: u64,
     token: Token,
     /// Absolute tick at which the entry fires.
     expiry: u64,
@@ -35,11 +35,8 @@ pub struct TimerWheel {
     anchor: Instant,
     /// Next absolute tick to sweep.
     cursor: u64,
-    next_id: u64,
-    cancelled: HashSet<u64>,
-    live: usize,
-    /// Lower bound on the earliest live expiry tick (may be stale after
-    /// cancels; lazily recomputed when exhausted).
+    /// The earliest pending expiry tick; `u64::MAX` when the wheel is
+    /// empty.
     earliest: u64,
 }
 
@@ -61,21 +58,8 @@ impl TimerWheel {
             slots: (0..slots).map(|_| Vec::new()).collect(),
             anchor,
             cursor: 0,
-            next_id: 0,
-            cancelled: HashSet::new(),
-            live: 0,
             earliest: u64::MAX,
         }
-    }
-
-    /// Live (scheduled, not yet expired or cancelled) timers.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no timer is pending.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     fn tick_of(&self, at: Instant) -> u64 {
@@ -85,28 +69,16 @@ impl TimerWheel {
 
     /// Schedule `token` to fire `after` from `now`. Deadlines round *up*
     /// to the next tick, so a timer never fires early.
-    pub fn schedule(&mut self, now: Instant, after: Duration, token: Token) -> TimerId {
+    pub fn schedule(&mut self, now: Instant, after: Duration, token: Token) {
         let deadline = now
             .checked_add(after)
             .unwrap_or_else(|| now + Duration::from_secs(u32::MAX as u64));
         let elapsed = deadline.saturating_duration_since(self.anchor).as_nanos();
         let gran = self.granularity.as_nanos();
         let expiry = (elapsed.div_ceil(gran) as u64).max(self.cursor);
-        let id = self.next_id;
-        self.next_id += 1;
         let slot = (expiry % self.slots.len() as u64) as usize;
-        self.slots[slot].push(Entry { id, token, expiry });
-        self.live += 1;
+        self.slots[slot].push(Entry { token, expiry });
         self.earliest = self.earliest.min(expiry);
-        TimerId(id)
-    }
-
-    /// Cancel a scheduled timer. Unknown or already-fired ids are a
-    /// no-op.
-    pub fn cancel(&mut self, id: TimerId) {
-        if self.cancelled.insert(id.0) {
-            self.live = self.live.saturating_sub(1);
-        }
     }
 
     /// Sweep every tick up to `now`, appending expired tokens to
@@ -121,74 +93,47 @@ impl TimerWheel {
             // A full revolution (or more) elapsed: one pass over every
             // slot catches everything due.
             for slot in &mut self.slots {
-                Self::drain_slot(slot, now_tick, &mut self.cancelled, &mut self.live, expired);
+                Self::drain_slot(slot, now_tick, expired);
             }
         } else {
             for tick in self.cursor..=now_tick {
-                let slot = (tick % n) as usize;
-                Self::drain_slot(
-                    &mut self.slots[slot],
-                    tick,
-                    &mut self.cancelled,
-                    &mut self.live,
-                    expired,
-                );
+                Self::drain_slot(&mut self.slots[(tick % n) as usize], tick, expired);
             }
         }
         self.cursor = now_tick + 1;
-        if self.live == 0 {
-            // NOTE: `cancelled` must NOT be cleared here even though no
-            // timer is live — cancelled entries still sit in their slots
-            // (cancellation is lazy) and forgetting them would resurrect
-            // each one at its original expiry tick. The set self-cleans:
-            // `drain_slot` removes an id the moment its tick is swept.
-            self.earliest = u64::MAX;
-        } else if self.earliest < self.cursor {
-            // The bound is exhausted (fired or cancelled): recompute it
-            // exactly. Happens at most once per earliest-miss, not per
-            // wait.
+        if self.earliest < self.cursor {
+            // The earliest timer fired: recompute the next one. Happens at
+            // most once per tick that fires something, not per wait.
             self.earliest = self
                 .slots
                 .iter()
                 .flatten()
-                .filter(|e| !self.cancelled.contains(&e.id))
                 .map(|e| e.expiry)
                 .min()
                 .unwrap_or(u64::MAX);
         }
     }
 
-    fn drain_slot(
-        slot: &mut Vec<Entry>,
-        tick: u64,
-        cancelled: &mut HashSet<u64>,
-        live: &mut usize,
-        expired: &mut Vec<Token>,
-    ) {
+    fn drain_slot(slot: &mut Vec<Entry>, tick: u64, expired: &mut Vec<Token>) {
         slot.retain(|e| {
             if e.expiry > tick {
                 return true; // parked for a later revolution
             }
-            if cancelled.remove(&e.id) {
-                return false; // cancelled before firing
-            }
             expired.push(e.token);
-            *live = live.saturating_sub(1);
             false
         });
     }
 
-    /// How long until the earliest pending timer could fire, from `now`.
+    /// How long until the earliest pending timer fires, from `now`.
     /// `None` means no timer is pending (wait without a timeout).
     pub fn next_deadline(&self, now: Instant) -> Option<Duration> {
-        if self.live == 0 {
+        if self.earliest == u64::MAX {
             return None;
         }
-        let target = self.earliest.max(self.cursor);
         let total = self
             .granularity
             .as_nanos()
-            .saturating_mul(u128::from(target));
+            .saturating_mul(u128::from(self.earliest));
         let since_anchor = now.saturating_duration_since(self.anchor).as_nanos();
         let remaining = total.saturating_sub(since_anchor);
         Some(Duration::from_nanos(
@@ -215,7 +160,7 @@ mod tests {
         let mut fired = Vec::new();
         w.advance(t0 + ms(100), &mut fired);
         assert_eq!(fired, vec![Token(2), Token(5), Token(8)]);
-        assert!(w.is_empty());
+        assert_eq!(w.next_deadline(t0 + ms(100)), None);
     }
 
     #[test]
@@ -228,22 +173,6 @@ mod tests {
         assert!(fired.is_empty(), "a 35ms timer must not fire at 30ms");
         w.advance(t0 + ms(40), &mut fired);
         assert_eq!(fired, vec![Token(1)]);
-    }
-
-    #[test]
-    fn cancelled_timers_do_not_fire() {
-        let t0 = Instant::now();
-        let mut w = TimerWheel::with_anchor(ms(10), 16, t0);
-        let a = w.schedule(t0, ms(20), Token(1));
-        w.schedule(t0, ms(20), Token(2));
-        w.cancel(a);
-        assert_eq!(w.len(), 1);
-        let mut fired = Vec::new();
-        w.advance(t0 + ms(50), &mut fired);
-        assert_eq!(fired, vec![Token(2)]);
-        // Cancelling after the fact is a no-op.
-        w.cancel(a);
-        assert!(w.is_empty());
     }
 
     #[test]
@@ -269,9 +198,10 @@ mod tests {
             w.schedule(t0, ms(i), Token(i));
         }
         let mut fired = Vec::new();
-        w.advance(t0 + Duration::from_secs(3600), &mut fired);
+        let later = t0 + Duration::from_secs(3600);
+        w.advance(later, &mut fired);
         assert_eq!(fired.len(), 100);
-        assert!(w.is_empty());
+        assert_eq!(w.next_deadline(later), None);
     }
 
     #[test]
@@ -279,40 +209,58 @@ mod tests {
         let t0 = Instant::now();
         let mut w = TimerWheel::with_anchor(ms(10), 16, t0);
         assert_eq!(w.next_deadline(t0), None);
-        let early = w.schedule(t0, ms(30), Token(1));
+        w.schedule(t0, ms(30), Token(1));
         w.schedule(t0, ms(90), Token(2));
         let d = w.next_deadline(t0).unwrap();
-        assert!(d <= ms(40), "earliest is the 30ms timer, got {d:?}");
-        // Cancel the early one; after a sweep the bound recomputes to the
-        // later timer.
-        w.cancel(early);
+        assert_eq!(d, ms(30), "earliest is the 30ms timer");
+        // The early one fires; the bound moves to the later timer.
         let mut fired = Vec::new();
         w.advance(t0 + ms(40), &mut fired);
-        assert!(fired.is_empty());
+        assert_eq!(fired, vec![Token(1)]);
         let d = w.next_deadline(t0 + ms(40)).unwrap();
-        assert!(d > ms(20) && d <= ms(60), "bound must move to 90ms: {d:?}");
+        assert_eq!(d, ms(50), "bound must move to 90ms");
     }
 
+    /// A connection's submit deadline sits 600 ticks out on the mediator's
+    /// wheel: nine and a bit revolutions that must not fire it, then
+    /// exactly one firing at its own tick.
     #[test]
-    fn a_cancelled_far_timer_stays_dead_after_the_wheel_goes_idle() {
-        // Regression: a long deadline parks several revolutions out; it
-        // is cancelled almost immediately, the wheel goes idle (live ==
-        // 0) and keeps being advanced — exactly a server connection that
-        // submits fast and then waits in a queue. The parked entry must
-        // not resurrect when its original expiry tick finally arrives.
+    fn a_far_timer_fires_once_at_its_tick_however_often_the_wheel_turns() {
         let t0 = Instant::now();
         let mut w = TimerWheel::with_anchor(ms(100), 64, t0);
-        let id = w.schedule(t0, Duration::from_secs(60), Token(1));
-        w.cancel(id);
-        assert!(w.is_empty());
+        w.schedule(t0, Duration::from_secs(60), Token(1));
         let mut fired = Vec::new();
-        for step in 1..=700 {
+        for step in 1..600 {
             w.advance(t0 + ms(step * 100), &mut fired);
+            assert!(fired.is_empty(), "fired early, at {} ms", step * 100);
         }
-        assert!(
-            fired.is_empty(),
-            "a cancelled timer fired after the wheel idled: {fired:?}"
-        );
+        for step in 600..=1300 {
+            w.advance(t0 + ms(step * 100), &mut fired);
+            assert_eq!(fired, vec![Token(1)], "at {} ms", step * 100);
+        }
+        assert_eq!(w.next_deadline(t0 + ms(130_000)), None);
+    }
+
+    /// What the mediator's stale-token check exists for: a token scheduled
+    /// again (a drain deadline after a submit deadline) fires at each of
+    /// its deadlines, and the wheel is empty once both have.
+    #[test]
+    fn a_token_scheduled_twice_fires_at_each_of_its_deadlines() {
+        let t0 = Instant::now();
+        let mut w = TimerWheel::with_anchor(ms(10), 8, t0);
+        w.schedule(t0, ms(200), Token(3));
+        w.schedule(t0 + ms(20), ms(30), Token(3));
+        let mut fired = Vec::new();
+        w.advance(t0 + ms(49), &mut fired);
+        assert!(fired.is_empty());
+        w.advance(t0 + ms(50), &mut fired);
+        assert_eq!(fired, vec![Token(3)], "the second deadline, at 50ms");
+        assert_eq!(w.next_deadline(t0 + ms(50)), Some(ms(150)));
+        w.advance(t0 + ms(199), &mut fired);
+        assert_eq!(fired.len(), 1);
+        w.advance(t0 + ms(200), &mut fired);
+        assert_eq!(fired, vec![Token(3), Token(3)], "the first, at 200ms");
+        assert_eq!(w.next_deadline(t0 + ms(200)), None);
     }
 
     #[test]

@@ -80,8 +80,16 @@ pub struct CommManager {
 
 impl CommManager {
     /// Build a CM over type-erased `wrappers` (a driver chooses the source
-    /// kind at runtime) with per-queue `capacity` tuples.
-    pub fn from_boxed(wrappers: Vec<BoxSource>, capacity: usize, params: SimParams) -> Self {
+    /// kind at runtime) with per-queue `capacity` tuples, raising
+    /// `RateChange` when a rate estimate drifts from its mark by more than
+    /// the relative `rate_change_threshold`.
+    pub fn from_boxed(
+        wrappers: Vec<BoxSource>,
+        capacity: usize,
+        params: SimParams,
+        rate_change_threshold: f64,
+    ) -> Self {
+        assert!(rate_change_threshold > 0.0, "threshold must be positive");
         let ports = wrappers
             .into_iter()
             .map(|w| Port {
@@ -98,14 +106,8 @@ impl CommManager {
         CommManager {
             ports,
             params,
-            rate_change_threshold: DEFAULT_RATE_CHANGE_THRESHOLD,
+            rate_change_threshold,
         }
-    }
-
-    /// Override the RateChange sensitivity.
-    pub fn set_rate_change_threshold(&mut self, t: f64) {
-        assert!(t > 0.0, "threshold must be positive");
-        self.rate_change_threshold = t;
     }
 
     fn port(&self, rel: RelId) -> &Port {
@@ -298,7 +300,12 @@ mod tests {
             },
             SeedSplitter::new(5).stream("cm-test"),
         );
-        CommManager::from_boxed(vec![Box::new(w)], capacity, SimParams::default())
+        CommManager::from_boxed(
+            vec![Box::new(w)],
+            capacity,
+            SimParams::default(),
+            DEFAULT_RATE_CHANGE_THRESHOLD,
+        )
     }
 
     fn drive_until_blocked(cm: &mut CommManager) -> (SimTime, u64) {
@@ -406,7 +413,12 @@ mod tests {
             SeedSplitter::new(5).stream("cm-rate"),
         );
         // Manually drive: 200 fast tuples, mark, then slow tuples.
-        let mut c = CommManager::from_boxed(vec![Box::new(w)], 100_000, SimParams::default());
+        let mut c = CommManager::from_boxed(
+            vec![Box::new(w)],
+            100_000,
+            SimParams::default(),
+            DEFAULT_RATE_CHANGE_THRESHOLD,
+        );
         let (arrivals, _) = c.start(SimTime::ZERO);
         let mut next = arrivals[0].1;
         for _ in 0..199 {

@@ -751,7 +751,7 @@ fn killing_a_replica_mid_scan_fails_over_bit_identically() {
 /// scan must open on the fast replica — ≥90% of all pins overall.
 #[test]
 fn scans_prefer_the_faster_replica_once_rates_are_known() {
-    let slow = WrapperServer::bind_throttled("127.0.0.1:0", Duration::from_millis(5))
+    let slow = WrapperServer::bind_with("127.0.0.1:0", Duration::from_millis(5), None)
         .expect("bind slow replica");
     let fast = WrapperServer::bind("127.0.0.1:0").expect("bind fast replica");
     let slow_addr = slow.local_addr().to_string();
