@@ -400,29 +400,26 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
     // ------------------------------------------------------------------
 
     /// Issue asynchronous read-ahead for every active temp-sourced
-    /// fragment, scheduling wake-ups for newly in-flight windows.
+    /// fragment, scheduling one wake-up per newly issued window.
     pub(crate) fn arm_all_readahead(&mut self) {
         let now = self.driver.now();
-        let temp_frags: Vec<FragId> = self
+        let world = &mut self.world;
+        for fr in self
             .frags
             .iter()
-            .filter(|fr| {
-                fr.status == FragStatus::Active && matches!(fr.source, FragSource::Temp { .. })
-            })
-            .map(|fr| fr.id)
-            .collect();
-        for f in temp_frags {
-            if let FragSource::Temp { temp, cursor, .. } = self.frags.get(f).source {
-                let world = &mut self.world;
-                let (instr, wake) =
-                    world.temps[temp.0 as usize].arm_readahead(cursor, now, &mut world.disk);
-                if instr > 0 {
-                    let t = world.params.instr_time(instr);
-                    world.cpu.acquire(now, t);
-                }
-                if let Some(at) = wake {
-                    self.driver.schedule(at.max(now), Signal::TempReady);
-                }
+            .filter(|fr| fr.status == FragStatus::Active)
+        {
+            let FragSource::Temp { temp, cursor, .. } = fr.source else {
+                continue;
+            };
+            let (instr, wake) =
+                world.temps[temp.0 as usize].arm_readahead(cursor, now, &mut world.disk);
+            if instr > 0 {
+                let t = world.params.instr_time(instr);
+                world.cpu.acquire(now, t);
+            }
+            if let Some(at) = wake {
+                self.driver.schedule(at.max(now), Signal::TempReady);
             }
         }
     }

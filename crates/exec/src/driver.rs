@@ -45,7 +45,7 @@ pub enum Signal {
     Arrival(RelId),
     /// The in-flight DQP batch completes.
     BatchDone,
-    /// A temp relation's prefetched pages became resident.
+    /// A temp relation's read-ahead window became resident (one per window).
     TempReady,
     /// The stall timer expired. The generation tells a stale timer — one
     /// armed for a stall that a batch has since ended — from the live one.

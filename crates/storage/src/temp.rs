@@ -175,9 +175,9 @@ impl<T: Clone> TempRelation<T> {
     /// `pos`, per the paper's §4.4 assumption that complement fragments
     /// overlap CPU and I/O ("asynchronous I/O").
     ///
-    /// Returns the CPU instructions for any I/O issued and, if a prefetch
-    /// is (still) in flight, the time its pages become resident — the
-    /// caller schedules a wake-up then.
+    /// Returns the CPU instructions for any I/O issued and, if this call
+    /// issued a new window, the time its pages become resident: one wake-up
+    /// per window, so a window already in flight is not named again.
     pub fn arm_readahead(
         &mut self,
         pos: u64,
@@ -190,8 +190,7 @@ impl<T: Clone> TempRelation<T> {
         let pos_page = pos / self.tuples_per_page;
         let want = (pos_page + self.window_pages).min(self.flushed_pages());
         if want <= self.cached_pages() {
-            let pending = (self.read_ready_at > now).then_some(self.read_ready_at);
-            return (0, pending);
+            return (0, None);
         }
         let pages = want - self.cached_pages();
         let ticket = disk.transfer(now, IoKind::Read, self.read_stream, pages);
@@ -202,8 +201,8 @@ impl<T: Clone> TempRelation<T> {
     }
 
     /// Read up to `max` resident tuples from `pos` and arm further
-    /// read-ahead. Never blocks: the result may be empty if nothing is
-    /// resident yet (wait for the returned wake-up time).
+    /// read-ahead. Never blocks. The wake-up time is that of a window this
+    /// call issued or, if the read came back empty, of the one in flight.
     pub fn read_available(
         &mut self,
         pos: u64,
@@ -214,6 +213,7 @@ impl<T: Clone> TempRelation<T> {
         let n = self.available(pos, now).min(max);
         let out = self.tuples[pos as usize..(pos + n) as usize].to_vec();
         let (instr, wake) = self.arm_readahead(pos + n, now, disk);
+        let wake = wake.or((n == 0 && self.reading(now)).then_some(self.read_ready_at));
         (out, instr, wake)
     }
 
@@ -314,6 +314,30 @@ mod tests {
         assert!(ready > SimTime::ZERO);
         assert_eq!(t.available(0, SimTime::ZERO), 0, "still in flight");
         assert!(t.available(0, ready) > 0, "resident after completion");
+    }
+
+    #[test]
+    fn a_window_in_flight_is_named_once() {
+        let (p, mut d, mut t) = setup();
+        fill(&mut t, &mut d, 32 * p.tuples_per_page() as u64);
+        let (_i, wake) = t.arm_readahead(0, SimTime::ZERO, &mut d);
+        assert!(wake.is_some(), "a new window names its ready time");
+        let pages_read = d.pages_read();
+        // Same instant, nothing new to fetch: no second wake-up.
+        assert_eq!(t.arm_readahead(0, SimTime::ZERO, &mut d), (0, None));
+        assert_eq!(d.pages_read(), pages_read, "no I/O issued");
+    }
+
+    #[test]
+    fn empty_read_names_the_window_in_flight() {
+        let (p, mut d, mut t) = setup();
+        fill(&mut t, &mut d, 32 * p.tuples_per_page() as u64);
+        let (_i, wake) = t.arm_readahead(0, SimTime::ZERO, &mut d);
+        let ready = wake.unwrap();
+        let (tuples, instr, wake) = t.read_available(0, 128, SimTime::ZERO, &mut d);
+        assert!(tuples.is_empty());
+        assert_eq!(instr, 0);
+        assert_eq!(wake, Some(ready), "an empty read has a time to wait for");
     }
 
     #[test]

@@ -24,29 +24,29 @@ use dqs_source::DelayModel;
 
 const GOLDEN: &[(&str, &str, &str, u64)] = &[
     ("fig5/s42", "SEQ", "SEQ seed=42 rt=11479149500 out=90000 cpu=4530000000 disk=0 pw=0 pr=0 seeks=0 stall=6949169500 batches=411801 plans=7 eoq=6 rc=6 to=0 mo=0 deg=0 hw=10800000 ev=988801 qr=[0:11479149500]", 0x858152b64beeb860),
-    ("fig5/s42", "MA", "MA seed=42 rt=12757489065 out=90000 cpu=5276920000 disk=10107246112 pw=2832 pr=2832 seeks=434 stall=2243365350 batches=71680 plans=13 eoq=12 rc=6 to=0 mo=0 deg=6 hw=10800000 ev=659177 qr=[0:12757489065]", 0x2056a11c8d83fed7),
+    ("fig5/s42", "MA", "MA seed=42 rt=12757489065 out=90000 cpu=5276920000 disk=10107246112 pw=2832 pr=2832 seeks=434 stall=2243365350 batches=71680 plans=13 eoq=12 rc=6 to=0 mo=0 deg=6 hw=10800000 ev=650501 qr=[0:12757489065]", 0x2056a11c8d83fed7),
     ("fig5/s42", "SCR", "SCR seed=42 rt=11479149500 out=90000 cpu=4530000000 disk=0 pw=0 pr=0 seeks=0 stall=6949169500 batches=411801 plans=7 eoq=6 rc=6 to=0 mo=0 deg=0 hw=10800000 ev=988801 qr=[0:11479149500]", 0x858152b64beeb860),
-    ("fig5/s42", "DSE", "DSE seed=42 rt=7631455346 out=90000 cpu=5052508000 disk=7230449346 pw=1981 pr=1981 seeks=337 stall=2579057346 batches=14045 plans=9 eoq=8 rc=6 to=0 mo=0 deg=4 hw=11880000 ev=629587 qr=[0:7631455346]", 0x379914fbb4ad875c),
+    ("fig5/s42", "DSE", "DSE seed=42 rt=7631455346 out=90000 cpu=5052508000 disk=7230449346 pw=1981 pr=1981 seeks=337 stall=2579057346 batches=14045 plans=9 eoq=8 rc=6 to=0 mo=0 deg=4 hw=11880000 ev=592305 qr=[0:7631455346]", 0x379914fbb4ad875c),
     ("fig5/s42", "lwb", "LWB bound=4530000000 cpu=4530000000 retr=3600000000", 0x0),
     ("mix/s1", "SEQ", "SEQ seed=1 rt=3035086849 out=1600 cpu=66950000 disk=0 pw=0 pr=0 seeks=0 stall=2968493147 batches=4614 plans=8 eoq=4 rc=3 to=1 mo=0 deg=0 hw=216000 ev=11915 qr=[0:3035086849]", 0x9332f4ac816624c5),
-    ("mix/s1", "MA", "MA seed=1 rt=3103181177 out=1600 cpu=76470000 disk=297034642 pw=37 pr=37 seeks=12 stall=2921740185 batches=4120 plans=11 eoq=8 rc=4 to=1 mo=0 deg=4 hw=216000 ev=12888 qr=[0:3103181177]", 0x6c19731299bcb596),
+    ("mix/s1", "MA", "MA seed=1 rt=3103181177 out=1600 cpu=76470000 disk=297034642 pw=37 pr=37 seeks=12 stall=2921740185 batches=4120 plans=11 eoq=8 rc=4 to=1 mo=0 deg=4 hw=216000 ev=11427 qr=[0:3103181177]", 0x6c19731299bcb596),
     ("mix/s1", "SCR", "SCR seed=1 rt=3035086849 out=1600 cpu=66950000 disk=0 pw=0 pr=0 seeks=0 stall=2968493147 batches=4614 plans=8 eoq=4 rc=3 to=1 mo=0 deg=0 hw=216000 ev=11915 qr=[0:3035086849]", 0x9332f4ac816624c5),
-    ("mix/s1", "DSE", "DSE seed=1 rt=3034286849 out=1600 cpu=70590000 disk=136229324 pw=14 pr=14 seeks=6 stall=2963996849 batches=4545 plans=10 eoq=6 rc=3 to=1 mo=0 deg=2 hw=216000 ev=16453 qr=[0:3034286849]", 0x70f87388d64e783c),
+    ("mix/s1", "DSE", "DSE seed=1 rt=3034286849 out=1600 cpu=70590000 disk=136229324 pw=14 pr=14 seeks=6 stall=2963996849 batches=4545 plans=10 eoq=6 rc=3 to=1 mo=0 deg=2 hw=216000 ev=11849 qr=[0:3034286849]", 0x70f87388d64e783c),
     ("mix/s1", "lwb", "LWB bound=3029979000 cpu=66950000 retr=3029979000", 0x0),
     ("mix/s7", "SEQ", "SEQ seed=7 rt=3035345226 out=1600 cpu=66950000 disk=0 pw=0 pr=0 seeks=0 stall=2968648112 batches=4602 plans=9 eoq=4 rc=4 to=1 mo=0 deg=0 hw=216000 ev=11903 qr=[0:3035345226]", 0x6c13f05b54f92cf9),
-    ("mix/s7", "MA", "MA seed=7 rt=3103439554 out=1600 cpu=76470000 disk=297034642 pw=37 pr=37 seeks=12 stall=2921938562 batches=4122 plans=11 eoq=8 rc=4 to=1 mo=0 deg=4 hw=216000 ev=12871 qr=[0:3103439554]", 0x5bc6d439b02aee4a),
+    ("mix/s7", "MA", "MA seed=7 rt=3103439554 out=1600 cpu=76470000 disk=297034642 pw=37 pr=37 seeks=12 stall=2921938562 batches=4122 plans=11 eoq=8 rc=4 to=1 mo=0 deg=4 hw=216000 ev=11429 qr=[0:3103439554]", 0x5bc6d439b02aee4a),
     ("mix/s7", "SCR", "SCR seed=7 rt=3035345226 out=1600 cpu=66950000 disk=0 pw=0 pr=0 seeks=0 stall=2968648112 batches=4602 plans=9 eoq=4 rc=4 to=1 mo=0 deg=0 hw=216000 ev=11903 qr=[0:3035345226]", 0x6c13f05b54f92cf9),
-    ("mix/s7", "DSE", "DSE seed=7 rt=3034545226 out=1600 cpu=70590000 disk=136229324 pw=14 pr=14 seeks=6 stall=2964255226 batches=4537 plans=10 eoq=6 rc=3 to=1 mo=0 deg=2 hw=216000 ev=16398 qr=[0:3034545226]", 0xd872871527b451ec),
+    ("mix/s7", "DSE", "DSE seed=7 rt=3034545226 out=1600 cpu=70590000 disk=136229324 pw=14 pr=14 seeks=6 stall=2964255226 batches=4537 plans=10 eoq=6 rc=3 to=1 mo=0 deg=2 hw=216000 ev=11841 qr=[0:3034545226]", 0xd872871527b451ec),
     ("mix/s7", "lwb", "LWB bound=3029979000 cpu=66950000 retr=3029979000", 0x0),
     ("mix/s42", "SEQ", "SEQ seed=42 rt=3034307159 out=1600 cpu=66950000 disk=0 pw=0 pr=0 seeks=0 stall=2967697755 batches=4578 plans=8 eoq=4 rc=3 to=1 mo=0 deg=0 hw=216000 ev=11879 qr=[0:3034307159]", 0x24a9d54c3bc9ba89),
-    ("mix/s42", "MA", "MA seed=42 rt=3102401487 out=1600 cpu=76470000 disk=297034642 pw=37 pr=37 seeks=12 stall=2920900495 batches=4103 plans=11 eoq=8 rc=4 to=1 mo=0 deg=4 hw=216000 ev=12881 qr=[0:3102401487]", 0x51dc6f6f561cb1b1),
+    ("mix/s42", "MA", "MA seed=42 rt=3102401487 out=1600 cpu=76470000 disk=297034642 pw=37 pr=37 seeks=12 stall=2920900495 batches=4103 plans=11 eoq=8 rc=4 to=1 mo=0 deg=4 hw=216000 ev=11410 qr=[0:3102401487]", 0x51dc6f6f561cb1b1),
     ("mix/s42", "SCR", "SCR seed=42 rt=3034307159 out=1600 cpu=66950000 disk=0 pw=0 pr=0 seeks=0 stall=2967697755 batches=4578 plans=8 eoq=4 rc=3 to=1 mo=0 deg=0 hw=216000 ev=11879 qr=[0:3034307159]", 0x24a9d54c3bc9ba89),
-    ("mix/s42", "DSE", "DSE seed=42 rt=3033507159 out=1600 cpu=70590000 disk=136229324 pw=14 pr=14 seeks=6 stall=2963202801 batches=4509 plans=10 eoq=6 rc=3 to=1 mo=0 deg=2 hw=216000 ev=16332 qr=[0:3033507159]", 0x7ef89f09d9113406),
+    ("mix/s42", "DSE", "DSE seed=42 rt=3033507159 out=1600 cpu=70590000 disk=136229324 pw=14 pr=14 seeks=6 stall=2963202801 batches=4509 plans=10 eoq=6 rc=3 to=1 mo=0 deg=2 hw=216000 ev=11813 qr=[0:3033507159]", 0x7ef89f09d9113406),
     ("mix/s42", "lwb", "LWB bound=3029979000 cpu=66950000 retr=3029979000", 0x0),
     ("forest/s7", "SEQ", "SEQ seed=7 rt=70224500 out=1800 cpu=47700000 disk=0 pw=0 pr=0 seeks=0 stall=22544500 batches=1304 plans=5 eoq=4 rc=4 to=0 mo=0 deg=0 hw=96000 ev=6704 qr=[0:30860000,1:70224500]", 0xfb44d9686031eed7),
-    ("forest/s7", "MA", "MA seed=7 rt=299239982 out=1800 cpu=54720000 disk=259727982 pw=27 pr=27 seeks=10 stall=55603328 batches=523 plans=9 eoq=8 rc=4 to=0 mo=0 deg=4 hw=96000 ev=8332 qr=[0:242742654,1:299239982]", 0x6a5a32bfa8a0acb8),
+    ("forest/s7", "MA", "MA seed=7 rt=299239982 out=1800 cpu=54720000 disk=259727982 pw=27 pr=27 seeks=10 stall=55603328 batches=523 plans=9 eoq=8 rc=4 to=0 mo=0 deg=4 hw=96000 ev=5928 qr=[0:242742654,1:299239982]", 0x6a5a32bfa8a0acb8),
     ("forest/s7", "SCR", "SCR seed=7 rt=70224500 out=1800 cpu=47700000 disk=0 pw=0 pr=0 seeks=0 stall=22544500 batches=1304 plans=5 eoq=4 rc=4 to=0 mo=0 deg=0 hw=96000 ev=6704 qr=[0:30860000,1:70224500]", 0xfb44d9686031eed7),
-    ("forest/s7", "DSE", "DSE seed=7 rt=100169996 out=1800 cpu=49260000 disk=60383996 pw=6 pr=6 seeks=2 stall=50929996 batches=502 plans=6 eoq=5 rc=4 to=0 mo=0 deg=2 hw=144000 ev=6817 qr=[0:44244000,1:100169996]", 0x57e37885715342c1),
+    ("forest/s7", "DSE", "DSE seed=7 rt=100169996 out=1800 cpu=49260000 disk=60383996 pw=6 pr=6 seeks=2 stall=50929996 batches=502 plans=6 eoq=5 rc=4 to=0 mo=0 deg=2 hw=144000 ev=5903 qr=[0:44244000,1:100169996]", 0x57e37885715342c1),
     ("forest/s7", "lwb", "LWB bound=48000000 cpu=47700000 retr=48000000", 0x0),
 ];
 
