@@ -44,15 +44,14 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
             }
             // Finalize every fragment that is complete without further
             // processing (drained sources, zero-tuple relations, sealed and
-            // consumed temps).
-            let active: Vec<FragId> = self
-                .frags
-                .iter()
-                .filter(|f| f.status == FragStatus::Active)
-                .map(|f| f.id)
-                .collect();
+            // consumed temps). Finalizing only retires fragments, and the
+            // range stops at the fragments that exist now.
             let mut last_finalized = None;
-            for f in active {
+            for i in 0..self.frags.len() {
+                let f = FragId(i as u32);
+                if self.frags.get(f).status != FragStatus::Active {
+                    continue;
+                }
                 self.normalize_source(f);
                 if self.frag_complete_now(f) {
                     self.finalize(f);

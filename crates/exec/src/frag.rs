@@ -79,8 +79,6 @@ pub enum FragStatus {
 /// Runtime state of one query fragment.
 #[derive(Debug)]
 pub struct Fragment {
-    /// Identifier.
-    pub id: FragId,
     /// The pipeline chain this fragment belongs to.
     pub pc: PcId,
     /// Whole / MF / CF.
@@ -157,7 +155,6 @@ impl FragTable {
                 ChainSink::Output => FragSink::Output,
             };
             t.frags.push(Fragment {
-                id,
                 pc: pc.id,
                 kind: FragKind::Whole,
                 status: FragStatus::Active,
@@ -259,7 +256,6 @@ impl FragTable {
 
         let head_id = FragId(self.frags.len() as u32);
         self.frags.push(Fragment {
-            id: head_id,
             pc,
             kind: FragKind::Mf,
             status: FragStatus::Active,
@@ -274,7 +270,6 @@ impl FragTable {
         });
         let tail_id = FragId(self.frags.len() as u32);
         self.frags.push(Fragment {
-            id: tail_id,
             pc,
             kind: FragKind::Cf,
             status: FragStatus::Active,

@@ -1,13 +1,12 @@
 //! Simulated hash tables.
 //!
 //! The build side of every hash join materializes into a [`SimHashTable`]:
-//! a real in-memory structure (tuples plus a key index) whose footprint is
-//! charged against the query-memory budget at the Table 1 tuple size. Hash
+//! its tuples in insert order, charged against the query-memory budget at
+//! the Table 1 tuple size. There is no key index: a probe's matches come
+//! from the join's selectivity (§5.1), so it reads only [`HtStat`]. Hash
 //! tables are shared between the chain that builds them and the chain that
 //! probes them, so they live in a [`HashTableArena`] indexed by [`HtId`] —
 //! chains hold ids, never references.
-
-use std::collections::HashMap;
 
 use crate::tuple::Tuple;
 
@@ -15,11 +14,11 @@ use crate::tuple::Tuple;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HtId(pub u32);
 
-/// One hash table: the fully materialized build side of a join.
+/// One hash table: the fully materialized build side of a join, in insert
+/// order.
 #[derive(Debug, Default)]
 pub struct SimHashTable {
     tuples: Vec<Tuple>,
-    index: HashMap<u64, Vec<u32>>,
     complete: bool,
 }
 
@@ -36,9 +35,7 @@ impl SimHashTable {
     /// semantics of §2.2 forbid inserting after a consumer started probing.
     pub fn insert(&mut self, t: Tuple) {
         assert!(!self.complete, "insert into completed hash table");
-        let pos = self.tuples.len() as u32;
         self.tuples.push(t);
-        self.index.entry(t.key).or_default().push(pos);
     }
 
     /// Number of build tuples.
@@ -59,12 +56,6 @@ impl SimHashTable {
     /// Whether the build finished.
     pub fn is_complete(&self) -> bool {
         self.complete
-    }
-
-    /// Real key lookup (used by tests and the quickstart example; the
-    /// selectivity-driven probe only counts its matches).
-    pub fn lookup(&self, key: u64) -> &[u32] {
-        self.index.get(&key).map_or(&[], |v| v.as_slice())
     }
 
     /// Deterministically pick the `i`-th matched build tuple for synthetic
@@ -91,20 +82,18 @@ impl SimHashTable {
         }
     }
 
-    /// Absorb one partition of build tuples collected by a morsel worker.
+    /// Append a slice of build tuples: one serial batch, or one partition
+    /// collected by a morsel worker.
     ///
     /// Morsel-parallel execution of a build chain never touches the shared
     /// table from worker threads: each morsel collects its build-destined
     /// tuples into a private output vector, and the merge step absorbs the
     /// partitions in morsel-index order. Because morsel order equals batch
     /// order, the table ends up with exactly the insert sequence serial
-    /// execution would have produced — same `tuples` vec, same `index`
-    /// chains, same `pick` rotation.
+    /// execution would have produced — same `tuples`, same `pick` rotation.
     pub fn absorb_partition(&mut self, part: &[Tuple]) {
         assert!(!self.complete, "absorb into completed hash table");
-        for t in part {
-            self.insert(*t);
-        }
+        self.tuples.extend_from_slice(part);
     }
 }
 
@@ -193,9 +182,7 @@ impl HashTableArena {
     /// Drop the contents of a table whose consumers are done, freeing the
     /// (host) memory; the id stays valid but the table reads as empty.
     pub fn discard(&mut self, id: HtId) {
-        let t = &mut self.tables[id.0 as usize];
-        t.tuples = Vec::new();
-        t.index = HashMap::new();
+        self.tables[id.0 as usize].tuples = Vec::new();
     }
 }
 
@@ -209,15 +196,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_lookup() {
+    fn insert_and_absorb_keep_insert_order() {
         let mut ht = SimHashTable::new();
         ht.insert(t(7));
-        ht.insert(t(7));
-        ht.insert(t(9));
-        assert_eq!(ht.len(), 3);
-        assert_eq!(ht.lookup(7).len(), 2);
-        assert_eq!(ht.lookup(9), &[2]);
-        assert!(ht.lookup(42).is_empty());
+        ht.absorb_partition(&[t(7), t(9)]);
+        ht.insert(t(3));
+        assert_eq!(ht.len(), 4);
+        let keys: Vec<u64> = (0..4).map(|i| ht.pick(i).unwrap().key).collect();
+        assert_eq!(keys, [7, 7, 9, 3]);
     }
 
     #[test]
@@ -264,8 +250,11 @@ mod tests {
         let mut a = HashTableArena::new();
         let x = a.alloc();
         a.get_mut(x).insert(t(1));
+        a.get_mut(x).insert(t(2));
         a.discard(x);
         assert_eq!(a.get(x).len(), 0);
-        assert!(a.get(x).lookup(1).is_empty());
+        assert!(a.get(x).is_empty());
+        assert!(a.get(x).pick(0).is_none());
+        assert_eq!(a.len(), 1);
     }
 }

@@ -10,8 +10,8 @@
 //! * [`tuple::Tuple`] — synthetic tuples with deterministic keys;
 //! * [`fanout::FanoutAccumulator`] — exact, deterministic fractional
 //!   selectivity / join fan-out;
-//! * [`hash_table`] — real in-memory hash tables (the blocking build side of
-//!   every join) held in an arena and charged against query memory;
+//! * [`hash_table`] — the blocking build side of every join, kept in insert
+//!   order in an arena and charged against query memory;
 //! * [`ops`] — chain operator specs, compiled chains, batch execution and
 //!   the cost estimator that feeds the scheduler's `c_p` metric.
 

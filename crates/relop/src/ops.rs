@@ -263,10 +263,8 @@ impl PhysChain {
         let stat = |id| arena.get(id).stat();
         let instr = run_ops(&mut self.ops, input, out, &mut self.scratch, stat, params);
         if let Some(table) = self.build_target() {
-            let ht = arena.get_mut(table);
-            for t in out.drain(..) {
-                ht.insert(t);
-            }
+            arena.get_mut(table).absorb_partition(out);
+            out.clear();
         }
         self.emitted += out.len() as u64;
         instr
