@@ -24,6 +24,7 @@ fn initial_plan_schedules_only_c_schedulable_chains() {
             frags: &mut frags,
             world: &mut world,
             obs: &mut dqs_exec::NullObserver,
+            cpu_service: &|_, modelled| modelled,
         };
         policy.plan(&mut ctx, Interrupt::Start)
     };
@@ -63,6 +64,7 @@ fn degradation_waits_for_rate_estimates_then_fires() {
             frags: &mut frags,
             world: &mut world,
             obs: &mut dqs_exec::NullObserver,
+            cpu_service: &|_, modelled| modelled,
         };
         policy.plan(&mut ctx, Interrupt::RateChange)
     };
@@ -93,6 +95,7 @@ fn start_plan_under(budget_mb: u64, held_mb: u64) -> Vec<PcId> {
             frags: &mut frags,
             world: &mut world,
             obs: &mut dqs_exec::NullObserver,
+            cpu_service: &|_, modelled| modelled,
         },
         Interrupt::Start,
     );
@@ -134,6 +137,7 @@ fn plan_is_deterministic() {
             frags: &mut frags_a,
             world: &mut world_a,
             obs: &mut dqs_exec::NullObserver,
+            cpu_service: &|_, modelled| modelled,
         },
         Interrupt::Start,
     );
@@ -144,6 +148,7 @@ fn plan_is_deterministic() {
             frags: &mut frags_b,
             world: &mut world_b,
             obs: &mut dqs_exec::NullObserver,
+            cpu_service: &|_, modelled| modelled,
         },
         Interrupt::Start,
     );

@@ -263,10 +263,9 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
         self.in_buf = input;
         self.out_buf = out;
 
-        let grant = self
-            .world
-            .cpu
-            .acquire(now, self.world.params.instr_time(instr));
+        let modelled = self.world.params.instr_time(instr);
+        let service = self.driver.cpu_service(now, modelled);
+        let grant = self.world.cpu.acquire(now, service);
         let done_at = [read_wait, sink_wait]
             .into_iter()
             .flatten()
@@ -415,7 +414,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
                 world.temps[temp.0 as usize].arm_readahead(cursor, now, &mut world.disk);
             if instr > 0 {
                 let t = world.params.instr_time(instr);
-                world.cpu.acquire(now, t);
+                world.cpu.acquire(now, self.driver.cpu_service(now, t));
             }
             if let Some(at) = wake {
                 self.driver.schedule(at.max(now), Signal::TempReady);
@@ -518,7 +517,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
                 let charge = world.temps[temp.0 as usize].seal(now, &mut world.disk);
                 if charge.cpu_instr > 0 {
                     let t = world.params.instr_time(charge.cpu_instr);
-                    world.cpu.acquire(now, t);
+                    world.cpu.acquire(now, self.driver.cpu_service(now, t));
                 }
             }
             FragSink::Output => {

@@ -16,10 +16,15 @@
 //!   deadlines in a [`TimerHeap`]. In-process sources are the same
 //!   pull-paced wrappers the simulation uses — each modelled gap is one
 //!   more deadline, so pacing costs no thread — and only remote sources
-//!   announce arrivals on the notify channel. Modeled CPU/disk completion
-//!   times become real deadlines too: the engine's cost model still
-//!   decides *when* a batch is done, so scheduling dynamics (stalls,
-//!   timeouts, rate estimation) carry over unchanged.
+//!   announce arrivals on the notify channel. The DQP's own work —
+//!   batches, seals, read-ahead — is charged what it took
+//!   ([`Driver::cpu_service`]), not the modelled instruction count, so a
+//!   batch is done when its work returns. Message sends and receives keep
+//!   Table 1's price, as the disk keeps its model: a remote source's
+//!   reader thread, not the engine's, dials, decodes and reads the
+//!   socket, so the engine has no span of its own to time for them.
+//!   Scheduling dynamics (stalls, timeouts, rate estimation) carry over
+//!   unchanged.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -27,7 +32,7 @@ use std::sync::Arc;
 
 use dqs_relop::RelId;
 use dqs_sim::clock::until;
-use dqs_sim::{EventQueue, SimTime, TimerHeap, WallClock};
+use dqs_sim::{EventQueue, SimDuration, SimTime, TimerHeap, WallClock};
 use dqs_source::{BoxSource, Notice};
 
 use crate::workload::{EngineConfig, Workload};
@@ -98,6 +103,15 @@ pub trait Driver {
     /// config asks for `workers > 1` at all.
     fn exec_pool(&mut self) -> Option<Arc<crate::pool::WorkerPool>> {
         None
+    }
+
+    /// The mediator-CPU service time to charge for DQP work (a batch, a
+    /// seal, a read-ahead) that began at the given instant and that the
+    /// cost model prices at `modelled`. The default — and [`SimDriver`]'s
+    /// — is the model itself (Table 1's 100-MIPS CPU). Message costs do
+    /// not come here: they keep the model's price on every driver.
+    fn cpu_service(&self, _started: SimTime, modelled: SimDuration) -> SimDuration {
+        modelled
     }
 }
 
@@ -256,6 +270,11 @@ impl Driver for RealTimeDriver {
 
     fn exec_pool(&mut self) -> Option<Arc<crate::pool::WorkerPool>> {
         self.pool.clone()
+    }
+
+    /// What the work took: the wall time since it began.
+    fn cpu_service(&self, started: SimTime, _modelled: SimDuration) -> SimDuration {
+        self.now().saturating_since(started)
     }
 }
 

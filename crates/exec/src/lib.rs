@@ -11,8 +11,7 @@
 //!   the scheduling plan, §3.2), [`mem`] (hash-table memory accounting,
 //!   §4.2) and [`replan`] (planning phases and interrupt handling, §3.1);
 //! * [`driver`] — the sans-io substrate: the engine runs unchanged on the
-//!   discrete-event [`SimDriver`] or the threaded wall-clock
-//!   [`RealTimeDriver`];
+//!   discrete-event [`SimDriver`] or the wall-clock [`RealTimeDriver`];
 //! * [`error`] — typed [`RunError`] abort reasons;
 //! * [`observe`] — structured, typed engine events ([`EngineEvent`]) and the
 //!   [`EngineObserver`] trait, with metrics and JSON-lines sinks;

@@ -13,7 +13,9 @@ pub struct RunMetrics {
     pub response_time: SimDuration,
     /// Result tuples produced.
     pub output_tuples: u64,
-    /// Total mediator CPU busy time.
+    /// Total mediator CPU busy time: modelled on the simulated clock; on
+    /// the wall clock the DQP's work is measured
+    /// ([`crate::Driver::cpu_service`]) and message costs stay modelled.
     pub cpu_busy: SimDuration,
     /// Total disk busy time.
     pub disk_busy: SimDuration,

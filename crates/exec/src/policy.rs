@@ -9,7 +9,7 @@
 //! DQS and DQP "interact synchronously, i.e., they never run concurrently").
 
 use dqs_plan::{AnnotatedPlan, PcId};
-use dqs_sim::SimTime;
+use dqs_sim::{SimDuration, SimTime};
 
 use crate::frag::{FragId, FragStatus, FragTable};
 use crate::observe::{EngineEvent, EngineObserver};
@@ -50,6 +50,9 @@ pub struct PlanCtx<'a> {
     /// The engine's observer stack: plan mutations (degrade, split, MF
     /// cancellation) are reported through it as structured events.
     pub obs: &'a mut dyn EngineObserver,
+    /// The driver's [`crate::Driver::cpu_service`]: what CPU work begun at
+    /// an instant and priced by the model is charged.
+    pub cpu_service: &'a dyn Fn(SimTime, SimDuration) -> SimDuration,
 }
 
 impl<'a> PlanCtx<'a> {
@@ -109,7 +112,8 @@ impl<'a> PlanCtx<'a> {
         };
         if charge.cpu_instr > 0 {
             let t = self.world.params.instr_time(charge.cpu_instr);
-            self.world.cpu.acquire(self.now, t);
+            let service = (self.cpu_service)(self.now, t);
+            self.world.cpu.acquire(self.now, service);
         }
         self.frags.get_mut(mf).status = FragStatus::Done;
         // Hand the live queue over to the CF; once the temp drains, the

@@ -20,12 +20,14 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
     pub(crate) fn replan(&mut self, why: Interrupt) {
         let now = self.driver.now();
         self.world.cm.mark_rates();
+        let driver = &self.driver;
         let mut ctx = PlanCtx {
             now,
             plan: &self.plan,
             frags: &mut self.frags,
             world: &mut self.world,
             obs: &mut self.obs,
+            cpu_service: &|started, modelled| driver.cpu_service(started, modelled),
         };
         let sp = self.policy.plan(&mut ctx, why);
         for &f in &sp {

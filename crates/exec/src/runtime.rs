@@ -18,8 +18,10 @@
 //! on the simulated clock — batch CPU time and message receive costs queue
 //! on the single mediator CPU, materialization and temp scans queue on the
 //! single disk — exactly as before the driver split. Under
-//! [`RealTimeDriver`] the same loop runs against a wall clock with threaded
-//! wrappers. Every state transition is reported as a structured
+//! [`RealTimeDriver`] the same loop runs against a wall clock: in-process
+//! sources are paced on the driver's timers, the DQP's work is charged
+//! what it took ([`Driver::cpu_service`]) and message costs keep the
+//! model's price. Every state transition is reported as a structured
 //! [`EngineEvent`] to the observer stack (see [`crate::observe`]).
 
 use std::collections::HashMap;
@@ -340,8 +342,9 @@ pub fn run_workload<P: Policy>(workload: &Workload, policy: P) -> RunMetrics {
     Engine::new(workload, policy).run()
 }
 
-/// Run `workload` on the wall clock: wrapper gaps, batch completions and
-/// timeouts are real deadlines.
+/// Run `workload` on the wall clock: wrapper gaps, message costs, disk
+/// completions and timeouts are real deadlines, and a batch is done when
+/// its work returns (it is charged measured time, not the 100-MIPS model).
 ///
 /// Unlike simulation this is not deterministic wall-clock-wise, but the
 /// deterministic parts — wrapper payloads, join fan-out, output
