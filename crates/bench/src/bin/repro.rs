@@ -204,6 +204,13 @@ mod tests {
         line.split_whitespace().map(str::to_string).collect()
     }
 
+    /// A file of the repository, read from its root.
+    fn read(name: &str) -> String {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+        std::fs::read_to_string(format!("{root}{name}"))
+            .unwrap_or_else(|e| panic!("cannot read {name}: {e}"))
+    }
+
     #[test]
     fn only_table_commands_parse_and_csv_needs_a_single_series() {
         assert!(matches!(
@@ -248,11 +255,6 @@ mod tests {
             mentioned("`repro figure6-all`, --bin repro -- table1; `repro` prints, reproduce it"),
             ["figure6-all", "table1"]
         );
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
-        let read = |name: &str| {
-            std::fs::read_to_string(format!("{root}{name}"))
-                .unwrap_or_else(|e| panic!("cannot read {name}: {e}"))
-        };
         // `help` is no command: like anything unknown it gets the usage text.
         let known =
             |cmd: &str| ["all", "help"].contains(&cmd) || COMMANDS.iter().any(|c| c.name == cmd);
@@ -276,6 +278,58 @@ mod tests {
                 c.name
             );
         }
+    }
+
+    /// Each whole number in `text` (a maximal run of digits and dots, less
+    /// a trailing dot), with whether a `§` comes right before it.
+    fn numbers(text: &str) -> Vec<(bool, &str)> {
+        let mut found = Vec::new();
+        let mut rest = text;
+        while let Some(start) = rest.find(|c: char| c.is_ascii_digit()) {
+            let run = &rest[start..];
+            let len = run
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .unwrap_or(run.len());
+            found.push((
+                rest[..start].ends_with('§'),
+                run[..len].trim_end_matches('.'),
+            ));
+            rest = &run[len..];
+        }
+        found
+    }
+
+    /// EXPERIMENTS.md quotes only what `repro all` printed: every decimal
+    /// number in it occurs as a whole number in the committed
+    /// `docs/repro_all.txt` (numbers right after `§` are section
+    /// references). The test reads the committed record; CI regenerates
+    /// it.
+    #[test]
+    fn experiments_md_quotes_only_the_committed_record() {
+        assert_eq!(
+            numbers("§5.2, 7.631s (+33.5% vs 1.) §4.1/§4.2 e.g. 17.63"),
+            [
+                (true, "5.2"),
+                (false, "7.631"),
+                (false, "33.5"),
+                (false, "1"),
+                (true, "4.1"),
+                (true, "4.2"),
+                (false, "17.63")
+            ]
+        );
+        let record = read("docs/repro_all.txt");
+        let printed: Vec<&str> = numbers(&record).into_iter().map(|(_, n)| n).collect();
+        let doc = read("EXPERIMENTS.md");
+        let missing: Vec<&str> = numbers(&doc)
+            .into_iter()
+            .filter(|&(section, n)| !section && n.contains('.') && !printed.contains(&n))
+            .map(|(_, n)| n)
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "EXPERIMENTS.md quotes numbers docs/repro_all.txt does not hold: {missing:?}"
+        );
     }
 
     /// DESIGN §3's inventory block has one `  name/` row entry per

@@ -62,11 +62,16 @@ pub fn headline() -> String {
         bound.cpu_work.as_secs_f64(),
         bound.max_retrieval.as_secs_f64()
     );
-    for s in StrategyKind::ALL {
-        let m = run_once(&w, s);
+    let runs = StrategyKind::ALL.map(|s| (s, run_once(&w, s)));
+    let seq = &runs[0].1;
+    for (s, m) in &runs {
+        let gain = match s {
+            StrategyKind::Seq => String::new(),
+            _ => format!("  ({:+.1}% vs SEQ)", m.gain_over(seq) * 100.0),
+        };
         let _ = writeln!(
             out,
-            "{:4}: {:8.3}s  out={} stall={:.3}s cpu={:.3}s disk={:.3}s w={} r={} seeks={} degr={} plans={}",
+            "{:4}: {:8.3}s  out={} stall={:.3}s cpu={:.3}s disk={:.3}s w={} r={} seeks={} degr={} plans={}{gain}",
             s.name(),
             m.response_secs(),
             m.output_tuples,
@@ -519,30 +524,41 @@ pub fn delay_taxonomy() -> String {
 
 /// Experiment A5: memory-limited execution (§4.1/§4.2). Shrinks the query
 /// memory budget until the plan's hash tables no longer fit together; DSE's
-/// M-schedulability gating plus the DQO split keep it alive.
+/// M-schedulability gating plus the DQO split keep it alive, while SEQ,
+/// which reserves its tables in plan order and cannot change the plan,
+/// aborts with the kind of its error.
 pub fn memory_pressure() -> String {
     let mut out = String::from("Memory-limited execution (figure-5 workload at w_min)\n");
     let _ = writeln!(
         out,
-        "{:>10} {:>9} {:>9} {:>12}",
-        "budget[MB]", "DSE[s]", "overflow", "peak[MB]"
+        "{:>10} {:>20} {:>9} {:>9} {:>12}",
+        "budget[MB]", "SEQ[s]", "DSE[s]", "overflow", "peak[MB]"
     );
     for mb in [32u64, 24, 16, 12, 10, 8] {
         let (mut w, _) = Workload::fig5();
         w.config.memory_bytes = mb * 1024 * 1024;
+        let seq = match dqs_exec::Engine::new(&w, dqs_exec::SeqPolicy).try_run() {
+            Ok(m) => format!("{:.3}", m.response_secs()),
+            Err(e) => e.kind().to_string(),
+        };
         match dqs_exec::Engine::new(&w, DsePolicy::new()).try_run() {
             Ok(m) => {
                 let _ = writeln!(
                     out,
-                    "{:>10} {:>9.3} {:>9} {:>12.1}",
+                    "{:>10} {:>20} {:>9.3} {:>9} {:>12.1}",
                     mb,
+                    seq,
                     m.response_secs(),
                     m.memory_overflows,
                     m.memory_high_water as f64 / (1024.0 * 1024.0)
                 );
             }
             Err(e) => {
-                let _ = writeln!(out, "{:>10} {:>9} {:>9} — {e}", mb, "failed", "-");
+                let _ = writeln!(
+                    out,
+                    "{:>10} {:>20} {:>9} {:>9} — {e}",
+                    mb, seq, "failed", "-"
+                );
             }
         }
     }
@@ -665,7 +681,7 @@ pub fn multi_query() -> String {
 }
 
 /// A figure-5-shaped workload at one tenth the cardinality (shared by the
-/// multi-query experiment, its test and its example).
+/// multi-query experiment and its test).
 pub fn tenth_scale_fig5() -> Workload {
     use dqs_plan::{Catalog, QepBuilder};
     let mut cat = Catalog::new();

@@ -371,7 +371,7 @@ impl<P: Policy, O: EngineObserver, D: Driver> Engine<P, O, D> {
             let lane = (0..workers).min_by_key(|&j| lanes[j]).expect("workers > 1");
             lanes[lane] += instr + morsel_overhead_instr(frag_seed, i as u64);
             match build {
-                Some(ht) => self.world.arena.get_mut(ht).absorb_partition(&part),
+                Some(ht) => self.world.arena.get_mut(ht).absorb(part.len() as u64),
                 None => out.extend_from_slice(&part),
             }
         }

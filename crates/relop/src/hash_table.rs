@@ -1,12 +1,13 @@
 //! Simulated hash tables.
 //!
 //! The build side of every hash join materializes into a [`SimHashTable`]:
-//! its tuples in insert order, charged against the query-memory budget at
-//! the Table 1 tuple size. There is no key index: a probe's matches come
-//! from the join's selectivity (§5.1), so it reads only [`HtStat`]. Hash
-//! tables are shared between the chain that builds them and the chain that
-//! probes them, so they live in a [`HashTableArena`] indexed by [`HtId`] —
-//! chains hold ids, never references.
+//! a count of its tuples, charged against the query-memory budget at the
+//! Table 1 tuple size. Nothing reads a build tuple back: a probe's matches
+//! come from the join's selectivity (§5.1) and carry the probe tuple, so a
+//! probe reads only [`HtStat`]. Hash tables are shared between the chain
+//! that builds them and the chain that probes them, so they live in a
+//! [`HashTableArena`] indexed by [`HtId`] — chains hold ids, never
+//! references.
 
 use crate::tuple::Tuple;
 
@@ -14,11 +15,11 @@ use crate::tuple::Tuple;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HtId(pub u32);
 
-/// One hash table: the fully materialized build side of a join, in insert
-/// order.
+/// One hash table: the fully materialized build side of a join, kept as
+/// its size.
 #[derive(Debug, Default)]
 pub struct SimHashTable {
-    tuples: Vec<Tuple>,
+    len: u64,
     complete: bool,
 }
 
@@ -33,19 +34,18 @@ impl SimHashTable {
     /// # Panics
     /// Panics if the table was already marked complete: the blocking edge
     /// semantics of §2.2 forbid inserting after a consumer started probing.
-    pub fn insert(&mut self, t: Tuple) {
-        assert!(!self.complete, "insert into completed hash table");
-        self.tuples.push(t);
+    pub fn insert(&mut self, _t: Tuple) {
+        self.absorb(1);
     }
 
     /// Number of build tuples.
     pub fn len(&self) -> u64 {
-        self.tuples.len() as u64
+        self.len
     }
 
     /// True when no tuples were inserted.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
     }
 
     /// Mark the build finished; probing may begin.
@@ -56,17 +56,6 @@ impl SimHashTable {
     /// Whether the build finished.
     pub fn is_complete(&self) -> bool {
         self.complete
-    }
-
-    /// Deterministically pick the `i`-th matched build tuple for synthetic
-    /// match generation: rotates through the build side so every build tuple
-    /// participates equally.
-    pub fn pick(&self, i: u64) -> Option<&Tuple> {
-        if self.tuples.is_empty() {
-            None
-        } else {
-            Some(&self.tuples[(i % self.tuples.len() as u64) as usize])
-        }
     }
 
     /// Simulated memory footprint given the Table 1 tuple size.
@@ -82,18 +71,19 @@ impl SimHashTable {
         }
     }
 
-    /// Append a slice of build tuples: one serial batch, or one partition
-    /// collected by a morsel worker.
+    /// Add `n` build tuples: one serial batch, or one partition collected
+    /// by a morsel worker.
     ///
     /// Morsel-parallel execution of a build chain never touches the shared
     /// table from worker threads: each morsel collects its build-destined
-    /// tuples into a private output vector, and the merge step absorbs the
-    /// partitions in morsel-index order. Because morsel order equals batch
-    /// order, the table ends up with exactly the insert sequence serial
-    /// execution would have produced — same `tuples`, same `pick` rotation.
-    pub fn absorb_partition(&mut self, part: &[Tuple]) {
-        assert!(!self.complete, "absorb into completed hash table");
-        self.tuples.extend_from_slice(part);
+    /// tuples into a private output vector, and the merge step adds each
+    /// partition's size.
+    ///
+    /// # Panics
+    /// Panics if the table was already marked complete.
+    pub fn absorb(&mut self, n: u64) {
+        assert!(!self.complete, "insert into completed hash table");
+        self.len += n;
     }
 }
 
@@ -179,10 +169,10 @@ impl HashTableArena {
         self.tables.is_empty()
     }
 
-    /// Drop the contents of a table whose consumers are done, freeing the
-    /// (host) memory; the id stays valid but the table reads as empty.
+    /// Empty a table whose consumers are done; the id stays valid but the
+    /// table reads as empty.
     pub fn discard(&mut self, id: HtId) {
-        self.tables[id.0 as usize].tuples = Vec::new();
+        self.tables[id.0 as usize].len = 0;
     }
 }
 
@@ -196,25 +186,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_absorb_keep_insert_order() {
+    fn insert_and_absorb_add_to_the_count() {
         let mut ht = SimHashTable::new();
+        assert!(ht.is_empty());
         ht.insert(t(7));
-        ht.absorb_partition(&[t(7), t(9)]);
+        ht.absorb(2);
         ht.insert(t(3));
         assert_eq!(ht.len(), 4);
-        let keys: Vec<u64> = (0..4).map(|i| ht.pick(i).unwrap().key).collect();
-        assert_eq!(keys, [7, 7, 9, 3]);
-    }
-
-    #[test]
-    fn pick_rotates_over_build_side() {
-        let mut ht = SimHashTable::new();
-        for k in 0..3 {
-            ht.insert(t(k));
-        }
-        assert_eq!(ht.pick(0).unwrap().key, 0);
-        assert_eq!(ht.pick(4).unwrap().key, 1);
-        assert!(SimHashTable::new().pick(0).is_none());
+        assert!(!ht.is_empty());
     }
 
     #[test]
@@ -254,7 +233,6 @@ mod tests {
         a.discard(x);
         assert_eq!(a.get(x).len(), 0);
         assert!(a.get(x).is_empty());
-        assert!(a.get(x).pick(0).is_none());
         assert_eq!(a.len(), 1);
     }
 }

@@ -99,17 +99,9 @@ pub fn estimate_chain(ops: &[OpSpec], params: &SimParams) -> ChainCostEstimate {
 /// Runtime operator with its deterministic fan-out state.
 #[derive(Debug, Clone)]
 enum RunOp {
-    Select {
-        acc: FanoutAccumulator,
-    },
-    Probe {
-        table: HtId,
-        acc: FanoutAccumulator,
-        picked: u64,
-    },
-    Build {
-        table: HtId,
-    },
+    Select { acc: FanoutAccumulator },
+    Probe { table: HtId, acc: FanoutAccumulator },
+    Build { table: HtId },
 }
 
 /// Result of pushing a batch through a chain.
@@ -160,7 +152,6 @@ impl PhysChain {
                 OpSpec::Probe { table, fanout } => RunOp::Probe {
                     table: *table,
                     acc: FanoutAccumulator::new(*fanout),
-                    picked: 0,
                 },
                 OpSpec::Build { table } => RunOp::Build { table: *table },
             })
@@ -263,7 +254,7 @@ impl PhysChain {
         let stat = |id| arena.get(id).stat();
         let instr = run_ops(&mut self.ops, input, out, &mut self.scratch, stat, params);
         if let Some(table) = self.build_target() {
-            arena.get_mut(table).absorb_partition(out);
+            arena.get_mut(table).absorb(out.len() as u64);
             out.clear();
         }
         self.emitted += out.len() as u64;
@@ -356,7 +347,7 @@ fn run_ops(
                     out.retain(|_| acc.next() > 0);
                 }
             }
-            RunOp::Probe { table, acc, picked } => {
+            RunOp::Probe { table, acc } => {
                 let st = stat(*table);
                 assert!(
                     st.complete,
@@ -375,10 +366,7 @@ fn run_ops(
                     // estimated fan-out says.
                     let k = if st.len == 0 { 0 } else { acc.next() };
                     instr += k * params.instr_produce_tuple;
-                    // Matches rotate deterministically through the build
-                    // side; the output carries the probe tuple's identity,
-                    // so only the rotation counter moves.
-                    *picked += k;
+                    // A match carries the probe tuple's identity.
                     for _ in 0..k {
                         out.push(*t);
                     }
@@ -400,7 +388,7 @@ fn advance_ops(ops: &mut [RunOp], n: u64, stats: &HtStats) -> u64 {
     for op in ops.iter_mut() {
         match op {
             RunOp::Select { acc } => delta = acc.advance_by(delta),
-            RunOp::Probe { table, acc, picked } => {
+            RunOp::Probe { table, acc } => {
                 let st = stats.get(*table);
                 assert!(
                     st.complete,
@@ -410,7 +398,6 @@ fn advance_ops(ops: &mut [RunOp], n: u64, stats: &HtStats) -> u64 {
                     delta = 0;
                 } else {
                     delta = acc.advance_by(delta);
-                    *picked += delta;
                 }
             }
             RunOp::Build { .. } => delta = 0,
@@ -434,8 +421,8 @@ impl MorselCursor {
     /// [`PhysChain::run_batch_into`], reading the snapshot instead of the
     /// arena, so morsel instruction counts sum to the serial batch's exactly.
     /// `out` (cleared first) receives the open-end survivors or, for a
-    /// build-terminated chain, the partition the merge step absorbs in morsel
-    /// order ([`crate::hash_table::SimHashTable::absorb_partition`]).
+    /// build-terminated chain, the partition whose size the merge step adds
+    /// to the table ([`crate::hash_table::SimHashTable::absorb`]).
     ///
     /// # Panics
     /// Panics if a probed table's snapshot says the build is incomplete.
@@ -751,20 +738,15 @@ mod tests {
                 parts.push(part);
             }
             for part in &parts {
-                arena_p.get_mut(built_p).absorb_partition(part);
+                arena_p.get_mut(built_p).absorb(part.len() as u64);
             }
             let emitted = parallel.advance_source(input.len() as u64, &stats);
 
             assert_eq!(emitted, 0);
             assert_eq!(got_instr, want_instr);
             assert_eq!(serial.emitted(), parallel.emitted());
-            let s = arena_s.get(built_s);
-            let g = arena_p.get(built_p);
-            assert_eq!(s.len(), g.len(), "morsel={morsel}");
-            // Insert order must match exactly: pick() rotation depends on it.
-            for i in 0..s.len() {
-                assert_eq!(s.pick(i).unwrap(), g.pick(i).unwrap());
-            }
+            let (s, g) = (arena_s.get(built_s).len(), arena_p.get(built_p).len());
+            assert_eq!(s, g, "morsel={morsel}");
         }
     }
 
@@ -831,7 +813,7 @@ mod tests {
                 let mut cursor = self.chain.fork_morsel((i * morsel) as u64, &stats);
                 instr += cursor.run_into(chunk, &mut part, &stats, &p);
                 match self.built {
-                    Some(ht) => self.arena.get_mut(ht).absorb_partition(&part),
+                    Some(ht) => self.arena.get_mut(ht).absorb(part.len() as u64),
                     None => out.extend_from_slice(&part),
                 }
             }
@@ -840,23 +822,11 @@ mod tests {
             (out, instr)
         }
 
-        /// Everything a later batch could observe: counters, every probe's
-        /// rotation counter, and the built table in insert order.
-        fn state(&self) -> (u64, u64, Vec<u64>, Vec<Tuple>) {
-            let picked = self.chain.ops.iter().filter_map(|op| match op {
-                RunOp::Probe { picked, .. } => Some(*picked),
-                _ => None,
-            });
-            let table = self.built.map(|ht| self.arena.get(ht));
-            let rows = table.map_or(0, |t| t.len());
-            (
-                self.chain.consumed(),
-                self.chain.emitted(),
-                picked.collect(),
-                (0..rows)
-                    .map(|i| *table.unwrap().pick(i).unwrap())
-                    .collect(),
-            )
+        /// Everything a later batch could observe: counters and the built
+        /// table's size.
+        fn state(&self) -> (u64, u64, u64) {
+            let rows = self.built.map_or(0, |ht| self.arena.get(ht).len());
+            (self.chain.consumed(), self.chain.emitted(), rows)
         }
     }
 

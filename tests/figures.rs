@@ -1,6 +1,6 @@
 //! The paper's §5 experimental claims, asserted on reduced sweeps of the
 //! actual Figure 6/7/8 workloads. These are the headline results of the
-//! reproduction; EXPERIMENTS.md records the full-resolution numbers.
+//! reproduction; `docs/repro_all.txt` records the full sweeps.
 
 use dqs_bench::experiments::slowdown_workload;
 use dqs_bench::{run_once, StrategyKind};
